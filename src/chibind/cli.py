@@ -1,7 +1,8 @@
 """Command-line surface: verify, color, analyze, and gen subcommands.
 
-Exit codes for single-graph commands: 0 on success, 2 when the input fails a
-pipeline precondition, 1 when an internal structural assertion fails (a bug).
+Exit codes for single-graph commands: 0 on success, 2 when the input is
+malformed, unreadable or fails a pipeline precondition, 1 when an internal
+structural assertion fails (a bug).
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import json
 import sys
 
 from .enumeration import (
-    GraphStream,
     decode_graph6,
     encode_graph6,
+    filter_stream,
     generate,
     parse_free_argument,
 )
@@ -32,7 +33,10 @@ def _parse_edges(text: str, n: int | None) -> Graph:
         a, sep, b = chunk.partition("-")
         if not sep:
             raise GraphError(f"edge {chunk!r} is not of the form u-v")
-        u, v = int(a), int(b)
+        try:
+            u, v = int(a), int(b)
+        except ValueError:
+            raise GraphError(f"edge {chunk!r} has a non-integer endpoint") from None
         pairs.append((u, v))
         top = max(top, u, v)
     count = n if n is not None else top + 1
@@ -49,8 +53,7 @@ def _load_graph(args) -> Graph:
 
 def _cmd_verify(args) -> int:
     report = verify(args.target, n_max=args.n, source=args.infile,
-                    threads=args.threads, keep_rows=args.csv is not None,
-                    connected=args.connected)
+                    keep_rows=args.csv is not None, connected=args.connected)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json(include_timing=args.timing))
@@ -81,7 +84,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_gen(args) -> int:
     stream = generate(args.n, connected_only=args.connected)
     if args.free:
-        stream = GraphStream(stream.source, free_of=parse_free_argument(args.free))
+        stream = filter_stream(stream, free_of=parse_free_argument(args.free))
     count = 0
     for g in stream:
         print(encode_graph6(g))
@@ -106,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", default=None, help="write the canonical JSON report here")
     p_verify.add_argument("--csv", default=None, help="write one row per graph here")
     p_verify.add_argument("--timing", action="store_true", help="include wall time in the JSON")
-    p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker threads (default: CHIBIND_THREADS or 1)")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_color = sub.add_parser("color", help="colour one graph through a pipeline")
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PreconditionError, GraphError, KeyError) as exc:
+    except (PreconditionError, GraphError, KeyError, OSError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
     except StructureAssertionError as exc:

@@ -266,8 +266,7 @@ def color_wagon_2k2_free(g: Graph) -> Coloring:
 
     Buckets: one per maximum-clique vertex (that vertex plus everything
     missing exactly it) and one per clique pair (everything missing both).
-    Each bucket is independent; if that ever fails the colourer falls back to
-    exact colouring, which stays within the bound.
+    Each bucket is independent, which the colourer asserts.
     """
     _require_free(g, [_2K2])
     n = g.n
@@ -294,18 +293,17 @@ def color_wagon_2k2_free(g: Graph) -> Coloring:
             buckets[missed[0]] |= 1 << v
         else:
             buckets[pair_index[(missed[0], missed[1])]] |= 1 << v
-    if all(is_independent_mask(g.adj, b) for b in buckets):
-        cmap = {}
-        color = 0
-        for b in buckets:
-            if not b:
-                continue
-            for v in bits_of(b):
-                cmap[v] = color
-            color += 1
-        coloring = _coloring_from_map(n, cmap)
-    else:
-        coloring = chromatic_number(g)[1]
+    cmap = {}
+    color = 0
+    for b in buckets:
+        if not b:
+            continue
+        if not is_independent_mask(g.adj, b):
+            raise StructureAssertionError("a bucket is not independent")
+        for v in bits_of(b):
+            cmap[v] = color
+        color += 1
+    coloring = _coloring_from_map(n, cmap)
     if not is_proper_coloring(g, coloring):
         raise StructureAssertionError("bucket colouring is improper")
     if coloring.used() > (w * w + w) // 2:
@@ -382,14 +380,7 @@ def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
         raise StructureAssertionError("pipeline produced an improper colouring")
     used = coloring.used()
     if used > bound:
-        # the structural palette can overshoot the certified bound on inputs
-        # where the per-piece budgets are loose; exact colouring restores it
-        chi, exact = chromatic_number(g)
-        if chi > bound:
-            raise StructureAssertionError(f"bound {bound} is genuinely violated (chi={chi})")
-        coloring = exact
-        used = chi
-        regions = [("exact-fallback", (1 << g.n) - 1)]
+        raise StructureAssertionError(f"pipeline used {used} colours above its bound {bound}")
     trace = []
     for name, mask in regions:
         colors = {coloring.colors[v] for v in bits_of(mask)}
@@ -478,11 +469,11 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
         regions.append((f"clique-group-{i + 1}", grp.mask))
     s_slice = list(range(s_base, s_base + 5 * block))
     hole_list = list(dec.hole)
+    # the first colour of group i is always free for hole vertex i: group i
+    # avoids it, and each earlier hole vertex took a colour no later than the
+    # first of its own group
     if not _greedy_in_slice(h, cmap, hole_list, s_slice):
-        # fixed fallback: hole vertex i takes the first colour of group i,
-        # which its group never touches
-        for i, v in enumerate(hole_list):
-            cmap[v] = s_base + i * block
+        raise StructureAssertionError("hole reuse found no free colour in its donor slice")
     regions.append(("hole-reuse", sum(1 << v for v in hole_list)))
     triple_donor = list(range(0, 3 * piece_budget))
     wide_donor = triple_donor + s_slice
@@ -592,10 +583,7 @@ def color_p5_k1_2k2(g: Graph) -> tuple[Coloring, BoundCertificate]:
                 rest &= ~mine
             if rest:
                 raise StructureAssertionError("the dominating clique failed to cover the graph")
-    coloring, cert = _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, cmap, regions)
-    if cert.colors_used > bound_p5_k1_2k2(w) or cert.pipeline_trace[0].step == "exact-fallback":
-        raise StructureAssertionError("dominating-set pipeline needed a fallback")
-    return coloring, cert
+    return _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, cmap, regions)
 
 
 def _order_p3(g: Graph, triple: list[int]) -> list[int]:

@@ -287,10 +287,10 @@ def write_graph6_file(path: str, graphs: Iterable[Graph]) -> int:
 class GraphStream:
     """A deterministic graph source with class filters applied before emission.
 
-    ``source`` is either ``("generated", n, connected_only)`` or
-    ``("file", path)``.  Freeness filters on generated sources prune during
-    extension; the emitted members are identical to post-filtering because the
-    classes are hereditary.
+    ``source`` is either ``("generated", n)`` or ``("file", path)``.
+    Freeness filters on generated sources prune during extension; the emitted
+    members are identical to post-filtering because the classes are
+    hereditary.
     """
 
     source: tuple
@@ -304,15 +304,12 @@ class GraphStream:
         from .invariants import clique_number
 
         if self.source[0] == "generated":
-            _, n, conn = self.source
-            base: Iterable[Graph] = representatives(n, self.free_of)
-            conn = conn or self.connected_only
+            base: Iterable[Graph] = representatives(self.source[1], self.free_of)
         else:
             base = iter_graph6_file(self.source[1])
             base = (g for g in base if is_free(g, self.free_of)) if self.free_of else base
-            conn = self.connected_only
         for g in base:
-            if conn and not is_connected(g):
+            if self.connected_only and not is_connected(g):
                 continue
             if self.omega_min is not None or self.omega_max is not None:
                 w = clique_number(g)
@@ -327,7 +324,7 @@ def generate(n: int, connected_only: bool = False) -> GraphStream:
     """One representative per isomorphism class on exactly ``n`` vertices."""
     if n > GENERATION_CAP:
         raise PreconditionError(f"generation supports at most {GENERATION_CAP} vertices")
-    return GraphStream(("generated", n, connected_only))
+    return GraphStream(("generated", n), connected_only=connected_only)
 
 
 def from_file(path: str) -> GraphStream:

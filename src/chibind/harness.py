@@ -10,9 +10,7 @@ timing is kept out of the canonical JSON.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -30,7 +28,7 @@ from .colorers import (
 )
 from .errors import PreconditionError, SearchExhaustedError
 from .enumeration import GraphStream, encode_graph6, from_file
-from .graphs import Graph, complement, cycle_graph, empty_graph, is_clique, is_connected
+from .graphs import Graph, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
 from .invariants import (
     chi_bound_divisible,
     chromatic_number,
@@ -57,15 +55,12 @@ from .structure import (
     check_p5_hole_lemma,
     decompose_five_hole,
     find_all_five_holes,
-    find_all_odd_antiholes,
     find_clique_cutset,
     find_dominating_clique_or_p3,
     find_five_hole,
     find_homogeneous_set,
     minimal_cutsets,
 )
-
-THREADS_ENV = "CHIBIND_THREADS"
 
 _TRIPLE_INDEPENDENT = empty_graph(3, "3K1")
 
@@ -134,9 +129,8 @@ def _sizes(stream_fn: Callable[[int], GraphStream], n_max: int) -> Iterator[Grap
 
 def _free_stream(names: tuple, connected: bool = False, omega_min: int | None = None):
     def build(n: int) -> GraphStream:
-        return GraphStream(("generated", n, connected),
-                           free_of=tuple(_resolve(p) for p in names),
-                           omega_min=omega_min)
+        return GraphStream(("generated", n), free_of=tuple(_resolve(p) for p in names),
+                           connected_only=connected, omega_min=omega_min)
     return build
 
 
@@ -181,7 +175,6 @@ def _bound_check(g: Graph, bound_fn, pipeline, connected_only_pipeline: bool) ->
             violations.append("pipeline claims fewer colours than the chromatic number")
         ratio = cert.colors_used / bound if bound > 0 else None
         row["colors_used"] = cert.colors_used
-        row["fallback"] = int(any(s.step == "exact-fallback" for s in cert.pipeline_trace))
     return CheckOutcome(tuple(violations), ratio, row)
 
 
@@ -264,8 +257,6 @@ def _check_dominating(g: Graph) -> CheckOutcome:
     if kind == "clique" and not is_clique(g, found):
         violations.append("returned clique is not a clique")
     if kind == "p3":
-        from .graphs import induced
-
         sub = induced(g, found)
         if sub.edge_count() != 2 or max(sub.degree_sequence()) != 2:
             violations.append("returned three-path is not an induced path")
@@ -354,7 +345,7 @@ _register("lemma-6.4", 9, 10, "connected, no induced P5/K1+(K1uK3), no clique cu
           _per_hole_check(check_k1uk3_level_lemma))
 _register("lemma-6.5", 9, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a big odd antihole",
           _free_stream(("P5", "K1+(K1uK3)")),
-          lambda g: not _has_five_hole(g) and bool(find_all_odd_antiholes(g, 7)),
+          lambda g: not _has_five_hole(g) and find_odd_antihole(g) is not None,
           _check_antiholes)
 # the two-cliques scan is exponential in the antihole length, so the cap stays
 # well under the 64-vertex graph budget
@@ -362,23 +353,13 @@ _register("observation-2.1", 9, 21, "odd antiholes",
           lambda n: _antihole_stream(n), _always, _check_two_cliques)
 
 
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def verify(target: str, n_max: int | None = None, source: str | None = None,
-           threads: int | None = None, keep_rows: bool = False,
-           connected: bool = False) -> VerificationReport:
+           keep_rows: bool = False, connected: bool = False) -> VerificationReport:
     """Run one verification target over its universe up to ``n_max`` vertices.
 
     ``source`` replaces the generated universe with a graph6 file; class
     filters and admission predicates still apply.  ``connected`` restricts a
-    universe that is not already connected-only.  Results are independent of
-    the thread count.
+    universe that is not already connected-only.
     """
     if target not in TARGETS:
         raise KeyError(f"unknown verification target {target!r}; known: {sorted(TARGETS)}")
@@ -394,21 +375,8 @@ def verify(target: str, n_max: int | None = None, source: str | None = None,
         graphs = _file_universe(source, entry, cap)
         source_desc = source
 
-    def run_one(g: Graph):
-        g6 = encode_graph6(g)
-        outcome = entry.check(g)
-        return g6, outcome
-
-    admitted = (g for g in graphs
-                if entry.admit(g) and (not connected or is_connected(g)))
-    workers = threads if threads is not None else thread_count()
-    results: list[tuple[str, CheckOutcome]] = []
-    if workers <= 1:
-        for g in admitted:
-            results.append(run_one(g))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, admitted))
+    results = [(encode_graph6(g), entry.check(g)) for g in graphs
+               if entry.admit(g) and (not connected or is_connected(g))]
     results.sort(key=lambda item: (len(item[0]), item[0]))
     violations = []
     rows = []

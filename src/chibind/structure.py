@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     VertexSet,
     bits_of,
+    complement,
     components_masks,
     distances_from,
     induced,
@@ -85,8 +86,7 @@ def find_all_five_holes(g: Graph) -> list[tuple[int, ...]]:
 
 def find_five_hole(g: Graph) -> tuple[int, ...] | None:
     """Least induced five-cycle in canonical cyclic order, or None."""
-    holes = find_all_five_holes(g)
-    return min(holes) if holes else None
+    return _find_hole_tuple(g.adj, (1 << g.n) - 1, 5)
 
 
 def decompose_five_hole(g: Graph, hole: tuple[int, ...], p5_free: bool = False) -> FiveHoleDecomposition:
@@ -246,10 +246,9 @@ def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
             if not is_clique_mask(g.adj, vs.mask):
                 out.append(f"class {key_desc} is not a clique")
     # (c) small independence and completeness between consecutive triples
-    if clique_number_mask(tuple(~r & ((1 << n) - 1) & ~(1 << v) for v, r in enumerate(g.adj)),
-                          dec.neighbor_class(1, 2, 3, 4, 5).mask) > 2:
+    comp_adj = complement(g).adj
+    if clique_number_mask(comp_adj, dec.neighbor_class(1, 2, 3, 4, 5).mask) > 2:
         out.append("all-five class has three pairwise non-adjacent vertices")
-    comp_adj = tuple(~r & ((1 << n) - 1) & ~(1 << v) for v, r in enumerate(g.adj))
     for i in range(1, 6):
         triple = dec.neighbor_class(i, i + 1, i + 2).mask
         if clique_number_mask(comp_adj, triple) > 2:
@@ -293,7 +292,7 @@ def check_k23_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     full-clique components attach only through the all-five class."""
     out = []
     n = g.n
-    comp_adj = tuple(~r & ((1 << n) - 1) & ~(1 << v) for v, r in enumerate(g.adj))
+    comp_adj = complement(g).adj
     if dec.level(3):
         out.append("level three is nonempty")
     w = clique_number_mask(g.adj, (1 << n) - 1)
@@ -390,8 +389,6 @@ def find_all_odd_antiholes(g: Graph, min_length: int = 7) -> list[tuple[int, ...
     """Odd antiholes of length at least ``min_length``, in cyclic complement
     order (consecutive tuple entries are non-adjacent), ascending by length
     then vertex set."""
-    from .graphs import complement
-
     comp = complement(g)
     out = []
     for length in range(min_length | 1, g.n + 1, 2):
@@ -617,8 +614,7 @@ def check_c5_cutset_lemma(g: Graph) -> list[str]:
     if not is_connected(g):
         raise PreconditionError("the cutset facts are about connected graphs")
     out = []
-    n = g.n
-    comp_adj = tuple(~r & ((1 << n) - 1) & ~(1 << v) for v, r in enumerate(g.adj))
+    comp_adj = complement(g).adj
     for report in minimal_cutsets(g):
         s_mask = report.cutset.mask
         comps = report.side_components

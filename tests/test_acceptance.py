@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from chibind import enumeration
 from chibind.colorers import bound_p5_k23, color_p5_k23
 from chibind.enumeration import decode_graph6, encode_graph6, representatives
 from chibind.graphs import cycle_graph, is_connected
@@ -131,12 +132,15 @@ def test_criterion_10_enumeration_and_graph6(all_graphs_8):
                  f"{len(all_graphs_8)} round trips at n<=8, {bad_round_trips} failures")
 
 
-def test_criterion_11_deterministic_reports():
+def test_criterion_11_deterministic_reports(monkeypatch):
     pairs = []
     for target, cap in (("lemma-5.2", 6), ("observation-2.1", 9)):
-        a = verify(target, n_max=cap, threads=1).to_json()
-        b = verify(target, n_max=cap, threads=4).to_json()
-        pairs.append(a == b)
+        a = verify(target, n_max=cap).to_json()
+        b = verify(target, n_max=cap).to_json()
+        monkeypatch.setattr(enumeration, "_GEN_CACHE", {})
+        cold = verify(target, n_max=cap).to_json()
+        monkeypatch.undo()
+        pairs.append(a == b == cold)
         json.loads(a)
     ok = all(pairs)
-    _report_line(11, ok, f"byte-identical JSON across thread counts: {pairs}")
+    _report_line(11, ok, f"byte-identical JSON run to run and cold vs warm cache: {pairs}")

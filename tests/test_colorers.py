@@ -2,6 +2,7 @@
 
 import pytest
 
+from chibind import colorers
 from chibind.colorers import (
     bound_p5_k1_2k2,
     bound_p5_k1_k1k3,
@@ -14,7 +15,7 @@ from chibind.colorers import (
     color_sumner,
     color_wagon_2k2_free,
 )
-from chibind.errors import PreconditionError
+from chibind.errors import PreconditionError, StructureAssertionError
 from chibind.graphs import (
     complement,
     complete_graph,
@@ -127,6 +128,15 @@ def test_p5k23_pipeline_perfect_inputs_use_omega():
         col, cert = color_p5_k23(g)
         assert is_perfect(g)
         assert cert.colors_used == clique_number(g) <= cert.bound_value
+
+
+def test_p5k23_overshoot_is_an_assertion(monkeypatch):
+    def wasteful_leaf(h):
+        return {v: v for v in range(h.n)}, [("one-colour-per-vertex", (1 << h.n) - 1)]
+
+    monkeypatch.setattr(colorers, "_p5k23_leaf", wasteful_leaf)
+    with pytest.raises(StructureAssertionError, match="above its bound 3"):
+        color_p5_k23(cycle_graph(5))
 
 
 def test_p5k23_pipeline_preconditions():

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from chibind import enumeration
 from chibind.cli import main
-from chibind.enumeration import encode_graph6, write_graph6_file
+from chibind.enumeration import encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError
 from chibind.graphs import complement, complete_graph, cycle_graph, from_edge_list
 from chibind.harness import TARGETS, analyze_one, color_one, verify
@@ -48,22 +49,22 @@ def test_verify_unknown_target_and_caps():
         verify("theorem-1.2", n_max=11)
 
 
-def test_verify_thread_count_does_not_change_json():
-    a = verify("lemma-5.2", n_max=5, threads=1).to_json()
-    b = verify("lemma-5.2", n_max=5, threads=2).to_json()
+def test_verify_json_is_byte_stable_across_runs():
+    a = verify("lemma-5.2", n_max=5).to_json()
+    b = verify("lemma-5.2", n_max=5).to_json()
     assert a == b
     payload = json.loads(a)
     assert set(payload) == {"target", "params", "counts", "violations", "extremes"}
-    timed = verify("lemma-5.2", n_max=5, threads=1).to_json(include_timing=True)
+    timed = verify("lemma-5.2", n_max=5).to_json(include_timing=True)
     assert "seconds" in json.loads(timed)
 
 
-def test_verify_env_thread_count(monkeypatch):
-    monkeypatch.setenv("CHIBIND_THREADS", "2")
-    a = verify("observation-2.1").to_json()
-    monkeypatch.setenv("CHIBIND_THREADS", "1")
-    b = verify("observation-2.1").to_json()
-    assert a == b
+def test_verify_json_cold_cache_equals_warm(monkeypatch):
+    monkeypatch.setattr(enumeration, "_GEN_CACHE", {})
+    cold = verify("theorem-1.3", n_max=6).to_json()
+    assert enumeration._GEN_CACHE
+    warm = verify("theorem-1.3", n_max=6).to_json()
+    assert cold == warm
 
 
 def test_verify_from_file(tmp_path):
@@ -82,6 +83,17 @@ def test_verify_rows_for_csv():
     assert report.rows and all("g6" in row for row in report.rows)
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("bound") or "g6" in csv.splitlines()[0]
+    header = verify("theorem-1.2", n_max=5, keep_rows=True).to_csv().splitlines()[0]
+    assert "colors_used" in header.split(",")
+    assert "fallback" not in header.split(",")
+
+
+def test_verify_from_file_keeps_connected_filter(tmp_path):
+    path = tmp_path / "all6.g6"
+    write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
+    from_file = verify("theorem-1.3", n_max=6, source=str(path))
+    generated = verify("theorem-1.3", n_max=6)
+    assert from_file.graphs_checked == generated.graphs_checked == 112
 
 
 def test_color_one_pipelines():
@@ -172,3 +184,24 @@ def test_cli_bad_input(capsys):
     assert code == 2
     code = main(["analyze", "--edges", "zap"])
     assert code == 2
+
+
+def test_cli_bad_edge_token_exits_two(capsys):
+    code = main(["color", "--pipeline", "p5-k23", "--edges", "0-x"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("rejected:") and "'0-x'" in err
+
+
+def test_cli_missing_input_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing.g6"
+    code = main(["verify", "--target", "theorem-1.4", "--in", str(missing)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("rejected:") and str(missing) in err
+
+
+def test_cli_verify_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--target", "lemma-5.2", "--threads", "2"])
+    assert exc.value.code == 2

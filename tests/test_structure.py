@@ -65,6 +65,11 @@ def test_find_five_hole_examples():
     assert find_five_hole(join(empty_graph(2), empty_graph(3))) is None
 
 
+def test_find_five_hole_is_least_of_all_holes(all_graphs_7):
+    for g in all_graphs_7:
+        assert find_five_hole(g) == min(find_all_five_holes(g), default=None)
+
+
 def test_decompose_classes():
     g = c5_plus([0, 2])  # one vertex adjacent to v1 and v3 in 1-based terms
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
