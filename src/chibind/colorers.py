@@ -89,6 +89,14 @@ def bound_p5_k1_k1k3(w: int) -> int:
     return 3 * w + 11
 
 
+def bound_wagon_2k2(w: int) -> int:
+    return (w * w + w) // 2
+
+
+def bound_k1_union_k3(w: int) -> int:
+    return max(3 * w - 3, 1)
+
+
 # ---------------------------------------------------------------------------
 # triangle-free structure and colouring
 
@@ -244,15 +252,13 @@ def _k1uk3_component(h: Graph) -> dict[int, int]:
 
 
 def color_k1_union_k3_free(g: Graph) -> Coloring:
-    """At most ``3*omega - 3`` colours for hosts with no induced P5 or K1uK3."""
+    """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5 or K1uK3."""
     _require_free(g, [_P5, _K1UK3])
     cmap = _k1uk3_map(g, (1 << g.n) - 1)
     coloring = _coloring_from_map(g.n, cmap)
     if not is_proper_coloring(g, coloring):
         raise StructureAssertionError("peeling colourer produced an improper colouring")
-    w = clique_number(g)
-    limit = 1 if g.edge_count() == 0 else 3 * w - 3
-    if g.n and coloring.used() > max(limit, 1):
+    if coloring.used() > bound_k1_union_k3(clique_number(g)):
         raise StructureAssertionError("peeling colourer exceeded its bound")
     return coloring
 
@@ -306,7 +312,7 @@ def color_wagon_2k2_free(g: Graph) -> Coloring:
     coloring = _coloring_from_map(n, cmap)
     if not is_proper_coloring(g, coloring):
         raise StructureAssertionError("bucket colouring is improper")
-    if coloring.used() > (w * w + w) // 2:
+    if coloring.used() > bound_wagon_2k2(w):
         raise StructureAssertionError("bucket colouring exceeded its bound")
     return coloring
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
-from .graphs import CapacityError, Graph, GraphError, bits_of
+from .graphs import CapacityError, Graph, GraphError, bits_of, is_connected
+from .invariants import clique_number
 from .patterns import Pattern, _as_graph, has_induced_using, is_free, parse_pattern_list
 
 GENERATION_CAP = 10
@@ -263,11 +264,18 @@ def decode_graph6(text: str) -> Graph:
 
 
 def iter_graph6_file(path: str) -> Iterator[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield decode_graph6(line)
+    """One graph per nonblank line; a malformed or non-ASCII line raises
+    ``GraphError`` naming the file and the line number."""
+    # a non-ASCII byte decodes to U+FFFD, which decode_graph6 rejects
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                g = decode_graph6(line)
+            except GraphError as exc:
+                raise GraphError(f"{path}, line {lineno}: {exc}") from None
+            yield g
 
 
 def write_graph6_file(path: str, graphs: Iterable[Graph]) -> int:
@@ -300,9 +308,6 @@ class GraphStream:
     omega_max: int | None = None
 
     def __iter__(self) -> Iterator[Graph]:
-        from .graphs import is_connected
-        from .invariants import clique_number
-
         if self.source[0] == "generated":
             base: Iterable[Graph] = representatives(self.source[1], self.free_of)
         else:

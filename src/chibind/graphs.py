@@ -206,19 +206,6 @@ def induced(g: Graph, s: VertexSet) -> Graph:
     return Graph(len(old), tuple(rows), g.label)
 
 
-def induced_mask(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """Induced adjacency rows for a raw mask, relabelled by ascending index."""
-    old = list(bits_of(mask))
-    pos = {v: i for i, v in enumerate(old)}
-    rows = []
-    for v in old:
-        row = 0
-        for u in bits_of(adj[v] & mask):
-            row |= 1 << pos[u]
-        rows.append(row)
-    return tuple(rows)
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)), g.label)

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .colorers import (
+    bound_k1_union_k3,
     bound_p5_k1_2k2,
     bound_p5_k1_k1k3,
     bound_p5_k23,
+    bound_wagon_2k2,
     classify_triangle_free,
     color_k1_union_k3_free,
     color_p5_k1_2k2,
@@ -26,7 +28,7 @@ from .colorers import (
     color_sumner,
     color_wagon_2k2_free,
 )
-from .errors import PreconditionError, SearchExhaustedError
+from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
 from .enumeration import GraphStream, encode_graph6, from_file
 from .graphs import Graph, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
 from .invariants import (
@@ -192,7 +194,7 @@ def _check_t14(g: Graph) -> CheckOutcome:
 
 def _check_wagon(g: Graph) -> CheckOutcome:
     w = clique_number(g)
-    bound = (w * w + w) // 2
+    bound = bound_wagon_2k2(w)
     chi, _ = chromatic_number(g)
     violations = []
     if chi > bound:
@@ -228,7 +230,7 @@ def _check_sumner(g: Graph) -> CheckOutcome:
 
 def _check_k1uk3_bound(g: Graph) -> CheckOutcome:
     w = clique_number(g)
-    bound = 3 * w - 3
+    bound = bound_k1_union_k3(w)
     chi, _ = chromatic_number(g)
     violations = []
     if chi > bound:
@@ -365,8 +367,8 @@ def verify(target: str, n_max: int | None = None, source: str | None = None,
         raise KeyError(f"unknown verification target {target!r}; known: {sorted(TARGETS)}")
     entry = TARGETS[target]
     cap = entry.default_cap if n_max is None else n_max
-    if cap > entry.hard_cap:
-        raise PreconditionError(f"{target} supports n_max up to {entry.hard_cap}")
+    if not 1 <= cap <= entry.hard_cap:
+        raise PreconditionError(f"{target} supports n_max from 1 to {entry.hard_cap}")
     started = time.monotonic()
     if source is None:
         graphs: Iterable[Graph] = _sizes(entry.streams, cap)
@@ -375,7 +377,7 @@ def verify(target: str, n_max: int | None = None, source: str | None = None,
         graphs = _file_universe(source, entry, cap)
         source_desc = source
 
-    results = [(encode_graph6(g), entry.check(g)) for g in graphs
+    results = [_checked(entry, g) for g in graphs
                if entry.admit(g) and (not connected or is_connected(g))]
     results.sort(key=lambda item: (len(item[0]), item[0]))
     violations = []
@@ -407,6 +409,16 @@ def verify(target: str, n_max: int | None = None, source: str | None = None,
     )
 
 
+def _checked(entry: Target, g: Graph) -> tuple[str, CheckOutcome]:
+    """The graph6 witness and the check outcome; a failed structural
+    assertion is re-raised with the witness in front."""
+    g6 = encode_graph6(g)
+    try:
+        return g6, entry.check(g)
+    except StructureAssertionError as exc:
+        raise StructureAssertionError(f"{g6}: {exc}") from exc
+
+
 def _file_universe(path: str, entry: Target, cap: int) -> Iterator[Graph]:
     template = entry.streams(1)
     if isinstance(template, GraphStream):
@@ -433,8 +445,8 @@ PIPELINES: dict[str, Callable] = {
 
 SUB_COLORERS: dict[str, tuple[Callable, Callable[[int], int]]] = {
     "sumner": (color_sumner, lambda w: 3),
-    "wagon-2k2": (color_wagon_2k2_free, lambda w: (w * w + w) // 2),
-    "k1-union-k3": (color_k1_union_k3_free, lambda w: max(3 * w - 3, 1)),
+    "wagon-2k2": (color_wagon_2k2_free, bound_wagon_2k2),
+    "k1-union-k3": (color_k1_union_k3_free, bound_k1_union_k3),
     "divisible": (lambda g: chi_bound_divisible(g)[1], lambda w: w * (w + 1) // 2),
 }
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .errors import PreconditionError, StructureAssertionError
-from .graphs import Graph, VertexSet, bits_of, complement, components_masks, induced
+from .graphs import Graph, VertexSet, bits_of, complement, induced
+from .patterns import _holes
 
 
 @dataclass(frozen=True)
@@ -86,29 +88,28 @@ def independence_number(g: Graph) -> int:
     return clique_number(complement(g))
 
 
+def cliques(adj: tuple[int, ...], sub: int, size: int) -> Iterator[int]:
+    """Every clique of exactly ``size`` vertices inside ``sub``, as a mask, in
+    ascending lexicographic order of the sorted members."""
+
+    def grow(cand: int, chosen: int, need: int) -> Iterator[int]:
+        if not need:
+            yield chosen
+            return
+        for v in bits_of(cand):
+            nxt = cand & adj[v] & ~((2 << v) - 1)
+            if nxt.bit_count() >= need - 1:
+                yield from grow(nxt, chosen | (1 << v), need - 1)
+
+    return grow(sub, 0, size)
+
+
 def maximum_clique(g: Graph) -> VertexSet:
     """Lexicographically least maximum clique."""
-    w = clique_number(g)
-    chosen: list[int] = []
-
-    def grow(cand: int, size: int) -> bool:
-        if size == w:
-            return True
-        for v in bits_of(cand):
-            if size + 1 + (cand & adj[v]).bit_count() < w:
-                continue
-            chosen.append(v)
-            if grow(cand & adj[v] & ~((2 << v) - 1), size + 1):
-                return True
-            chosen.pop()
-        return False
-
-    adj = g.adj
-    if w == 0:
-        return VertexSet(0, g.n)
-    if not grow((1 << g.n) - 1, 0):
+    mask = next(cliques(g.adj, (1 << g.n) - 1, clique_number(g)), None)
+    if mask is None:
         raise StructureAssertionError("maximum clique search lost its own optimum")
-    return VertexSet.of(chosen, g.n)
+    return VertexSet(mask, g.n)
 
 
 def omega_table(adj: tuple[int, ...], n: int) -> list[int]:
@@ -190,35 +191,15 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     return chi, coloring
 
 
-def chromatic_number_mask(g: Graph, mask: int) -> int:
-    return chromatic_number(induced(g, VertexSet(mask, g.n)))[0]
-
-
-def _odd_cycle_masks(adj: tuple[int, ...], n: int) -> list[int]:
-    """Vertex masks of all induced odd cycles of length at least five."""
-    import itertools
-
-    out = []
-    for length in range(5, n + 1, 2):
-        for combo in itertools.combinations(range(n), length):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            ok = True
-            for v in combo:
-                if (adj[v] & mask).bit_count() != 2:
-                    ok = False
-                    break
-            if ok and len(components_masks(adj, mask)) == 1:
-                out.append(mask)
-    return out
-
-
 def perfection_table(adj: tuple[int, ...], comp_adj: tuple[int, ...], n: int) -> list[bool]:
     """Perfection of every induced subgraph, by the odd hole and antihole
     criterion: a subset is imperfect exactly when it contains the vertex set
     of some induced odd cycle of either the graph or its complement."""
-    witnesses = set(_odd_cycle_masks(adj, n)) | set(_odd_cycle_masks(comp_adj, n))
+    full = (1 << n) - 1
+    witnesses = {sum(1 << v for v in hole)
+                 for view in (adj, comp_adj)
+                 for length in range(5, n + 1, 2)
+                 for hole in _holes(view, full, length)}
     imperfect = [False] * (1 << n)
     for s in range(1, 1 << n):
         if s in witnesses:

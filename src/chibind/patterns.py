@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import PreconditionError
 from .graphs import (
@@ -23,6 +24,8 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     from_edge_list,
+    is_clique_mask,
+    is_connected,
     join,
     path_graph,
 )
@@ -97,10 +100,6 @@ def pattern(name: str) -> Pattern:
     if key not in _NORMALIZED:
         raise KeyError(f"unknown pattern {name!r}")
     return PATTERN_CATALOG[_NORMALIZED[key]]
-
-
-def pattern_names() -> tuple[str, ...]:
-    return tuple(PATTERN_CATALOG)
 
 
 def parse_pattern_list(text: str) -> list[Pattern]:
@@ -269,61 +268,54 @@ def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:
     return all(find_induced(host, p) is None for p in patterns)
 
 
-def _find_hole_tuple(adj: tuple[int, ...], sub: int, length: int) -> tuple[int, ...] | None:
-    """Least induced cycle of exactly ``length`` vertices inside ``sub``.
+def _holes(adj: tuple[int, ...], sub: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Every induced cycle of exactly ``length`` vertices inside ``sub``.
 
-    Canonical ordering: the cycle starts at its least vertex and runs toward
+    Canonical ordering: each cycle starts at its least vertex and runs toward
     the smaller of the two neighbours; tuples are produced in ascending
-    lexicographic order, so the first hit is the least one.
+    lexicographic order, so the first one is the least.
     """
     if length > sub.bit_count():
-        return None
+        return
     path = [0] * length
 
-    def grow(depth: int, used: int, above_start: int) -> bool:
+    def grow(depth: int, avail: int) -> Iterator[tuple[int, ...]]:
+        # avail: vertices of sub above path[0] that are off the path and not
+        # adjacent to path[1 .. depth-2]; prune when too few are left
+        if avail.bit_count() < length - depth:
+            return
         last = path[depth - 1]
         if depth == length - 1:
             # closing vertex: adjacent to both ends, independent of the middle,
             # and larger than path[1] to fix the traversal direction
-            allowed = adj[last] & adj[path[0]] & sub & ~used
-            for j in range(1, depth - 1):
-                allowed &= ~adj[path[j]]
-            allowed &= ~((1 << (path[1] + 1)) - 1)
-            if allowed:
-                path[depth] = (allowed & -allowed).bit_length() - 1
-                return True
-            return False
-        allowed = adj[last] & sub & ~used & above_start
+            allowed = adj[last] & adj[path[0]] & avail & ~((2 << path[1]) - 1)
+            for v in bits_of(allowed):
+                path[depth] = v
+                yield tuple(path)
+            return
+        allowed = adj[last] & avail
         if depth >= 2:
             allowed &= ~adj[path[0]]
-        for j in range(1, depth - 1):
-            allowed &= ~adj[path[j]]
+            avail &= ~adj[last]
         for v in bits_of(allowed):
             path[depth] = v
-            if grow(depth + 1, used | (1 << v), above_start):
-                return True
-        return False
+            yield from grow(depth + 1, avail & ~(1 << v))
 
     for s in bits_of(sub):
         path[0] = s
-        if grow(1, 1 << s, ~((2 << s) - 1)):
-            return tuple(path)
-    return None
+        yield from grow(1, sub & ~((2 << s) - 1))
 
 
 def has_odd_hole_mask(adj: tuple[int, ...], sub: int) -> bool:
-    n = sub.bit_count()
-    for length in range(5, n + 1, 2):
-        if _find_hole_tuple(adj, sub, length) is not None:
-            return True
-    return False
+    return any(next(_holes(adj, sub, length), None) is not None
+               for length in range(5, sub.bit_count() + 1, 2))
 
 
 def find_odd_hole(g: Graph) -> VertexSet | None:
     """Vertex set of the least induced odd cycle of length >= 5, or None."""
     full = (1 << g.n) - 1
     for length in range(5, g.n + 1, 2):
-        tup = _find_hole_tuple(g.adj, full, length)
+        tup = next(_holes(g.adj, full, length), None)
         if tup is not None:
             return VertexSet.of(tup, g.n)
     return None
@@ -341,11 +333,6 @@ def is_perfect(g: Graph) -> bool:
     return not has_odd_hole_mask(g.adj, full) and not has_odd_hole_mask(comp.adj, full)
 
 
-def is_perfect_mask(adj: tuple[int, ...], comp_adj: tuple[int, ...], sub: int) -> bool:
-    """Perfection of the induced subgraph on ``sub`` given both adjacency views."""
-    return not has_odd_hole_mask(adj, sub) and not has_odd_hole_mask(comp_adj, sub)
-
-
 def is_odd_antihole(g: Graph) -> bool:
     """True iff ``g`` is the complement of a single odd cycle on >= 5 vertices."""
     if g.n < 5 or g.n % 2 == 0:
@@ -353,8 +340,6 @@ def is_odd_antihole(g: Graph) -> bool:
     comp = complement(g)
     if any(comp.degree(v) != 2 for v in range(g.n)):
         return False
-    from .graphs import is_connected
-
     return is_connected(comp)
 
 
@@ -365,8 +350,6 @@ def odd_antihole_not_two_cliques(g: Graph) -> bool:
     """
     if not is_odd_antihole(g):
         raise PreconditionError("input is not an odd antihole on >= 5 vertices")
-    from .graphs import is_clique_mask
-
     full = (1 << g.n) - 1
     for a in range(0, 1 << (g.n - 1)):
         if is_clique_mask(g.adj, a) and is_clique_mask(g.adj, full & ~a):

@@ -26,8 +26,8 @@ from .graphs import (
     is_independent_mask,
     neighborhood_mask,
 )
-from .invariants import clique_number_mask
-from .patterns import _find_hole_tuple, is_free, pattern
+from .invariants import clique_number_mask, cliques
+from .patterns import _holes, is_free, pattern
 
 
 def _class_key(*indices: int) -> frozenset[int]:
@@ -72,21 +72,14 @@ class FiveHoleDecomposition:
 
 
 def find_all_five_holes(g: Graph) -> list[tuple[int, ...]]:
-    """Every induced five-cycle, one canonical ordering per vertex set."""
-    out = []
-    for combo in itertools.combinations(range(g.n), 5):
-        sub = 0
-        for v in combo:
-            sub |= 1 << v
-        tup = _find_hole_tuple(g.adj, sub, 5)
-        if tup is not None:
-            out.append(tup)
-    return out
+    """Every induced five-cycle, one canonical ordering per vertex set, in
+    ascending lexicographic order of the canonical tuples."""
+    return list(_holes(g.adj, (1 << g.n) - 1, 5))
 
 
 def find_five_hole(g: Graph) -> tuple[int, ...] | None:
     """Least induced five-cycle in canonical cyclic order, or None."""
-    return _find_hole_tuple(g.adj, (1 << g.n) - 1, 5)
+    return next(_holes(g.adj, (1 << g.n) - 1, 5), None)
 
 
 def decompose_five_hole(g: Graph, hole: tuple[int, ...], p5_free: bool = False) -> FiveHoleDecomposition:
@@ -389,16 +382,11 @@ def find_all_odd_antiholes(g: Graph, min_length: int = 7) -> list[tuple[int, ...
     """Odd antiholes of length at least ``min_length``, in cyclic complement
     order (consecutive tuple entries are non-adjacent), ascending by length
     then vertex set."""
-    comp = complement(g)
+    comp_adj = complement(g).adj
+    full = (1 << g.n) - 1
     out = []
     for length in range(min_length | 1, g.n + 1, 2):
-        for combo in itertools.combinations(range(g.n), length):
-            sub = 0
-            for v in combo:
-                sub |= 1 << v
-            tup = _find_hole_tuple(comp.adj, sub, length)
-            if tup is not None:
-                out.append(tup)
+        out.extend(sorted(_holes(comp_adj, full, length), key=sorted))
     return out
 
 
@@ -512,12 +500,7 @@ def find_clique_cutset(g: Graph) -> CutsetReport | None:
         raise PreconditionError("clique cutsets are defined for connected graphs")
     n = g.n
     for size in range(1, max(n - 1, 0)):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if not is_clique_mask(g.adj, mask):
-                continue
+        for mask in cliques(g.adj, (1 << n) - 1, size):
             comps = _removal_components(g, mask)
             if len(comps) >= 2:
                 return CutsetReport(
@@ -569,11 +552,8 @@ def find_dominating_clique_or_p3(g: Graph) -> tuple[str, VertexSet]:
         raise PreconditionError("domination search needs a connected graph")
     n = g.n
     for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if is_clique_mask(g.adj, mask) and _dominates(g, mask):
+        for mask in cliques(g.adj, (1 << n) - 1, size):
+            if _dominates(g, mask):
                 return "clique", VertexSet(mask, n)
     for combo in itertools.combinations(range(n), 3):
         sub = induced(g, VertexSet.of(combo, n))

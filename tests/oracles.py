@@ -180,3 +180,32 @@ def induced_copy_exists(host: Graph, pat: Graph) -> bool:
                for i in range(k) for j in range(i)):
             return True
     return False
+
+
+def induced_cycles_brute(adj: tuple[int, ...], n: int, length: int) -> list[tuple[int, ...]]:
+    """Every induced cycle on ``length`` vertices by scanning all subsets in
+    ``combinations`` order.  Each cycle is written from its least vertex
+    toward the smaller of its two neighbours."""
+    out = []
+    for combo in itertools.combinations(range(n), length):
+        mask = sum(1 << v for v in combo)
+        if any((adj[v] & mask).bit_count() != 2 for v in combo):
+            continue
+        # two-regular: walk the component of the least vertex
+        order = [combo[0]]
+        prev, cur = combo[0], min(bits_of(adj[combo[0]] & mask))
+        while cur != combo[0]:
+            order.append(cur)
+            prev, cur = cur, (adj[cur] & mask & ~(1 << prev)).bit_length() - 1
+        if len(order) == length:
+            out.append(tuple(order))
+    return out
+
+
+def cliques_brute(adj: tuple[int, ...], n: int, size: int) -> list[int]:
+    """Masks of every clique on ``size`` vertices, in ``combinations`` order."""
+    out = []
+    for combo in itertools.combinations(range(n), size):
+        if all(adj[u] >> v & 1 for u, v in itertools.combinations(combo, 2)):
+            out.append(sum(1 << v for v in combo))
+    return out

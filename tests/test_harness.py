@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from chibind import enumeration
+from chibind import colorers, enumeration
 from chibind.cli import main
-from chibind.enumeration import encode_graph6, representatives, write_graph6_file
-from chibind.errors import PreconditionError
+from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
+from chibind.errors import PreconditionError, StructureAssertionError
 from chibind.graphs import complement, complete_graph, cycle_graph, from_edge_list
 from chibind.harness import TARGETS, analyze_one, color_one, verify
 from chibind.patterns import pattern
@@ -205,3 +205,45 @@ def test_cli_verify_has_no_threads_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--target", "lemma-5.2", "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_non_ascii_input_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"D\xe9\n")
+    code = main(["verify", "--target", "theorem-1.4", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("rejected:") and "line 1" in err and "ASCII" in err
+
+
+def test_cli_malformed_input_line_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_text("DQc\nX\n", encoding="ascii")
+    code = main(["verify", "--target", "theorem-1.4", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("rejected:") and str(path) in err and "line 2" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_verify_rejects_empty_size_range(n, capsys):
+    code = main(["verify", "--target", "theorem-1.2", "--n", n])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("rejected:")
+    with pytest.raises(PreconditionError):
+        verify("theorem-1.2", n_max=int(n))
+
+
+def test_verify_assertion_names_its_graph(monkeypatch, capsys):
+    def wasteful_leaf(h):
+        return {v: v for v in range(h.n)}, [("one-colour-per-vertex", (1 << h.n) - 1)]
+
+    monkeypatch.setattr(colorers, "_p5k23_leaf", wasteful_leaf)
+    with pytest.raises(StructureAssertionError, match="above its bound") as exc:
+        verify("theorem-1.2", n_max=5)
+    g6, sep, _ = str(exc.value).partition(": ")
+    assert sep
+    with pytest.raises(StructureAssertionError, match="above its bound"):
+        color_one(decode_graph6(g6), "p5-k23")
+    assert main(["verify", "--target", "theorem-1.2", "--n", "5"]) == 1
+    assert g6 in capsys.readouterr().err

@@ -20,6 +20,7 @@ from chibind.invariants import (
     chi_bound_divisible,
     chromatic_number,
     clique_number,
+    cliques,
     find_perfect_division,
     independence_number,
     is_perfectly_divisible,
@@ -30,6 +31,7 @@ from chibind.invariants import (
 from chibind.patterns import is_free, is_perfect, pattern
 from oracles import (
     chromatic_dp,
+    cliques_brute,
     graph_from_pair_mask,
     is_perfect_definitional,
     perfectly_divisible_definitional,
@@ -61,6 +63,14 @@ def test_clique_and_independence_examples():
 def test_maximum_clique_is_least():
     g = from_edge_list(5, [(1, 2), (2, 3), (1, 3), (0, 4)])
     assert maximum_clique(g).members() == (1, 2, 3)
+
+
+def test_cliques_match_subset_scan(all_graphs_7):
+    for g in all_graphs_7:
+        full = (1 << g.n) - 1
+        for size in range(g.n + 2):
+            assert list(cliques(g.adj, full, size)) == cliques_brute(g.adj, g.n, size)
+        assert maximum_clique(g).mask == cliques_brute(g.adj, g.n, clique_number(g))[0]
 
 
 def test_chromatic_examples():

@@ -5,11 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chibind.errors import PreconditionError
+from chibind.errors import PreconditionError, SearchExhaustedError
 from chibind.graphs import (
     VertexSet,
     complement,
     complete_graph,
+    components_masks,
     cycle_graph,
     disjoint_union,
     from_edge_list,
@@ -42,7 +43,7 @@ from chibind.structure import (
     minimal_cutsets,
     triangle_free_level2_split,
 )
-from oracles import graph_from_pair_mask, homogeneous_sets_brute
+from oracles import cliques_brute, graph_from_pair_mask, homogeneous_sets_brute, induced_cycles_brute
 
 
 def c5_plus(*attachments):
@@ -67,7 +68,38 @@ def test_find_five_hole_examples():
 
 def test_find_five_hole_is_least_of_all_holes(all_graphs_7):
     for g in all_graphs_7:
-        assert find_five_hole(g) == min(find_all_five_holes(g), default=None)
+        assert find_five_hole(g) == min(induced_cycles_brute(g.adj, g.n, 5), default=None)
+
+
+def test_hole_searches_match_subset_scans(all_graphs_8):
+    for g in all_graphs_8:
+        assert set(find_all_five_holes(g)) == set(induced_cycles_brute(g.adj, g.n, 5))
+        comp = complement(g)
+        brute = [t for length in range(5, g.n + 1, 2)
+                 for t in induced_cycles_brute(comp.adj, g.n, length)]
+        assert find_all_odd_antiholes(g, 5) == brute
+        assert find_all_odd_antiholes(g) == [t for t in brute if len(t) >= 7]
+
+
+def test_clique_searches_match_subset_scans(all_graphs_8):
+    for g in all_graphs_8:
+        if not is_connected(g):
+            continue
+        full = (1 << g.n) - 1
+        by_size = [cliques_brute(g.adj, g.n, size) for size in range(g.n + 1)]
+        cut = next((m for masks in by_size[1:max(g.n - 1, 1)] for m in masks
+                    if len(components_masks(g.adj, full & ~m)) >= 2), None)
+        report = find_clique_cutset(g)
+        assert (report.cutset.mask if report else None) == cut
+        dominating = next((m for masks in by_size[1:] for m in masks
+                           if all(m >> v & 1 or g.adj[v] & m for v in range(g.n))), None)
+        try:
+            kind, found = find_dominating_clique_or_p3(g)
+        except SearchExhaustedError:
+            kind, found = None, None
+        assert (kind == "clique") == (dominating is not None)
+        if dominating is not None:
+            assert found.mask == dominating
 
 
 def test_decompose_classes():
