@@ -1,12 +1,15 @@
 """Non-isomorphic graph generation, canonical forms, and graph6 interchange.
 
-Generation extends each (n-1)-vertex representative by one vertex over all
-neighbour subsets and keeps one representative per canonical form.  Hereditary
-freeness filters prune during extension (a forbidden copy in a child must use
-the new vertex), which is what makes exhaustive class sweeps at nine vertices
-affordable.  Canonical forms come from equitable-partition refinement with an
-individualise-and-refine search, taking the minimum adjacency string over the
-explored orderings; cells of pairwise twins collapse to a single ordering.
+Generation extends each (n-1)-vertex representative, the parent, by one
+vertex over its neighbour subsets and keeps one representative per canonical
+form.  A forbidden copy in a child must use the new vertex, so one search per
+parent lists the induced copies of every card P - x of every forbidden P and
+marks the neighbour subsets they rule out.  Of the subsets left, only the
+least of each orbit under the parent's automorphisms is canonicalised: the
+others give isomorphic children.  Canonical forms come from equitable-partition
+refinement with an individualise-and-refine search, taking the minimum
+adjacency string over the explored orderings; cells of pairwise twins collapse
+to a single ordering.  The same search yields the automorphisms.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Iterator
 from .errors import PreconditionError
 from .graphs import CapacityError, Graph, GraphError, bits_of, is_connected
 from .invariants import clique_number
-from .patterns import Pattern, _as_graph, has_induced_using, is_free, parse_pattern_list
+from .patterns import Pattern, _as_graph, is_free, mark_forbidden_traces, parse_pattern_list
 
 GENERATION_CAP = 10
 
@@ -26,21 +29,18 @@ GENERATION_CAP = 10
 # canonical forms
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]) -> list[list[int]]:
+    """Split cells by their vertices' neighbour counts per cell, in place of
+    each cell its parts in ascending count order, until nothing splits.
+
+    ``fresh`` holds, in cell order, the masks of the cells that are new since
+    the partition was last equitable.  Vertices of one cell agree on their
+    counts into every other cell, so comparing counts into the fresh cells
+    alone splits and orders each cell as comparing all counts would.
+    """
     while True:
-        masks = []
-        any_fat = False
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-            if len(cell) > 1:
-                any_fat = True
-        if not any_fat:
-            return cells
         new_cells: list[list[int]] = []
-        changed = False
+        split: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -48,9 +48,9 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             buckets: dict[int, list[int]] = {}
             for v in cell:
                 row = adj[v]
-                # packed per-cell neighbour counts; 7 bits per cell suffice
+                # packed neighbour counts; 7 bits per cell suffice
                 sig = 0
-                for m in masks:
+                for m in fresh:
                     sig = sig << 7 | (row & m).bit_count()
                 got = buckets.get(sig)
                 if got is None:
@@ -59,13 +59,17 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                     got.append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(buckets[sig])
-        cells = new_cells
-        if not changed:
-            return cells
+                continue
+            for sig in sorted(buckets):
+                part = buckets[sig]
+                new_cells.append(part)
+                m = 0
+                for v in part:
+                    m |= 1 << v
+                split.append(m)
+        if not split:
+            return new_cells
+        cells, fresh = new_cells, split
 
 
 def _pairwise_twins(adj: tuple[int, ...], cell: list[int]) -> bool:
@@ -89,35 +93,58 @@ def _bits_under(n: int, adj: tuple[int, ...], perm: list[int]) -> int:
     return bits
 
 
-def _canon(n: int, adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Canonical bit string and a permutation achieving it (position -> vertex)."""
+def _canon(n: int, adj: tuple[int, ...]) -> tuple[int, tuple[int, ...], set[tuple[int, ...]]]:
+    """Canonical bit string, a permutation achieving it (position -> vertex),
+    and automorphisms read off the same search (vertex -> image).
+
+    Two leaves with equal bits differ by an automorphism, and so does any
+    permutation of a collapsed twin cell.  The search records every leaf that
+    ties with the best one so far and a transposition per twin pair, which
+    generates the automorphism group.  Generation only skips extensions with
+    them, so a missing generator would cost time, never a graph.
+    """
     if n == 0:
-        return 0, ()
+        return 0, (), set()
     best_bits = -1
     best_perm: tuple[int, ...] = ()
+    gens: set[tuple[int, ...]] = set()
 
-    def descend(cells: list[list[int]]) -> None:
+    def descend(cells: list[list[int]], fresh: list[int]) -> None:
         nonlocal best_bits, best_perm
-        cells = _refine(adj, cells)
-        idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if idx is None:
-            perm = [c[0] for c in cells]
-            bits = _bits_under(n, adj, perm)
-            if best_bits < 0 or bits < best_bits:
-                best_bits = bits
-                best_perm = tuple(perm)
-            return
-        cell = cells[idx]
-        if _pairwise_twins(adj, cell):
-            split = [[v] for v in sorted(cell)]
-            descend(cells[:idx] + split + cells[idx + 1:])
-            return
+        cells = _refine(adj, cells, fresh)
+        while True:
+            for idx, cell in enumerate(cells):
+                if len(cell) > 1:
+                    break
+            else:
+                perm = [c[0] for c in cells]
+                bits = _bits_under(n, adj, perm)
+                if best_bits < 0 or bits < best_bits:
+                    best_bits = bits
+                    best_perm = tuple(perm)
+                elif bits == best_bits:
+                    gen = [0] * n
+                    for p, v in enumerate(best_perm):
+                        gen[v] = perm[p]
+                    gens.add(tuple(gen))
+                return
+            if not _pairwise_twins(adj, cell):
+                break
+            # every other vertex sees all of a twin cell or none of it, so
+            # splitting the cell into singletons leaves the partition equitable
+            split = sorted(cell)
+            for w in split[1:]:
+                gen = list(range(n))
+                gen[split[0]], gen[w] = w, split[0]
+                gens.add(tuple(gen))
+            cells = cells[:idx] + [[v] for v in split] + cells[idx + 1:]
+        cell_mask = sum(1 << u for u in cell)
         for v in cell:
             rest = [u for u in cell if u != v]
-            descend(cells[:idx] + [[v], rest] + cells[idx + 1:])
+            descend(cells[:idx] + [[v], rest] + cells[idx + 1:], [1 << v, cell_mask ^ 1 << v])
 
-    descend([list(range(n))])
-    return best_bits, best_perm
+    descend([list(range(n))], [(1 << n) - 1])
+    return best_bits, best_perm, gens
 
 
 def _apply_perm(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -135,13 +162,13 @@ def _apply_perm(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[in
 
 def canonical_key(g: Graph) -> tuple[int, int]:
     """Isomorphism-invariant key: vertex count plus canonical adjacency bits."""
-    bits, _ = _canon(g.n, g.adj)
+    bits, _, _ = _canon(g.n, g.adj)
     return g.n, bits
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labelled copy of ``g``."""
-    _, perm = _canon(g.n, g.adj)
+    _, perm, _ = _canon(g.n, g.adj)
     return Graph(g.n, _apply_perm(g.n, g.adj, perm), g.label)
 
 
@@ -150,6 +177,15 @@ def canonical_form(g: Graph) -> Graph:
 
 
 _GEN_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
+
+
+def _sub_images(m: int, gen: tuple[int, ...]) -> list[int]:
+    """Image of every vertex subset of an ``m``-vertex graph under ``gen``."""
+    img = [0] * (1 << m)
+    for s in range(1, 1 << m):
+        low = s & -s
+        img[s] = img[s ^ low] | 1 << gen[low.bit_length() - 1]
+    return img
 
 
 def _pattern_cache_key(free_graphs: tuple[Graph, ...]) -> tuple:
@@ -168,18 +204,34 @@ def _representatives(n: int, free_graphs: tuple[Graph, ...]) -> list[tuple[int, 
         out = [(0,)] if is_free(g1, free_graphs) else []
     else:
         parents = _representatives(n - 1, free_graphs)
-        newbit = 1 << (n - 1)
+        m = n - 1
+        newbit = 1 << m
         seen: set[int] = set()
         out_pairs: list[tuple[int, tuple[int, ...]]] = []
-        pats = [pg for pg in free_graphs if pg.n <= n]
         for padj in parents:
-            for sub in range(1 << (n - 1)):
-                child = tuple(
-                    padj[v] | newbit if sub >> v & 1 else padj[v] for v in range(n - 1)
-                ) + (sub,)
-                if any(has_induced_using(child, n, pg, n - 1) for pg in pats):
+            # done[sub]: forbidden, or an orbit mate of a smaller sub; the
+            # parent's automorphisms keep the forbidden subs forbidden and map
+            # a child onto an isomorphic one
+            done = bytearray(1 << m)
+            for pg in free_graphs:
+                mark_forbidden_traces(padj, m, pg, done)
+            images = [_sub_images(m, gen) for gen in _canon(m, padj)[2]]
+            for sub in range(1 << m):
+                if done[sub]:
                     continue
-                bits, perm = _canon(n, child)
+                if images:
+                    stack = [sub]
+                    while stack:
+                        s = stack.pop()
+                        for img in images:
+                            t = img[s]
+                            if not done[t]:
+                                done[t] = 1
+                                stack.append(t)
+                child = tuple(
+                    padj[v] | newbit if sub >> v & 1 else padj[v] for v in range(m)
+                ) + (sub,)
+                bits, perm, _ = _canon(n, child)
                 if bits in seen:
                     continue
                 seen.add(bits)
@@ -190,12 +242,18 @@ def _representatives(n: int, free_graphs: tuple[Graph, ...]) -> list[tuple[int, 
     return out
 
 
+def _check_generation_size(n: int) -> None:
+    if n < 0:
+        raise PreconditionError(f"vertex count {n} is negative")
+    if n > GENERATION_CAP:
+        raise PreconditionError(f"generation supports at most {GENERATION_CAP} vertices")
+
+
 def representatives(n: int, free_of: Iterable[Pattern | Graph | str] = ()) -> list[Graph]:
     """Canonically labelled representatives on exactly ``n`` vertices, in
     canonical-string order, restricted to the hereditary class avoiding
     ``free_of`` as induced subgraphs."""
-    if n > GENERATION_CAP:
-        raise PreconditionError(f"generation supports at most {GENERATION_CAP} vertices")
+    _check_generation_size(n)
     free_graphs = tuple(_as_graph(p) for p in free_of)
     return [Graph(n, adj) for adj in _representatives(n, free_graphs)]
 
@@ -327,8 +385,7 @@ class GraphStream:
 
 def generate(n: int, connected_only: bool = False) -> GraphStream:
     """One representative per isomorphism class on exactly ``n`` vertices."""
-    if n > GENERATION_CAP:
-        raise PreconditionError(f"generation supports at most {GENERATION_CAP} vertices")
+    _check_generation_size(n)
     return GraphStream(("generated", n), connected_only=connected_only)
 
 

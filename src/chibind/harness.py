@@ -35,7 +35,7 @@ from .invariants import (
     chi_bound_divisible,
     chromatic_number,
     clique_number,
-    find_perfect_division,
+    divisibility,
     independence_number,
     is_perfectly_divisible,
     is_proper_coloring,
@@ -519,8 +519,7 @@ def analyze_one(g: Graph) -> dict:
         if g.n <= 12:
             profile["minimal_cutsets"] = [sorted(r.cutset) for r in minimal_cutsets(g)]
     if g.n <= 13:
-        profile["perfectly_divisible"] = is_perfectly_divisible(g)
-        division = find_perfect_division(g)
+        profile["perfectly_divisible"], division = divisibility(g)
         if division is not None:
             profile["perfect_division"] = {
                 "perfect_side": sorted(division.a),

@@ -215,42 +215,35 @@ def perfection_table(adj: tuple[int, ...], comp_adj: tuple[int, ...], n: int) ->
     return [not b for b in imperfect]
 
 
-def find_perfect_division(g: Graph) -> PerfectDivision | None:
-    """First valid division in ascending popcount-then-mask order over ``A``.
+def _division_tables(g: Graph) -> tuple[list[int], list[bool]]:
+    return omega_table(g.adj, g.n), perfection_table(g.adj, complement(g).adj, g.n)
 
-    The empty part is perfect and has clique number zero, so perfect graphs
-    always admit a division and edgeless graphs yield ``(V, empty)``.
-    """
-    n = g.n
-    if n > 16:
-        raise PreconditionError("perfect-division scan supports at most 16 vertices")
-    full = (1 << n) - 1
-    adj = g.adj
-    comp_adj = complement(g).adj
-    omega = omega_table(adj, n)
-    perfect = perfection_table(adj, comp_adj, n)
-    for a in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
-        b = full & ~a
-        if omega[b] >= omega[full] and n > 0:
-            continue
-        if n == 0:
-            break
-        if perfect[a]:
-            return PerfectDivision(VertexSet(a, n), VertexSet(b, n), omega[full], omega[b])
+
+def _first_division(omega: list[int], perfect: list[bool], mask: int) -> int | None:
+    """Perfect side ``A`` of the first division of ``G[mask]``, scanning the
+    submasks of ``mask`` in ascending popcount-then-mask order, or None."""
+    subs = [mask]
+    a = mask
+    while a:
+        a = (a - 1) & mask
+        subs.append(a)
+    w = omega[mask]
+    for a in sorted(subs, key=lambda m: (m.bit_count(), m)):
+        if omega[mask & ~a] < w and perfect[a]:
+            return a
     return None
 
 
-def is_perfectly_divisible(g: Graph) -> bool:
+def _perfect_division(omega: list[int], perfect: list[bool], n: int) -> PerfectDivision | None:
+    full = (1 << n) - 1
+    a = _first_division(omega, perfect, full)
+    if a is None:
+        return None
+    return PerfectDivision(VertexSet(a, n), VertexSet(full & ~a, n), omega[full], omega[full & ~a])
+
+
+def _divisible(omega: list[int], perfect: list[bool], n: int) -> bool:
     """Subset dynamic program: every nonempty induced subgraph admits a division."""
-    n = g.n
-    if n > 13:
-        raise PreconditionError("divisibility scan supports at most 13 vertices")
-    if n == 0:
-        return True
-    adj = g.adj
-    comp_adj = complement(g).adj
-    omega = omega_table(adj, n)
-    perfect = perfection_table(adj, comp_adj, n)
     for h in range(1, 1 << n):
         if perfect[h]:
             continue
@@ -265,44 +258,73 @@ def is_perfectly_divisible(g: Graph) -> bool:
     return True
 
 
+def _check_divisibility_cap(g: Graph) -> None:
+    if g.n > 13:
+        raise PreconditionError("divisibility scan supports at most 13 vertices")
+
+
+def find_perfect_division(g: Graph) -> PerfectDivision | None:
+    """First valid division in ascending popcount-then-mask order over ``A``.
+
+    The empty part is perfect and has clique number zero, so perfect graphs
+    always admit a division and edgeless graphs yield ``(V, empty)``.
+    """
+    if g.n > 16:
+        raise PreconditionError("perfect-division scan supports at most 16 vertices")
+    return _perfect_division(*_division_tables(g), g.n)
+
+
+def is_perfectly_divisible(g: Graph) -> bool:
+    """Every nonempty induced subgraph admits a perfect division."""
+    _check_divisibility_cap(g)
+    return _divisible(*_division_tables(g), g.n)
+
+
+def divisibility(g: Graph) -> tuple[bool, PerfectDivision | None]:
+    """:func:`is_perfectly_divisible` and :func:`find_perfect_division`
+    together, from one pair of subset tables."""
+    _check_divisibility_cap(g)
+    omega, perfect = _division_tables(g)
+    return _divisible(omega, perfect, g.n), _perfect_division(omega, perfect, g.n)
+
+
 def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
     """Colour a perfectly divisible graph by peeling perfect parts.
 
     Each round takes a perfect division, colours the perfect side exactly with
     fresh colours, and recurses on the rest; the clique number drops every
-    round, so the palette stays within ``comb(omega+1, 2)``.
+    round, so the palette stays within ``comb(omega+1, 2)``.  The subset
+    tables of ``g`` serve every round: a round's graph is induced on the
+    remaining vertex set, and scanning its submasks in popcount-then-mask
+    order visits them in the order a relabelled copy would.
     """
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)
-    if not is_perfectly_divisible(g):
+    _check_divisibility_cap(g)
+    omega, perfect = _division_tables(g)
+    if not _divisible(omega, perfect, n):
         raise PreconditionError("input graph is not perfectly divisible")
-    w_top = clique_number(g)
+    mask = (1 << n) - 1
+    w_top = omega[mask]
     colors = [-1] * n
     offset = 0
-    mask = (1 << n) - 1
     prev_omega = w_top + 1
     while mask:
-        verts = list(bits_of(mask))
-        h = induced(g, VertexSet(mask, n))
-        w_h = clique_number(h)
-        if w_h >= prev_omega:
+        if omega[mask] >= prev_omega:
             raise StructureAssertionError("clique number failed to drop between rounds")
-        prev_omega = w_h
-        division = find_perfect_division(h)
-        if division is None:
+        prev_omega = omega[mask]
+        a = _first_division(omega, perfect, mask)
+        if a is None:
             raise StructureAssertionError("divisible graph yielded no division")
-        part = induced(h, division.a)
+        part = induced(g, VertexSet(a, n))
         chi, sub_coloring = chromatic_number(part)
-        if chi != clique_number(part):
+        if chi != omega[a]:
             raise StructureAssertionError("perfect side coloured above its clique number")
-        part_verts = [verts[i] for i in division.a]
-        for local, v in enumerate(part_verts):
+        for local, v in enumerate(bits_of(a)):
             colors[v] = offset + sub_coloring.colors[local]
         offset += chi
-        mask = 0
-        for i in division.b:
-            mask |= 1 << verts[i]
+        mask &= ~a
     if offset > comb(w_top + 1, 2):
         raise StructureAssertionError("divisible colouring exceeded its palette budget")
     return offset, Coloring(tuple(colors), offset)

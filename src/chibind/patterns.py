@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import PreconditionError
 from .graphs import (
@@ -169,10 +169,16 @@ def _connectivity_order(padj: tuple[int, ...], k: int, start: int) -> tuple[int,
 
 
 def _embed(host_adj: tuple[int, ...], cand: list[int], padj: tuple[int, ...],
-           order: tuple[int, ...], image: list[int], idx: int, used: int, forced: int) -> bool:
+           order: tuple[int, ...], image: list[int], idx: int, used: int, forced: int,
+           visit: Callable[[list[int]], bool] | None = None) -> bool:
+    """Backtracking search for an induced copy, least host vertices first.
+
+    Stops at the first complete ``image`` when ``visit`` is None.  Otherwise
+    hands every complete image to ``visit`` and stops once it returns True.
+    """
     k = len(order)
     if idx == k:
-        return True
+        return visit is None or visit(image)
     i = order[idx]
     if idx == 0 and forced >= 0:
         allowed = 1 << forced
@@ -193,7 +199,7 @@ def _embed(host_adj: tuple[int, ...], cand: list[int], padj: tuple[int, ...],
         low = allowed & -allowed
         allowed ^= low
         image[i] = low.bit_length() - 1
-        if _embed(host_adj, cand, padj, order, image, idx + 1, used | low, forced):
+        if _embed(host_adj, cand, padj, order, image, idx + 1, used | low, forced, visit):
             return True
     return False
 
@@ -242,8 +248,10 @@ def _pin_orbit_reps(padj: tuple[int, ...], k: int) -> tuple[int, ...]:
 def has_induced_using(host_adj: tuple[int, ...], n: int, pg: Graph, vertex: int) -> bool:
     """True iff some induced copy of ``pg`` uses ``vertex``.
 
-    Internal fast path for hereditary extension filtering: a freshly added
-    vertex is the only place a new forbidden copy can appear.
+    The one-vertex test for growing a single class member (the benchmark's
+    seeded growth calls it per added vertex): a freshly added vertex is the
+    only place a new forbidden copy can appear.  Exhaustive generation tests
+    all neighbour sets of a parent at once with :func:`mark_forbidden_traces`.
     """
     k = pg.n
     if k == 0 or k > n:
@@ -261,6 +269,60 @@ def has_induced_using(host_adj: tuple[int, ...], n: int, pg: Graph, vertex: int)
         if _embed(host_adj, cand, padj, order, image, 0, 0, vertex):
             return True
     return False
+
+
+@lru_cache(maxsize=1024)
+def _cards(padj: tuple[int, ...], k: int) -> tuple[tuple, ...]:
+    """Per pinned position x (one per automorphism orbit): the adjacency of
+    the card P - x, its search order, and the card positions adjacent to x."""
+    out = []
+    for x in _pin_orbit_reps(padj, k):
+        keep = [v for v in range(k) if v != x]
+        pos = {v: i for i, v in enumerate(keep)}
+        cadj = tuple(sum(1 << pos[u] for u in bits_of(padj[v]) if u != x) for v in keep)
+        order = _connectivity_order(cadj, k - 1, 0) if k > 1 else ()
+        out.append((cadj, order, tuple(pos[u] for u in bits_of(padj[x]))))
+    return tuple(out)
+
+
+def mark_forbidden_traces(host_adj: tuple[int, ...], n: int, pg: Graph, blocked: bytearray) -> None:
+    """Set ``blocked[sub]`` for every neighbour set ``sub`` of a vertex added
+    to the ``n``-vertex host that would complete an induced copy of ``pg``.
+
+    The new vertex plays some pattern vertex x, up to automorphism a pinned
+    one.  The rest of the copy is an induced copy of the card P - x in the
+    host, with image S, and the new vertex sees exactly the image T of x's
+    neighbours there: so the copy forbids every ``sub`` with
+    ``sub & S == T``.  One search lists every copy of every card, which
+    replaces one :func:`has_induced_using` call per neighbour set.
+    """
+    k = pg.n
+    if k == 0:
+        blocked[:] = b"\x01" * len(blocked)
+        return
+    if k > n + 1:
+        return
+    full = (1 << n) - 1
+    for cadj, order, nbrs in _cards(pg.adj, k):
+        cand = _candidate_masks(host_adj, n, cadj, k - 1)
+        if cand is None:
+            continue
+
+        def visit(image: list[int]) -> bool:
+            s = t = 0
+            for v in image:
+                s |= 1 << v
+            for i in nbrs:
+                t |= 1 << image[i]
+            free = full & ~s
+            r = free
+            while True:
+                blocked[t | r] = 1
+                if not r:
+                    return False
+                r = (r - 1) & free
+
+        _embed(host_adj, cand, cadj, order, [0] * (k - 1), 0, 0, -1, visit)
 
 
 def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:

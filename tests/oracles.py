@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import itertools
 
-from chibind.graphs import Graph, bits_of, components_masks, from_edge_list
+from chibind.graphs import Graph, VertexSet, bits_of, components_masks, from_edge_list, induced
+from chibind.invariants import (
+    Coloring,
+    chromatic_number,
+    clique_number,
+    find_perfect_division,
+    is_perfectly_divisible,
+)
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -209,3 +216,30 @@ def cliques_brute(adj: tuple[int, ...], n: int, size: int) -> list[int]:
         if all(adj[u] >> v & 1 for u, v in itertools.combinations(combo, 2)):
             out.append(sum(1 << v for v in combo))
     return out
+
+
+def chi_bound_divisible_per_round(g: Graph) -> tuple[int, Coloring]:
+    """The divisibility colourer with each peeling round as its own graph:
+    relabel the remaining vertices, rebuild the subset tables and take the
+    first division of the relabelled copy."""
+    n = g.n
+    if n == 0:
+        return 0, Coloring((), 0)
+    assert is_perfectly_divisible(g)
+    colors = [-1] * n
+    offset = 0
+    mask = (1 << n) - 1
+    while mask:
+        verts = list(bits_of(mask))
+        h = induced(g, VertexSet(mask, n))
+        division = find_perfect_division(h)
+        part = induced(h, division.a)
+        chi, sub_coloring = chromatic_number(part)
+        assert chi == clique_number(part)
+        for local, i in enumerate(division.a):
+            colors[verts[i]] = offset + sub_coloring.colors[local]
+        offset += chi
+        mask = 0
+        for i in division.b:
+            mask |= 1 << verts[i]
+    return offset, Coloring(tuple(colors), offset)

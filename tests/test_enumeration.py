@@ -1,14 +1,25 @@
 """Generation, canonical forms, graph6 interchange, and streams."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chibind import enumeration
 from chibind.errors import PreconditionError
-from chibind.graphs import Graph, GraphError, complete_graph, cycle_graph, is_connected, path_graph
+from chibind.graphs import (
+    Graph,
+    GraphError,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    is_connected,
+    path_graph,
+)
 from chibind.enumeration import (
     GraphStream,
+    _canon,
     canonical_form,
     canonical_key,
     decode_graph6,
@@ -19,7 +30,7 @@ from chibind.enumeration import (
     representatives,
     write_graph6_file,
 )
-from chibind.patterns import is_free
+from chibind.patterns import is_free, pattern
 from oracles import graph_from_pair_mask, labeled_rejection_counts
 
 
@@ -171,6 +182,69 @@ def test_generation_cap():
         generate(11)
     with pytest.raises(PreconditionError):
         representatives(11)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_size_is_rejected(n):
+    with pytest.raises(PreconditionError):
+        representatives(n)
+    with pytest.raises(PreconditionError):
+        list(generate(n))
+
+
+def _sub_orbits(n: int, perms) -> list[frozenset[int]]:
+    """Orbits of vertex subsets under the group generated by ``perms``."""
+    seen: set[int] = set()
+    orbits = []
+    for sub in range(1 << n):
+        if sub in seen:
+            continue
+        orbit = {sub}
+        stack = [sub]
+        while stack:
+            s = stack.pop()
+            for p in perms:
+                t = sum(1 << p[v] for v in range(n) if s >> v & 1)
+                if t not in orbit:
+                    orbit.add(t)
+                    stack.append(t)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return sorted(orbits, key=min)
+
+
+def test_canon_generators_are_automorphisms_generating_the_group():
+    for n in range(1, 7):
+        for g in representatives(n):
+            gens = _canon(n, g.adj)[2]
+            edges = set(g.edges())
+            for gen in gens:
+                assert sorted(gen) == list(range(n))
+                assert {tuple(sorted((gen[u], gen[v]))) for u, v in edges} == edges, (g.adj, gen)
+            auts = [p for p in itertools.permutations(range(n))
+                    if all(g.adj[p[v]] == sum(1 << p[u] for u in range(n) if g.adj[v] >> u & 1)
+                           for v in range(n))]
+            assert _sub_orbits(n, gens) == _sub_orbits(n, auts), g.adj
+
+
+# tracked fixture files in tests/_cache, by class, as conftest names them
+CACHED_CLASSES = {
+    "all": (), "2K2": ("2K2",), "3K1": ("3K1",), "P5": ("P5",),
+    "P5-C5-K23": ("P5", "C5", "K2,3"), "P5-K1p2K2": ("P5", "K1+2K2"),
+    "P5-K1pK1uK3": ("P5", "K1+(K1uK3)"), "P5-K1uK3": ("P5", "K1uK3"),
+    "P5-K23": ("P5", "K2,3"), "P5-K3": ("P5", "K3"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CACHED_CLASSES))
+def test_cold_generation_equals_tracked_files(key, monkeypatch):
+    monkeypatch.setattr(enumeration, "_GEN_CACHE", {})
+    free = tuple(empty_graph(3) if name == "3K1" else pattern(name).graph
+                 for name in CACHED_CLASSES[key])
+    cache = Path(__file__).parent / "_cache"
+    for n in range(1, 9 if key == "P5-K23" else 8):
+        text = "".join(encode_graph6(g) + "\n" for g in representatives(n, free))
+        assert text == (cache / f"v1-{key}-{n}.g6").read_text(encoding="ascii"), (key, n)
 
 
 def test_unknown_pattern_name_fails_fast():

@@ -153,6 +153,19 @@ def test_cli_gen_with_filter(capsys):
     assert code == 0 and len(out) == 5
 
 
+def test_cli_gen_negative_size_exits_two(capsys):
+    code = main(["gen", "--n", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.startswith("rejected:")
+
+
+def test_cli_gen_empty_graph(capsys):
+    code = main(["gen", "--n", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == "?\n"
+
+
 def test_cli_color_exit_codes(capsys):
     code = main(["color", "--pipeline", "p5-k23", "--edges", "0-1,1-2,2-3,3-4,4-0"])
     assert code == 0

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chibind import invariants
 from chibind.errors import PreconditionError
 from chibind.graphs import (
     VertexSet,
@@ -29,7 +30,9 @@ from chibind.invariants import (
     perfection_table,
 )
 from chibind.patterns import is_free, is_perfect, pattern
+from chibind.harness import analyze_one
 from oracles import (
+    chi_bound_divisible_per_round,
     chromatic_dp,
     cliques_brute,
     graph_from_pair_mask,
@@ -194,3 +197,29 @@ def test_chi_bound_divisible_on_class_members(g):
     assert is_proper_coloring(g, col)
     w = clique_number(g)
     assert chromatic_number(g)[0] <= k <= comb(w + 1, 2)
+
+
+def test_chi_bound_divisible_equals_per_round_tables(all_graphs_7):
+    members = [g for g in all_graphs_7 if is_perfectly_divisible(g)]
+    members.append(complement(cycle_graph(9)))
+    assert len(members) > 1000
+    for g in members:
+        assert chi_bound_divisible(g) == chi_bound_divisible_per_round(g), g.adj
+
+
+def test_divisibility_tables_are_built_once_per_call(monkeypatch):
+    calls = []
+    table = invariants.perfection_table
+
+    def counting(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(invariants, "perfection_table", counting)
+    c9bar = complement(cycle_graph(9))
+    chi_bound_divisible(c9bar)
+    assert len(calls) == 1
+    calls.clear()
+    profile = analyze_one(c9bar)
+    assert len(calls) == 1
+    assert profile["perfectly_divisible"] is True and profile["perfect_division"]["omega"] == 4

@@ -4,13 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibind.errors import PreconditionError
-from chibind.graphs import VertexSet, complement, cycle_graph, complete_graph, induced, path_graph
+from chibind.graphs import (
+    VertexSet,
+    complement,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    induced,
+    path_graph,
+)
 from chibind.patterns import (
     PATTERN_CATALOG,
     find_induced,
     find_odd_antihole,
     find_odd_hole,
+    has_induced_using,
     is_free,
+    mark_forbidden_traces,
     is_perfect,
     odd_antihole_not_two_cliques,
     parse_pattern_list,
@@ -191,3 +201,23 @@ def test_detection_exhaustive_small_hosts():
         for pat in small_patterns:
             assert (find_induced(host, pat) is not None) == \
                 induced_copy_exists(host, pat.graph), (host.adj, pat.name)
+
+
+def test_trace_filter_matches_per_child_search(all_graphs_7):
+    # every parent whose children stay within seven vertices; each child is
+    # tested on its own, the way generation did before the trace filter
+    patterns = [p.graph for p in PATTERN_CATALOG.values() if p.graph.n <= 6]
+    patterns += [empty_graph(3), complete_graph(1)]
+    for parent in (g for g in all_graphs_7 if g.n <= 6):
+        m = parent.n
+        blocked = []
+        for pg in patterns:
+            marks = bytearray(1 << m)
+            mark_forbidden_traces(parent.adj, m, pg, marks)
+            blocked.append(marks)
+        for sub in range(1 << m):
+            child = tuple(row | 1 << m if sub >> v & 1 else row
+                          for v, row in enumerate(parent.adj)) + (sub,)
+            for pg, marks in zip(patterns, blocked):
+                want = has_induced_using(child, m + 1, pg, m)
+                assert marks[sub] == want, (parent.adj, sub, pg.adj)
