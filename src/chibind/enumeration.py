@@ -367,20 +367,21 @@ class GraphStream:
 
     def __iter__(self) -> Iterator[Graph]:
         if self.source[0] == "generated":
-            base: Iterable[Graph] = representatives(self.source[1], self.free_of)
-        else:
-            base = iter_graph6_file(self.source[1])
-            base = (g for g in base if is_free(g, self.free_of)) if self.free_of else base
-        for g in base:
-            if self.connected_only and not is_connected(g):
-                continue
-            if self.omega_min is not None or self.omega_max is not None:
-                w = clique_number(g)
-                if self.omega_min is not None and w < self.omega_min:
-                    continue
-                if self.omega_max is not None and w > self.omega_max:
-                    continue
-            yield g
+            return (g for g in representatives(self.source[1], self.free_of) if self._shape(g))
+        return (g for g in iter_graph6_file(self.source[1]) if self.keeps(g))
+
+    def keeps(self, g: Graph) -> bool:
+        """True iff ``g`` passes every filter of this stream."""
+        return is_free(g, self.free_of) and self._shape(g)
+
+    def _shape(self, g: Graph) -> bool:
+        if self.connected_only and not is_connected(g):
+            return False
+        if self.omega_min is None and self.omega_max is None:
+            return True
+        w = clique_number(g)
+        return ((self.omega_min is None or w >= self.omega_min)
+                and (self.omega_max is None or w <= self.omega_max))
 
 
 def generate(n: int, connected_only: bool = False) -> GraphStream:

@@ -29,13 +29,13 @@ from .colorers import (
     color_wagon_2k2_free,
 )
 from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
-from .enumeration import GraphStream, encode_graph6, from_file
+from .enumeration import GraphStream, encode_graph6, iter_graph6_file
 from .graphs import Graph, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
 from .invariants import (
     chi_bound_divisible,
     chromatic_number,
     clique_number,
-    divisibility,
+    find_perfect_division,
     independence_number,
     is_perfectly_divisible,
     is_proper_coloring,
@@ -43,6 +43,7 @@ from .invariants import (
 from .patterns import (
     find_odd_hole,
     find_odd_antihole,
+    is_odd_antihole,
     is_perfect,
     odd_antihole_not_two_cliques,
     pattern,
@@ -352,7 +353,7 @@ _register("lemma-6.5", 9, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a
 # the two-cliques scan is exponential in the antihole length, so the cap stays
 # well under the 64-vertex graph budget
 _register("observation-2.1", 9, 21, "odd antiholes",
-          lambda n: _antihole_stream(n), _always, _check_two_cliques)
+          _antihole_stream, is_odd_antihole, _check_two_cliques)
 
 
 def verify(target: str, n_max: int | None = None, source: str | None = None,
@@ -420,17 +421,11 @@ def _checked(entry: Target, g: Graph) -> tuple[str, CheckOutcome]:
 
 
 def _file_universe(path: str, entry: Target, cap: int) -> Iterator[Graph]:
+    """The graphs of a graph6 file within the cap that pass the target's
+    stream filters; the cap is applied first, since the filters cost more."""
     template = entry.streams(1)
-    if isinstance(template, GraphStream):
-        stream: Iterable[Graph] = GraphStream(
-            ("file", path), free_of=template.free_of,
-            connected_only=template.connected_only,
-            omega_min=template.omega_min, omega_max=template.omega_max)
-    else:
-        stream = from_file(path)
-    for g in stream:
-        if g.n <= cap:
-            yield g
+    keeps = template.keeps if isinstance(template, GraphStream) else _always
+    return (g for g in iter_graph6_file(path) if g.n <= cap and keeps(g))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +514,8 @@ def analyze_one(g: Graph) -> dict:
         if g.n <= 12:
             profile["minimal_cutsets"] = [sorted(r.cutset) for r in minimal_cutsets(g)]
     if g.n <= 13:
-        profile["perfectly_divisible"], division = divisibility(g)
+        profile["perfectly_divisible"] = is_perfectly_divisible(g)
+        division = find_perfect_division(g)
         if division is not None:
             profile["perfect_division"] = {
                 "perfect_side": sorted(division.a),

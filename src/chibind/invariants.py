@@ -1,8 +1,12 @@
 """Exact clique number, independence number, chromatic number, and perfect divisions.
 
 These are the ground-truth engines the class-specific claims are checked
-against.  Everything is exact; subset-indexed tables make the divisibility
-scan affordable at desk scale.
+against.  Everything is exact.  Perfect divisions come from one direct search
+over the subsets of a vertex set, capped at 16 vertices; it serves
+:func:`find_perfect_division` and every peeling round of
+:func:`chi_bound_divisible`.  Only the divisibility dynamic program of
+:func:`is_perfectly_divisible` builds the subset-indexed ``omega_table`` and
+``perfection_table``, and it is capped at 13 vertices.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Iterator
 
 from .errors import PreconditionError, StructureAssertionError
 from .graphs import Graph, VertexSet, bits_of, complement, induced
-from .patterns import _holes
+from .patterns import _holes, has_odd_hole_mask
 
 
 @dataclass(frozen=True)
@@ -215,31 +219,27 @@ def perfection_table(adj: tuple[int, ...], comp_adj: tuple[int, ...], n: int) ->
     return [not b for b in imperfect]
 
 
-def _division_tables(g: Graph) -> tuple[list[int], list[bool]]:
-    return omega_table(g.adj, g.n), perfection_table(g.adj, complement(g).adj, g.n)
-
-
-def _first_division(omega: list[int], perfect: list[bool], mask: int) -> int | None:
-    """Perfect side ``A`` of the first division of ``G[mask]``, scanning the
-    submasks of ``mask`` in ascending popcount-then-mask order, or None."""
-    subs = [mask]
-    a = mask
-    while a:
-        a = (a - 1) & mask
-        subs.append(a)
-    w = omega[mask]
-    for a in sorted(subs, key=lambda m: (m.bit_count(), m)):
-        if omega[mask & ~a] < w and perfect[a]:
-            return a
+def _first_division(adj: tuple[int, ...], comp_adj: tuple[int, ...], mask: int) -> int | None:
+    """Perfect side ``A`` of the first division of ``G[mask]``, or None: the
+    first ``A`` by ascending popcount, then mask (Gosper's hack over the
+    compressed index of ``mask``) whose rest holds no ``omega(G[mask])``-clique
+    and whose two views have no odd hole.  The empty ``A`` never qualifies."""
+    verts = list(bits_of(mask))
+    m = len(verts)
+    w = clique_number_mask(adj, mask)
+    for k in range(1, m + 1):
+        x = (1 << k) - 1
+        while x >> m == 0:
+            a = 0
+            for i in bits_of(x):
+                a |= 1 << verts[i]
+            if (next(cliques(adj, mask & ~a, w), None) is None
+                    and not has_odd_hole_mask(adj, a) and not has_odd_hole_mask(comp_adj, a)):
+                return a
+            low = x & -x
+            r = x + low
+            x = (((r ^ x) >> 2) // low) | r
     return None
-
-
-def _perfect_division(omega: list[int], perfect: list[bool], n: int) -> PerfectDivision | None:
-    full = (1 << n) - 1
-    a = _first_division(omega, perfect, full)
-    if a is None:
-        return None
-    return PerfectDivision(VertexSet(a, n), VertexSet(full & ~a, n), omega[full], omega[full & ~a])
 
 
 def _divisible(omega: list[int], perfect: list[bool], n: int) -> bool:
@@ -258,9 +258,9 @@ def _divisible(omega: list[int], perfect: list[bool], n: int) -> bool:
     return True
 
 
-def _check_divisibility_cap(g: Graph) -> None:
-    if g.n > 13:
-        raise PreconditionError("divisibility scan supports at most 13 vertices")
+def _check_division_cap(g: Graph) -> None:
+    if g.n > 16:
+        raise PreconditionError("perfect-division scan supports at most 16 vertices")
 
 
 def find_perfect_division(g: Graph) -> PerfectDivision | None:
@@ -269,57 +269,55 @@ def find_perfect_division(g: Graph) -> PerfectDivision | None:
     The empty part is perfect and has clique number zero, so perfect graphs
     always admit a division and edgeless graphs yield ``(V, empty)``.
     """
-    if g.n > 16:
-        raise PreconditionError("perfect-division scan supports at most 16 vertices")
-    return _perfect_division(*_division_tables(g), g.n)
+    _check_division_cap(g)
+    full = (1 << g.n) - 1
+    a = _first_division(g.adj, complement(g).adj, full)
+    if a is None:
+        return None
+    return PerfectDivision(VertexSet(a, g.n), VertexSet(full & ~a, g.n),
+                           clique_number(g), clique_number_mask(g.adj, full & ~a))
 
 
 def is_perfectly_divisible(g: Graph) -> bool:
     """Every nonempty induced subgraph admits a perfect division."""
-    _check_divisibility_cap(g)
-    return _divisible(*_division_tables(g), g.n)
-
-
-def divisibility(g: Graph) -> tuple[bool, PerfectDivision | None]:
-    """:func:`is_perfectly_divisible` and :func:`find_perfect_division`
-    together, from one pair of subset tables."""
-    _check_divisibility_cap(g)
-    omega, perfect = _division_tables(g)
-    return _divisible(omega, perfect, g.n), _perfect_division(omega, perfect, g.n)
+    if g.n > 13:
+        raise PreconditionError("divisibility scan supports at most 13 vertices")
+    return _divisible(omega_table(g.adj, g.n),
+                      perfection_table(g.adj, complement(g).adj, g.n), g.n)
 
 
 def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
-    """Colour a perfectly divisible graph by peeling perfect parts.
+    """Colour a graph on at most 16 vertices by peeling perfect divisions.
 
-    Each round takes a perfect division, colours the perfect side exactly with
-    fresh colours, and recurses on the rest; the clique number drops every
-    round, so the palette stays within ``comb(omega+1, 2)``.  The subset
-    tables of ``g`` serve every round: a round's graph is induced on the
-    remaining vertex set, and scanning its submasks in popcount-then-mask
-    order visits them in the order a relabelled copy would.
+    Each round takes the first division of the remaining graph, colours the
+    perfect side exactly with fresh colours, and recurses on the rest; the
+    clique number drops every round, so the palette stays within
+    ``comb(omega+1, 2)`` by construction.  Divisibility itself is not
+    checked: a graph that is not perfectly divisible is still coloured when
+    every round finds a division, and a round without one raises
+    ``PreconditionError``.
     """
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)
-    _check_divisibility_cap(g)
-    omega, perfect = _division_tables(g)
-    if not _divisible(omega, perfect, n):
-        raise PreconditionError("input graph is not perfectly divisible")
+    _check_division_cap(g)
+    comp_adj = complement(g).adj
     mask = (1 << n) - 1
-    w_top = omega[mask]
+    w_top = clique_number(g)
     colors = [-1] * n
     offset = 0
     prev_omega = w_top + 1
     while mask:
-        if omega[mask] >= prev_omega:
+        w = clique_number_mask(g.adj, mask)
+        if w >= prev_omega:
             raise StructureAssertionError("clique number failed to drop between rounds")
-        prev_omega = omega[mask]
-        a = _first_division(omega, perfect, mask)
+        prev_omega = w
+        a = _first_division(g.adj, comp_adj, mask)
         if a is None:
-            raise StructureAssertionError("divisible graph yielded no division")
+            raise PreconditionError("input graph is not perfectly divisible")
         part = induced(g, VertexSet(a, n))
         chi, sub_coloring = chromatic_number(part)
-        if chi != omega[a]:
+        if chi != clique_number(part):
             raise StructureAssertionError("perfect side coloured above its clique number")
         for local, v in enumerate(bits_of(a)):
             colors[v] = offset + sub_coloring.colors[local]

@@ -11,13 +11,7 @@ from __future__ import annotations
 import itertools
 
 from chibind.graphs import Graph, VertexSet, bits_of, components_masks, from_edge_list, induced
-from chibind.invariants import (
-    Coloring,
-    chromatic_number,
-    clique_number,
-    find_perfect_division,
-    is_perfectly_divisible,
-)
+from chibind.invariants import Coloring, PerfectDivision, chromatic_number, clique_number
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -124,8 +118,9 @@ def is_perfect_definitional(g: Graph) -> bool:
     return all(chi[s] == omega[s] for s in range(1 << g.n))
 
 
-def perfectly_divisible_definitional(g: Graph) -> bool:
-    """Divisibility by subset scan using only the definitional machinery."""
+def perfection_table_definitional(g: Graph) -> list[bool]:
+    """Perfection of every induced subgraph, indexed by vertex mask: chromatic
+    equals clique number on the subgraph and on all of its subgraphs."""
     n = g.n
     chi = chromatic_table_dp(g.adj, n)
     omega = omega_table_brute(g.adj, n)
@@ -143,6 +138,14 @@ def perfectly_divisible_definitional(g: Graph) -> bool:
                 ok = False
                 break
         perfect[s] = ok
+    return perfect
+
+
+def perfectly_divisible_definitional(g: Graph) -> bool:
+    """Divisibility by subset scan using only the definitional machinery."""
+    n = g.n
+    omega = omega_table_brute(g.adj, n)
+    perfect = perfection_table_definitional(g)
     for h in range(1, 1 << n):
         wh = omega[h]
         a = h
@@ -218,21 +221,35 @@ def cliques_brute(adj: tuple[int, ...], n: int, size: int) -> list[int]:
     return out
 
 
+def first_division_brute(g: Graph) -> PerfectDivision | None:
+    """First division by a sorted scan of all vertex subsets, ascending
+    popcount then mask, against definitional subset tables."""
+    n = g.n
+    full = (1 << n) - 1
+    omega = omega_table_brute(g.adj, n)
+    perfect = perfection_table_definitional(g)
+    for a in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
+        if omega[full & ~a] < omega[full] and perfect[a]:
+            return PerfectDivision(VertexSet(a, n), VertexSet(full & ~a, n),
+                                   omega[full], omega[full & ~a])
+    return None
+
+
 def chi_bound_divisible_per_round(g: Graph) -> tuple[int, Coloring]:
     """The divisibility colourer with each peeling round as its own graph:
-    relabel the remaining vertices, rebuild the subset tables and take the
-    first division of the relabelled copy."""
+    relabel the remaining vertices and take the first division of the
+    relabelled copy from :func:`first_division_brute`."""
     n = g.n
     if n == 0:
         return 0, Coloring((), 0)
-    assert is_perfectly_divisible(g)
     colors = [-1] * n
     offset = 0
     mask = (1 << n) - 1
     while mask:
         verts = list(bits_of(mask))
         h = induced(g, VertexSet(mask, n))
-        division = find_perfect_division(h)
+        division = first_division_brute(h)
+        assert division is not None
         part = induced(h, division.a)
         chi, sub_coloring = chromatic_number(part)
         assert chi == clique_number(part)

@@ -1,0 +1,35 @@
+"""Fuzz test of the single-graph CLI contract: whatever graph text arrives,
+``color`` and ``analyze`` exit 0 or 2 and raise nothing out of ``main``."""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from chibind.cli import main
+from chibind.harness import PIPELINES, SUB_COLORERS
+
+COMMANDS = [["color", "--pipeline", p] for p in sorted(PIPELINES) + sorted(SUB_COLORERS)]
+COMMANDS.append(["analyze"])
+
+GRAPH6_CHARS = "".join(chr(c) for c in range(63, 127))
+vertex = st.integers(min_value=0, max_value=12)
+edge = st.builds("{}-{}".format, vertex, vertex)
+edges_text = st.one_of(st.lists(edge, max_size=16),
+                       st.lists(st.one_of(edge, st.text(max_size=4)), max_size=16)).map(",".join)
+
+
+def _graph6_of_length(n: int):
+    """Size character plus a payload of the right length, so most of these
+    decode; the padding bits are not forced to zero."""
+    size = -(-n * (n - 1) // 12)
+    return st.text(alphabet=GRAPH6_CHARS, min_size=size, max_size=size).map(chr(63 + n).__add__)
+
+
+g6_text = st.one_of(st.text(max_size=12), st.integers(min_value=0, max_value=12).flatmap(_graph6_of_length))
+graph_arg = st.one_of(g6_text.map("--g6={}".format), edges_text.map("--edges={}".format))
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(COMMANDS), graph_arg)
+def test_cli_exits_zero_or_two(capsys, command, arg):
+    code = main(command + [arg])
+    capsys.readouterr()
+    assert code in (0, 2), (command, arg)

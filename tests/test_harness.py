@@ -260,3 +260,58 @@ def test_verify_assertion_names_its_graph(monkeypatch, capsys):
         color_one(decode_graph6(g6), "p5-k23")
     assert main(["verify", "--target", "theorem-1.2", "--n", "5"]) == 1
     assert g6 in capsys.readouterr().err
+
+
+WITNESS = "M{~Z~]}~k~}~}]~m_"
+
+
+def _check_witness_payload(payload):
+    g = decode_graph6(WITNESS)
+    assert g.n == 14 and payload["n"] == 14
+    assert payload["bound"] == 117 and payload["colors_used"] <= 117
+    colors = payload["colors"]
+    assert all(colors[u] != colors[v] for u, v in g.edges())
+    assert len(set(colors)) == payload["colors_used"]
+
+
+def test_divisible_piece_above_thirteen_vertices_is_coloured(capsys):
+    _check_witness_payload(color_one(decode_graph6(WITNESS), "p5-k23"))
+    assert main(["color", "--pipeline", "p5-k23", "--g6", WITNESS]) == 0
+    _check_witness_payload(json.loads(capsys.readouterr().out))
+
+
+def test_cli_division_search_rejections_exit_two(capsys):
+    big = encode_graph6(from_edge_list(17, [(i, i + 1) for i in range(16)]))
+    assert main(["color", "--pipeline", "divisible", "--g6", big]) == 2
+    assert "at most 16 vertices" in capsys.readouterr().err
+    # the Groetzsch graph, as built by test_invariants.grotzsch
+    assert main(["color", "--pipeline", "divisible", "--g6", "JhdLA_gc?N_"]) == 2
+    assert "not perfectly divisible" in capsys.readouterr().err
+
+
+def test_verify_from_file_applies_the_cap_before_the_filters(tmp_path, monkeypatch):
+    path = tmp_path / "all7.g6"
+    write_graph6_file(str(path), [g for n in range(1, 8) for g in representatives(n)])
+    sizes = []
+    is_free = enumeration.is_free
+
+    def counting(g, patterns):
+        sizes.append(g.n)
+        return is_free(g, patterns)
+
+    monkeypatch.setattr(enumeration, "is_free", counting)
+    from_file = verify("theorem-1.2", n_max=5, source=str(path))
+    assert sizes and max(sizes) <= 5
+    generated = verify("theorem-1.2", n_max=5)
+    assert from_file.to_json() == generated.to_json().replace('"generated"', json.dumps(str(path)))
+
+
+def test_verify_observation_from_mixed_file(tmp_path, capsys):
+    path = tmp_path / "mixed.g6"
+    antiholes = [complement(cycle_graph(n)) for n in (5, 7, 9, 11)]
+    others = [cycle_graph(6), complete_graph(4), complement(cycle_graph(8))]
+    write_graph6_file(str(path), [antiholes[0], others[0], antiholes[1], others[1],
+                                  antiholes[2], others[2], antiholes[3]])
+    report = verify("observation-2.1", n_max=9, source=str(path))
+    assert report.graphs_checked == 3 and report.violations == []
+    assert main(["verify", "--target", "observation-2.1", "--n", "9", "--in", str(path)]) == 0

@@ -35,6 +35,7 @@ from oracles import (
     chi_bound_divisible_per_round,
     chromatic_dp,
     cliques_brute,
+    first_division_brute,
     graph_from_pair_mask,
     is_perfect_definitional,
     perfectly_divisible_definitional,
@@ -200,26 +201,47 @@ def test_chi_bound_divisible_on_class_members(g):
 
 
 def test_chi_bound_divisible_equals_per_round_tables(all_graphs_7):
-    members = [g for g in all_graphs_7 if is_perfectly_divisible(g)]
-    members.append(complement(cycle_graph(9)))
-    assert len(members) > 1000
+    members = list(all_graphs_7) + [complement(cycle_graph(9))]
     for g in members:
         assert chi_bound_divisible(g) == chi_bound_divisible_per_round(g), g.adj
+        assert find_perfect_division(g) == first_division_brute(g), g.adj
 
 
-def test_divisibility_tables_are_built_once_per_call(monkeypatch):
+def grotzsch():
+    """The Mycielskian of C5: triangle-free with chromatic number 4."""
+    shadows = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    return from_edge_list(11, [(i, (i + 1) % 5) for i in range(5)] + shadows
+                          + [(10, 5 + i) for i in range(5)])
+
+
+def test_chi_bound_divisible_rejects_grotzsch():
+    g = grotzsch()
+    assert clique_number(g) == 2 and chromatic_number(g)[0] == 4
+    with pytest.raises(PreconditionError, match="not perfectly divisible"):
+        chi_bound_divisible(g)
+    assert find_perfect_division(g) is None
+
+
+def test_division_search_size_guard():
+    for fn in (chi_bound_divisible, find_perfect_division):
+        with pytest.raises(PreconditionError, match="at most 16 vertices"):
+            fn(empty_graph(17))
+    # above the divisibility cap, the colouring still runs
+    k, col = chi_bound_divisible(from_edge_list(14, [(i, i + 7) for i in range(7)]))
+    assert k == 2 and col.used() == 2
+
+
+def test_division_tables_are_built_only_by_the_divisibility_dp(monkeypatch):
     calls = []
-    table = invariants.perfection_table
-
-    def counting(*args):
-        calls.append(args)
-        return table(*args)
-
-    monkeypatch.setattr(invariants, "perfection_table", counting)
+    for name in ("omega_table", "perfection_table"):
+        def counting(*args, _table=getattr(invariants, name), _name=name):
+            calls.append(_name)
+            return _table(*args)
+        monkeypatch.setattr(invariants, name, counting)
     c9bar = complement(cycle_graph(9))
     chi_bound_divisible(c9bar)
-    assert len(calls) == 1
-    calls.clear()
+    find_perfect_division(c9bar)
+    assert calls == []
     profile = analyze_one(c9bar)
-    assert len(calls) == 1
+    assert calls == ["omega_table", "perfection_table"]
     assert profile["perfectly_divisible"] is True and profile["perfect_division"]["omega"] == 4
