@@ -4,12 +4,23 @@ Each pipeline follows the structural decomposition that proves its bound:
 palette slices are allocated per decomposition piece, reuse steps assign
 least-index colours inside a donor slice, and every claimed structural fact is
 re-asserted at runtime.  A certificate records the pieces, the palette, and
-the bound; the independent validity check runs on every output.
+the bound.
+
+Every public colourer has one shape: its precondition (``_require_free``; for
+``color_sumner``, a failed structure proof on an input outside the class),
+then a core that colours a vertex mask of the host, then ``_certified``, which
+asserts that the colouring covers the host, is proper and stays within the
+bound; the pipelines reach ``_certified`` through ``_finish``.  Pipelines
+colour their pieces through the cores (``_triangle_free_map``, ``_k1uk3_map``,
+``_wagon_map``), never through the public colourers, so a piece is not
+re-checked against a precondition the decomposition already guarantees, and a
+failed assertion inside a pipeline stays an assertion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
@@ -27,9 +38,10 @@ from .invariants import (
     chi_bound_divisible,
     chromatic_number,
     clique_number,
+    clique_number_mask,
+    cliques,
     independence_number,
     is_proper_coloring,
-    maximum_clique,
 )
 from .patterns import find_induced, is_free, is_perfect, pattern
 from .structure import (
@@ -97,32 +109,50 @@ def bound_k1_union_k3(w: int) -> int:
     return max(3 * w - 3, 1)
 
 
+def bound_sumner(w: int) -> int:
+    return 3
+
+
+def bound_divisible(w: int) -> int:
+    return comb(w + 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # triangle-free structure and colouring
+
+
+_SHAPE_COLORS = {"bipartite": (0, 1), "blown-up-five-hole": (0, 1, 0, 1, 2)}
+
+
+def _triangle_free_shape(g: Graph, comp: int) -> tuple[str, tuple[int, ...]]:
+    """Structure proof of one component of a host with no induced P5 or K3:
+    its two sides if bipartite, else its five blow-up classes in hole order."""
+    parts = _bipartition(g, comp)
+    if parts is not None:
+        return "bipartite", parts
+    return "blown-up-five-hole", _blowup_classes(g, comp)
+
+
+def _in_triangle_free_class(g: Graph, core):
+    """``core`` on the whole host; a failed structure proof is a bug on a
+    member of the class and a precondition failure on anything else."""
+    try:
+        return core(g, (1 << g.n) - 1)
+    except StructureAssertionError:
+        if is_free(g, [_P5, _K3]):
+            raise
+        raise PreconditionError("input induces P5 or K3") from None
 
 
 def classify_triangle_free(g: Graph) -> list[tuple[str, tuple[VertexSet, ...]]]:
     """Structure proof per connected component of a host with no induced P5 or K3.
 
     Each component is either bipartite (two sides returned) or a five-hole
-    blow-up (the five independent classes returned, in hole order).  Detection
-    is attempted directly; if it fails on a host that really is in the class,
-    that is a bug, otherwise the input was out of scope.
+    blow-up (the five independent classes returned, in hole order).
     """
-    out = []
-    try:
-        for comp in components_masks(g.adj, (1 << g.n) - 1):
-            parts = _bipartition(g, comp)
-            if parts is not None:
-                out.append(("bipartite", (VertexSet(parts[0], g.n), VertexSet(parts[1], g.n))))
-                continue
-            classes = _blowup_classes(g, comp)
-            out.append(("blown-up-five-hole", tuple(VertexSet(m, g.n) for m in classes)))
-    except StructureAssertionError:
-        if is_free(g, [_P5, _K3]):
-            raise
-        raise PreconditionError("input induces P5 or K3") from None
-    return out
+    shapes = _in_triangle_free_class(g, lambda h, mask: [
+        _triangle_free_shape(h, comp) for comp in components_masks(h.adj, mask)])
+    return [(kind, tuple(VertexSet(m, g.n) for m in parts)) for kind, parts in shapes]
 
 
 def _bipartition(g: Graph, comp: int) -> tuple[int, int] | None:
@@ -146,7 +176,7 @@ def _bipartition(g: Graph, comp: int) -> tuple[int, int] | None:
     return even, odd
 
 
-def _blowup_classes(g: Graph, comp: int) -> list[int]:
+def _blowup_classes(g: Graph, comp: int) -> tuple[int, ...]:
     """Verified five-hole blow-up classes of a non-bipartite component."""
     h_local = induced(g, VertexSet(comp, g.n))
     verts = list(bits_of(comp))
@@ -175,41 +205,26 @@ def _blowup_classes(g: Graph, comp: int) -> list[int]:
                 raise StructureAssertionError(f"blow-up class {j} not complete to its successor")
             if g.adj[x] & far:
                 raise StructureAssertionError(f"blow-up class {j} not anticomplete to distance two")
-    return classes
+    return tuple(classes)
 
 
-def _sumner_map(g: Graph, comp: int) -> dict[int, int]:
-    parts = _bipartition(g, comp)
-    if parts is not None:
-        return {v: 0 for v in bits_of(parts[0])} | {v: 1 for v in bits_of(parts[1])}
-    classes = _blowup_classes(g, comp)
-    pattern_colors = (0, 1, 0, 1, 2)
-    cmap = {}
-    for j, mask in enumerate(classes):
-        for v in bits_of(mask):
-            cmap[v] = pattern_colors[j]
+def _triangle_free_map(g: Graph, mask: int) -> dict[int, int]:
+    """Three colours for ``G[mask]``, component by component: bipartite
+    components by layering, five-hole blow-ups 1,2,1,2,3 around the classes."""
+    cmap: dict[int, int] = {}
+    for comp in components_masks(g.adj, mask):
+        kind, parts = _triangle_free_shape(g, comp)
+        for color, part in zip(_SHAPE_COLORS[kind], parts):
+            cmap.update(dict.fromkeys(bits_of(part), color))
     return cmap
 
 
 def color_sumner(g: Graph) -> Coloring:
     """Three colours for hosts with no induced P5 or K3.
 
-    Bipartite components take two colours by layering; the rest are five-hole
-    blow-ups coloured 1,2,1,2,3 around the hole classes.  Any graph whose
-    components fit that dichotomy is accepted.
+    Any graph whose components are bipartite or five-hole blow-ups is accepted.
     """
-    cmap: dict[int, int] = {}
-    try:
-        for comp in components_masks(g.adj, (1 << g.n) - 1):
-            cmap.update(_sumner_map(g, comp))
-    except StructureAssertionError:
-        if is_free(g, [_P5, _K3]):
-            raise
-        raise PreconditionError("input induces P5 or K3") from None
-    coloring = _coloring_from_map(g.n, cmap)
-    if coloring.k > 3 or not is_proper_coloring(g, coloring):
-        raise StructureAssertionError("three-colour construction failed")
-    return coloring
+    return _certified(g, _in_triangle_free_class(g, _triangle_free_map), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -217,115 +232,85 @@ def color_sumner(g: Graph) -> Coloring:
 
 
 def _k1uk3_map(g: Graph, mask: int) -> dict[int, int]:
+    """At most ``max(3*omega - 3, 1)`` colours for ``G[mask]``, component by
+    component: a maximum-degree vertex is peeled, its non-neighbourhood is
+    triangle-free, and its neighbourhood recurses with a smaller clique number."""
     cmap: dict[int, int] = {}
     for comp in components_masks(g.adj, mask):
-        sub = induced(g, VertexSet(comp, g.n))
-        verts = list(bits_of(comp))
-        local = _k1uk3_component(sub)
-        for i, v in enumerate(verts):
-            cmap[v] = local[i]
-    return cmap
-
-
-def _k1uk3_component(h: Graph) -> dict[int, int]:
-    if h.edge_count() == 0:
-        return {v: 0 for v in range(h.n)}
-    w = clique_number(h)
-    if w <= 2:
-        return _sumner_map(h, (1 << h.n) - 1)
-    # peel a maximum-degree vertex: its non-neighbourhood is triangle-free,
-    # its neighbourhood recurses with a strictly smaller clique number
-    v = max(range(h.n), key=lambda x: (h.degree(x), -x))
-    outer = (1 << h.n) - 1 & ~h.adj[v] & ~(1 << v)
-    cmap: dict[int, int] = {}
-    top = 0
-    if outer:
-        for comp in components_masks(h.adj, outer):
-            cmap.update(_sumner_map(h, comp))
-        top = max(cmap.values()) + 1
-    cmap[v] = 0
-    top = max(top, 1)
-    inner = _k1uk3_map(h, h.adj[v])
-    for u, c in inner.items():
-        cmap[u] = top + c
+        if is_independent_mask(g.adj, comp):
+            cmap.update(dict.fromkeys(bits_of(comp), 0))
+            continue
+        if clique_number_mask(g.adj, comp) <= 2:
+            cmap.update(_triangle_free_map(g, comp))
+            continue
+        v = max(bits_of(comp), key=lambda x: ((g.adj[x] & comp).bit_count(), -x))
+        outer = _triangle_free_map(g, comp & ~g.adj[v] & ~(1 << v))
+        top = max(outer.values(), default=0) + 1
+        cmap.update(outer)
+        cmap[v] = 0
+        for u, c in _k1uk3_map(g, g.adj[v] & comp).items():
+            cmap[u] = top + c
     return cmap
 
 
 def color_k1_union_k3_free(g: Graph) -> Coloring:
     """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5 or K1uK3."""
     _require_free(g, [_P5, _K1UK3])
-    cmap = _k1uk3_map(g, (1 << g.n) - 1)
-    coloring = _coloring_from_map(g.n, cmap)
-    if not is_proper_coloring(g, coloring):
-        raise StructureAssertionError("peeling colourer produced an improper colouring")
-    if coloring.used() > bound_k1_union_k3(clique_number(g)):
-        raise StructureAssertionError("peeling colourer exceeded its bound")
-    return coloring
+    return _certified(g, _k1uk3_map(g, (1 << g.n) - 1), bound_k1_union_k3(clique_number(g)))
 
 
 # ---------------------------------------------------------------------------
 # bucket colourer for hosts with no induced 2K2
 
 
-def color_wagon_2k2_free(g: Graph) -> Coloring:
-    """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2.
+def _wagon_map(g: Graph, mask: int, w: int) -> dict[int, int]:
+    """At most ``(w^2+w)/2`` colours for ``G[mask]``, whose clique number is ``w``.
 
-    Buckets: one per maximum-clique vertex (that vertex plus everything
-    missing exactly it) and one per clique pair (everything missing both).
-    Each bucket is independent, which the colourer asserts.
+    Buckets: one per vertex of the least maximum clique (that vertex plus
+    everything missing exactly it) and one per clique pair (everything missing
+    both).  Each bucket is independent, which is asserted.
     """
-    _require_free(g, [_2K2])
-    n = g.n
-    if n == 0:
-        return Coloring((), 0)
-    w = clique_number(g)
-    clique = sorted(maximum_clique(g))
-    buckets: list[int] = [1 << clique[i] for i in range(w)]
-    pair_index = {}
-    for i in range(w):
-        for j in range(i + 1, w):
-            pair_index[(i, j)] = len(buckets)
-            buckets.append(0)
-    in_clique = 0
-    for v in clique:
-        in_clique |= 1 << v
-    for v in range(n):
-        if in_clique >> v & 1:
-            continue
-        missed = [i for i in range(w) if not g.has_edge(v, clique[i])]
+    top = next(cliques(g.adj, mask, w))
+    clique = list(bits_of(top))
+    buckets = [1 << v for v in clique] + [0] * comb(w, 2)
+    pair_index = {pair: w + k for k, pair in enumerate(combinations(range(w), 2))}
+    for v in bits_of(mask & ~top):
+        missed = [i for i, u in enumerate(clique) if not g.has_edge(v, u)]
         if not missed:
             raise StructureAssertionError("a vertex extends the maximum clique")
-        if len(missed) == 1:
-            buckets[missed[0]] |= 1 << v
-        else:
-            buckets[pair_index[(missed[0], missed[1])]] |= 1 << v
-    cmap = {}
-    color = 0
-    for b in buckets:
-        if not b:
-            continue
-        if not is_independent_mask(g.adj, b):
+        buckets[missed[0] if len(missed) == 1 else pair_index[missed[0], missed[1]]] |= 1 << v
+    cmap: dict[int, int] = {}
+    for color, bucket in enumerate(filter(None, buckets)):
+        if not is_independent_mask(g.adj, bucket):
             raise StructureAssertionError("a bucket is not independent")
-        for v in bits_of(b):
-            cmap[v] = color
-        color += 1
-    coloring = _coloring_from_map(n, cmap)
-    if not is_proper_coloring(g, coloring):
-        raise StructureAssertionError("bucket colouring is improper")
-    if coloring.used() > bound_wagon_2k2(w):
-        raise StructureAssertionError("bucket colouring exceeded its bound")
-    return coloring
+        cmap.update(dict.fromkeys(bits_of(bucket), color))
+    return cmap
+
+
+def color_wagon_2k2_free(g: Graph) -> Coloring:
+    """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2."""
+    _require_free(g, [_2K2])
+    w = clique_number(g)
+    return _certified(g, _wagon_map(g, (1 << g.n) - 1, w), bound_wagon_2k2(w))
 
 
 # ---------------------------------------------------------------------------
 # shared pipeline plumbing
 
 
-def _coloring_from_map(n: int, cmap: dict[int, int]) -> Coloring:
-    if len(cmap) != n:
+def _certified(g: Graph, cmap: dict[int, int], bound: int) -> Coloring:
+    """The colouring of a colour map, asserted to cover the host, to be proper
+    and to stay within ``bound``."""
+    if len(cmap) != g.n:
         raise StructureAssertionError("colour map does not cover every vertex")
-    colors = tuple(cmap[v] for v in range(n))
-    return Coloring(colors, max(colors) + 1 if n else 0)
+    colors = tuple(cmap[v] for v in range(g.n))
+    coloring = Coloring(colors, max(colors) + 1 if colors else 0)
+    if not is_proper_coloring(g, coloring):
+        raise StructureAssertionError("pipeline produced an improper colouring")
+    used = coloring.used()
+    if used > bound:
+        raise StructureAssertionError(f"pipeline used {used} colours above its bound {bound}")
+    return coloring
 
 
 def _merge_at_cutset(cut_vertices: list[int], d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
@@ -381,19 +366,13 @@ def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
             regions: list[tuple[str, int]]) -> tuple[Coloring, BoundCertificate]:
     w = clique_number(g)
     bound = bound_fn(w)
-    coloring = _coloring_from_map(g.n, cmap)
-    if not is_proper_coloring(g, coloring):
-        raise StructureAssertionError("pipeline produced an improper colouring")
-    used = coloring.used()
-    if used > bound:
-        raise StructureAssertionError(f"pipeline used {used} colours above its bound {bound}")
+    coloring = _certified(g, cmap, bound)
     trace = []
     for name, mask in regions:
         colors = {coloring.colors[v] for v in bits_of(mask)}
         slc = (min(colors), max(colors) + 1) if colors else (0, 0)
         trace.append(TraceStep(name, VertexSet(mask, g.n), slc))
-    cert = BoundCertificate(pid, w, bound, used, tuple(trace))
-    return coloring, cert
+    return coloring, BoundCertificate(pid, w, bound, coloring.used(), tuple(trace))
 
 
 def _components_shared_palette(g: Graph, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
@@ -420,29 +399,35 @@ def _greedy_in_slice(g: Graph, cmap: dict[int, int], vertices: list[int],
     return True
 
 
+def _perfect_exact(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]] | None:
+    """An optimal colouring of a perfect piece, which needs only omega
+    colours; None if the piece is not perfect."""
+    if not is_perfect(h):
+        return None
+    chi, coloring = chromatic_number(h)
+    if chi != clique_number(h):
+        raise StructureAssertionError("perfect piece coloured above its clique number")
+    return dict(enumerate(coloring.colors)), [("perfect-exact", (1 << h.n) - 1)]
+
+
 # ---------------------------------------------------------------------------
 # pipeline for hosts with no induced P5 or K2,3
 
 
 def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
+    exact = _perfect_exact(h)
+    if exact is not None:
+        return exact
     full = (1 << h.n) - 1
     w = clique_number(h)
-    if is_perfect(h):
-        chi, coloring = chromatic_number(h)
-        if chi != w:
-            raise StructureAssertionError("perfect piece coloured above its clique number")
-        return {v: coloring.colors[v] for v in range(h.n)}, [("perfect-exact", full)]
     if w <= 2:
         # triangle-free members are exactly the three-colourable ones here,
         # which keeps the certificate tight at omega two
-        cmap = {}
-        for comp in components_masks(h.adj, full):
-            cmap.update(_sumner_map(h, comp))
-        return cmap, [("triangle-free", full)]
+        return _triangle_free_map(h, full), [("triangle-free", full)]
     hole = find_five_hole(h)
     if hole is None:
-        k, coloring = chi_bound_divisible(h)
-        return {v: coloring.colors[v] for v in range(h.n)}, [("divisible", full)]
+        _, coloring = chi_bound_divisible(h)
+        return dict(enumerate(coloring.colors)), [("divisible", full)]
     dec = decompose_five_hole(h, hole, p5_free=True)
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
@@ -600,17 +585,16 @@ def _order_p3(g: Graph, triple: list[int]) -> list[int]:
 
 def _wagon_piece(g: Graph, piece_mask: int, owned: int, offset: int, w: int,
                  cmap: dict[int, int]) -> int:
-    """Bucket-colour one dominator neighbourhood, keeping only owned vertices."""
-    piece = induced(g, VertexSet(piece_mask, g.n))
-    verts = list(bits_of(piece_mask))
-    if clique_number(piece) > w - 1:
+    """Bucket-colour one dominator neighbourhood, which induces no 2K2, and
+    keep the owned vertices on fresh colours from ``offset`` on."""
+    piece_w = clique_number_mask(g.adj, piece_mask)
+    if piece_w > w - 1:
         raise StructureAssertionError("a dominator neighbourhood reaches the full clique number")
-    coloring = color_wagon_2k2_free(piece)
-    used = sorted({coloring.colors[i] for i, v in enumerate(verts) if owned >> v & 1})
+    local = _wagon_map(g, piece_mask, piece_w)
+    used = sorted({local[v] for v in bits_of(owned)})
     compact = {c: offset + k for k, c in enumerate(used)}
-    for i, v in enumerate(verts):
-        if owned >> v & 1:
-            cmap[v] = compact[coloring.colors[i]]
+    for v in bits_of(owned):
+        cmap[v] = compact[local[v]]
     return offset + len(used)
 
 
@@ -619,12 +603,9 @@ def _wagon_piece(g: Graph, piece_mask: int, owned: int, offset: int, w: int,
 
 
 def _p5k1k1k3_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    full = (1 << h.n) - 1
-    if is_perfect(h):
-        chi, coloring = chromatic_number(h)
-        if chi != clique_number(h):
-            raise StructureAssertionError("perfect piece coloured above its clique number")
-        return {v: coloring.colors[v] for v in range(h.n)}, [("perfect-exact", full)]
+    exact = _perfect_exact(h)
+    if exact is not None:
+        return exact
     hole = find_five_hole(h)
     if hole is not None:
         return _p5k1k1k3_hole(h, hole)
@@ -675,14 +656,6 @@ def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], lis
         raise StructureAssertionError("hole reuse found no free colour in its donor block")
     regions.append(("hole-reuse", sum(1 << v for v in dec.hole)))
     return cmap, regions
-
-
-def _triangle_free_map(h: Graph, mask: int) -> dict[int, int]:
-    """Three-colour a triangle-free piece through the structure colourer."""
-    piece = induced(h, VertexSet(mask, h.n))
-    verts = list(bits_of(mask))
-    coloring = color_sumner(piece)
-    return {verts[i]: coloring.colors[i] for i in range(piece.n)}
 
 
 def _p5k1k1k3_antihole(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:

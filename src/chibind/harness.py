@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .colorers import (
+    BoundCertificate,
+    bound_divisible,
     bound_k1_union_k3,
     bound_p5_k1_2k2,
     bound_p5_k1_k1k3,
     bound_p5_k23,
+    bound_sumner,
     bound_wagon_2k2,
     classify_triangle_free,
     color_k1_union_k3_free,
@@ -32,6 +35,7 @@ from .errors import PreconditionError, SearchExhaustedError, StructureAssertionE
 from .enumeration import GraphStream, encode_graph6, iter_graph6_file
 from .graphs import Graph, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
 from .invariants import (
+    Coloring,
     chi_bound_divisible,
     chromatic_number,
     clique_number,
@@ -159,91 +163,40 @@ def _check_divisible(g: Graph) -> CheckOutcome:
                         row={"divisible": ok})
 
 
-def _bound_check(g: Graph, bound_fn, pipeline, connected_only_pipeline: bool) -> CheckOutcome:
-    w = clique_number(g)
-    bound = bound_fn(w)
-    chi, _ = chromatic_number(g)
-    violations = []
-    if chi > bound:
-        violations.append(f"exact chromatic number {chi} exceeds bound {bound}")
-    ratio = chi / bound if bound > 0 else None
-    row = {"n": g.n, "omega": w, "chi": chi, "bound": bound}
-    if not connected_only_pipeline or is_connected(g):
-        coloring, cert = pipeline(g)
-        if not is_proper_coloring(g, coloring):
-            violations.append("pipeline colouring is improper")
-        if cert.colors_used > bound:
-            violations.append(f"pipeline used {cert.colors_used} colours above bound {bound}")
-        if cert.colors_used < chi:
-            violations.append("pipeline claims fewer colours than the chromatic number")
-        ratio = cert.colors_used / bound if bound > 0 else None
-        row["colors_used"] = cert.colors_used
-    return CheckOutcome(tuple(violations), ratio, row)
+def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: bool = False,
+                 describe: Callable[[Graph], dict] | None = None) -> Callable[[Graph], CheckOutcome]:
+    """Check of a colouring bound: the exact chromatic number against the
+    bound, then the colouring of ``pipeline`` (on connected graphs only if
+    ``connected_only``) for properness and for a colour count between the
+    two.  ``describe`` adds its own columns to the row."""
+    def check(g: Graph) -> CheckOutcome:
+        w = clique_number(g)
+        bound = bound_fn(w)
+        chi, _ = chromatic_number(g)
+        violations = []
+        if chi > bound:
+            violations.append(f"exact chromatic number {chi} exceeds bound {bound}")
+        ratio = chi / bound if bound > 0 else None
+        row = {"n": g.n, "omega": w, "chi": chi, "bound": bound}
+        if not connected_only or is_connected(g):
+            coloring, _ = _colored(g, pipeline)
+            used = coloring.used()
+            if not is_proper_coloring(g, coloring):
+                violations.append(f"{pipeline} colouring is improper")
+            if used > bound:
+                violations.append(f"{pipeline} used {used} colours above bound {bound}")
+            if used < chi:
+                violations.append(f"{pipeline} claims fewer colours than the chromatic number")
+            ratio = used / bound if bound > 0 else None
+            row["colors_used"] = used
+        if describe is not None:
+            row.update(describe(g))
+        return CheckOutcome(tuple(violations), ratio, row)
+    return check
 
 
-def _check_t12(g: Graph) -> CheckOutcome:
-    return _bound_check(g, bound_p5_k23, color_p5_k23, connected_only_pipeline=True)
-
-
-def _check_t13(g: Graph) -> CheckOutcome:
-    return _bound_check(g, bound_p5_k1_2k2, color_p5_k1_2k2, connected_only_pipeline=True)
-
-
-def _check_t14(g: Graph) -> CheckOutcome:
-    return _bound_check(g, bound_p5_k1_k1k3, color_p5_k1_k1k3, connected_only_pipeline=True)
-
-
-def _check_wagon(g: Graph) -> CheckOutcome:
-    w = clique_number(g)
-    bound = bound_wagon_2k2(w)
-    chi, _ = chromatic_number(g)
-    violations = []
-    if chi > bound:
-        violations.append(f"exact chromatic number {chi} exceeds bound {bound}")
-    coloring = color_wagon_2k2_free(g)
-    if not is_proper_coloring(g, coloring):
-        violations.append("bucket colouring is improper")
-    if coloring.used() > bound:
-        violations.append(f"bucket colouring used {coloring.used()} above bound {bound}")
-    ratio = coloring.used() / bound if bound else None
-    return CheckOutcome(tuple(violations), ratio,
-                        {"n": g.n, "omega": w, "chi": chi, "bound": bound,
-                         "colors_used": coloring.used()})
-
-
-def _check_sumner(g: Graph) -> CheckOutcome:
-    chi, _ = chromatic_number(g)
-    violations = []
-    if chi > 3:
-        violations.append(f"exact chromatic number {chi} exceeds 3")
-    coloring = color_sumner(g)
-    if not is_proper_coloring(g, coloring):
-        violations.append("three-colouring is improper")
-    if coloring.used() > 3:
-        violations.append("three-colouring used more than 3 colours")
-    shapes = [kind for kind, _ in classify_triangle_free(g)]
-    if not all(kind in ("bipartite", "blown-up-five-hole") for kind in shapes):
-        violations.append("component missing a structure proof")
-    return CheckOutcome(tuple(violations), coloring.used() / 3,
-                        {"n": g.n, "chi": chi, "colors_used": coloring.used(),
-                         "shapes": "|".join(shapes)})
-
-
-def _check_k1uk3_bound(g: Graph) -> CheckOutcome:
-    w = clique_number(g)
-    bound = bound_k1_union_k3(w)
-    chi, _ = chromatic_number(g)
-    violations = []
-    if chi > bound:
-        violations.append(f"exact chromatic number {chi} exceeds bound {bound}")
-    coloring = color_k1_union_k3_free(g)
-    if not is_proper_coloring(g, coloring):
-        violations.append("peeling colouring is improper")
-    if coloring.used() > bound:
-        violations.append(f"peeling colouring used {coloring.used()} above bound {bound}")
-    return CheckOutcome(tuple(violations), coloring.used() / bound if bound else None,
-                        {"n": g.n, "omega": w, "chi": chi, "bound": bound,
-                         "colors_used": coloring.used()})
+def _shapes(g: Graph) -> dict:
+    return {"shapes": "|".join(kind for kind, _ in classify_triangle_free(g))}
 
 
 def _check_dominating(g: Graph) -> CheckOutcome:
@@ -312,11 +265,14 @@ def _register(name: str, default_cap: int, hard_cap: int, filter_desc: str,
 _register("theorem-1.1", 8, 10, "connected, no induced P5/C5/K2,3",
           _free_stream(("P5", "C5", "K2,3"), connected=True), _always, _check_divisible)
 _register("theorem-1.2", 9, 10, "no induced P5/K2,3, omega >= 2",
-          _free_stream(("P5", "K2,3"), omega_min=2), _always, _check_t12)
+          _free_stream(("P5", "K2,3"), omega_min=2), _always,
+          _bound_check("p5-k23", bound_p5_k23, connected_only=True))
 _register("theorem-1.3", 9, 10, "connected, no induced P5/K1+2K2, omega >= 2",
-          _free_stream(("P5", "K1+2K2"), connected=True, omega_min=2), _always, _check_t13)
+          _free_stream(("P5", "K1+2K2"), connected=True, omega_min=2), _always,
+          _bound_check("p5-k1-2k2", bound_p5_k1_2k2, connected_only=True))
 _register("theorem-1.4", 9, 10, "no induced P5/K1+(K1uK3)",
-          _free_stream(("P5", "K1+(K1uK3)")), _always, _check_t14)
+          _free_stream(("P5", "K1+(K1uK3)")), _always,
+          _bound_check("p5-k1-k1uk3", bound_p5_k1_k1k3, connected_only=True))
 _register("lemma-2.2", 9, 10, "no induced P5, with a five-hole",
           _free_stream(("P5",)), _has_five_hole, _per_hole_check(check_p5_hole_lemma))
 _register("lemma-2.4", 8, 10, "independence number at most two",
@@ -333,11 +289,13 @@ _register("lemma-4.2", 9, 10, "connected, no induced P5/K2,3, no clique cutset, 
 _register("lemma-5.1", 9, 10, "connected, no induced P5",
           _free_stream(("P5",), connected=True), _always, _check_dominating)
 _register("lemma-5.2", 8, 10, "no induced 2K2",
-          _free_stream(("2K2",)), _always, _check_wagon)
+          _free_stream(("2K2",)), _always, _bound_check("wagon-2k2", bound_wagon_2k2))
 _register("lemma-6.1", 9, 10, "no induced P5/K3",
-          _free_stream(("P5", "K3")), _always, _check_sumner)
+          _free_stream(("P5", "K3")), _always,
+          _bound_check("sumner", bound_sumner, describe=_shapes))
 _register("lemma-6.2", 9, 10, "no induced P5/K1uK3, at least one edge",
-          _free_stream(("P5", "K1uK3")), lambda g: g.edge_count() >= 1, _check_k1uk3_bound)
+          _free_stream(("P5", "K1uK3")), lambda g: g.edge_count() >= 1,
+          _bound_check("k1-union-k3", bound_k1_union_k3))
 _register("lemma-6.3", 9, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
           _free_stream(("P5", "K1+(K1uK3)"), connected=True),
           lambda g: _has_five_hole(g) and _no_clique_cutset(g),
@@ -439,45 +397,40 @@ PIPELINES: dict[str, Callable] = {
 }
 
 SUB_COLORERS: dict[str, tuple[Callable, Callable[[int], int]]] = {
-    "sumner": (color_sumner, lambda w: 3),
+    "sumner": (color_sumner, bound_sumner),
     "wagon-2k2": (color_wagon_2k2_free, bound_wagon_2k2),
     "k1-union-k3": (color_k1_union_k3_free, bound_k1_union_k3),
-    "divisible": (lambda g: chi_bound_divisible(g)[1], lambda w: w * (w + 1) // 2),
+    "divisible": (lambda g: chi_bound_divisible(g)[1], bound_divisible),
 }
+
+
+def _colored(g: Graph, pipeline: str) -> tuple[Coloring, BoundCertificate | None]:
+    """The colouring of ``g`` by a pipeline, with its certificate, or by a
+    sub-colourer, which has none."""
+    if pipeline in PIPELINES:
+        return PIPELINES[pipeline](g)
+    if pipeline in SUB_COLORERS:
+        return SUB_COLORERS[pipeline][0](g), None
+    raise KeyError(f"unknown pipeline {pipeline!r}; known: "
+                   f"{sorted(PIPELINES) + sorted(SUB_COLORERS)}")
 
 
 def color_one(g: Graph, pipeline: str) -> dict:
     """Colour one graph through a pipeline; raises on precondition failure."""
-    if pipeline in PIPELINES:
-        coloring, cert = PIPELINES[pipeline](g)
-        trace = [
-            {"step": s.step, "vertices": sorted(s.vertices), "palette": list(s.palette)}
-            for s in cert.pipeline_trace
-        ]
-        return {
-            "pipeline": pipeline,
-            "n": g.n,
-            "colors": list(coloring.colors),
-            "colors_used": cert.colors_used,
-            "omega": cert.omega,
-            "bound": cert.bound_value,
-            "trace": trace,
-        }
-    if pipeline in SUB_COLORERS:
-        fn, bound_fn = SUB_COLORERS[pipeline]
-        coloring = fn(g)
+    coloring, cert = _colored(g, pipeline)
+    if cert is None:
         w = clique_number(g)
-        return {
-            "pipeline": pipeline,
-            "n": g.n,
-            "colors": list(coloring.colors),
-            "colors_used": coloring.used(),
-            "omega": w,
-            "bound": bound_fn(w),
-            "trace": [],
-        }
-    raise KeyError(f"unknown pipeline {pipeline!r}; known: "
-                   f"{sorted(PIPELINES) + sorted(SUB_COLORERS)}")
+        cert = BoundCertificate(pipeline, w, SUB_COLORERS[pipeline][1](w), coloring.used(), ())
+    return {
+        "pipeline": pipeline,
+        "n": g.n,
+        "colors": list(coloring.colors),
+        "colors_used": cert.colors_used,
+        "omega": cert.omega,
+        "bound": cert.bound_value,
+        "trace": [{"step": s.step, "vertices": sorted(s.vertices), "palette": list(s.palette)}
+                  for s in cert.pipeline_trace],
+    }
 
 
 def analyze_one(g: Graph) -> dict:

@@ -1,10 +1,11 @@
-"""Fuzz test of the single-graph CLI contract: whatever graph text arrives,
-``color`` and ``analyze`` exit 0 or 2 and raise nothing out of ``main``."""
+"""Fuzz test of the CLI contract: whatever graph text, graph6 file or
+pattern list arrives, ``color``, ``analyze``, ``verify --in`` and ``gen``
+exit 0 or 2 and raise nothing out of ``main``."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chibind.cli import main
-from chibind.harness import PIPELINES, SUB_COLORERS
+from chibind.harness import PIPELINES, SUB_COLORERS, TARGETS
 
 COMMANDS = [["color", "--pipeline", p] for p in sorted(PIPELINES) + sorted(SUB_COLORERS)]
 COMMANDS.append(["analyze"])
@@ -25,6 +26,11 @@ def _graph6_of_length(n: int):
 
 g6_text = st.one_of(st.text(max_size=12), st.integers(min_value=0, max_value=12).flatmap(_graph6_of_length))
 graph_arg = st.one_of(g6_text.map("--g6={}".format), edges_text.map("--edges={}".format))
+file_bytes = st.one_of(st.binary(max_size=40),
+                       st.lists(g6_text, max_size=6).map("\n".join).map(str.encode))
+pattern_text = st.one_of(st.text(max_size=12),
+                         st.lists(st.sampled_from(["P5", "K3", "K2,3", "2K2", "C5", "K1+2K2", "X"]),
+                                  max_size=3).map(",".join))
 
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -33,3 +39,23 @@ def test_cli_exits_zero_or_two(capsys, command, arg):
     code = main(command + [arg])
     capsys.readouterr()
     assert code in (0, 2), (command, arg)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(TARGETS)), st.integers(min_value=-1, max_value=6), file_bytes)
+def test_cli_verify_file_exits_zero_or_two(tmp_path, capsys, target, n, data):
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    code = main(["verify", "--target", target, f"--n={n}", "--in", str(path)])
+    capsys.readouterr()
+    assert code in (0, 2), (target, n, data)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([*range(-3, 7), 11]), st.booleans(), pattern_text)
+def test_cli_gen_exits_zero_or_two(capsys, n, connected, free):
+    code = main(["gen", f"--n={n}", f"--free={free}"] + ["--connected"] * connected)
+    capsys.readouterr()
+    assert code in (0, 2), (n, connected, free)

@@ -1,5 +1,6 @@
 """Verification targets, report determinism, and the CLI surface."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,9 +9,17 @@ from chibind import colorers, enumeration
 from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
-from chibind.graphs import complement, complete_graph, cycle_graph, from_edge_list
-from chibind.harness import TARGETS, analyze_one, color_one, verify
-from chibind.patterns import pattern
+from chibind.graphs import (
+    VertexSet,
+    complement,
+    complete_graph,
+    cycle_graph,
+    from_edge_list,
+    is_connected,
+)
+from chibind.harness import PIPELINES, SUB_COLORERS, TARGETS, analyze_one, color_one, verify
+from chibind.invariants import cliques
+from chibind.patterns import is_free, pattern
 
 
 def test_target_registry_is_complete():
@@ -315,3 +324,51 @@ def test_verify_observation_from_mixed_file(tmp_path, capsys):
     report = verify("observation-2.1", n_max=9, source=str(path))
     assert report.graphs_checked == 3 and report.violations == []
     assert main(["verify", "--target", "observation-2.1", "--n", "9", "--in", str(path)]) == 0
+
+
+# a connected member of the P5,K1+(K1uK3)-free class whose colouring splits
+# level two of a five-hole decomposition
+LEVEL_TWO_HOST = "F?N^_"
+
+
+def test_pipeline_fault_is_an_assertion_not_a_rejection(monkeypatch, tmp_path, capsys):
+    def split_with_a_triangle(g, dec):
+        return VertexSet(next(cliques(g.adj, (1 << g.n) - 1, 3)), g.n), VertexSet(0, g.n)
+
+    monkeypatch.setattr(colorers, "triangle_free_level2_split", split_with_a_triangle)
+    g = decode_graph6(LEVEL_TWO_HOST)
+    assert is_connected(g) and is_free(g, ["P5", "K1+(K1uK3)"])
+    with pytest.raises(StructureAssertionError):
+        colorers.color_p5_k1_k1k3(g)
+    assert main(["color", "--pipeline", "p5-k1-k1uk3", "--g6", LEVEL_TWO_HOST]) == 1
+    assert "(bug)" in capsys.readouterr().err
+    path = tmp_path / "host.g6"
+    path.write_text(LEVEL_TWO_HOST + "\n")
+    assert main(["verify", "--target", "theorem-1.4", "--in", str(path)]) == 1
+    assert f"(bug): {LEVEL_TWO_HOST}: " in capsys.readouterr().err
+
+
+# SHA-256 of the color_one payload, or of the rejection, of every graph on at
+# most seven vertices, one line per graph in canonical order
+COLORINGS_UP_TO_SEVEN = {
+    "divisible": "2c4116de5afb22c8d7f96d4accbf23d0cade8961604e54a8e7cfe846006fcd15",
+    "k1-union-k3": "e6a8b7f570c1fecc2c2adf0df75de8b15045d09c627031cf65dbc7928d342494",
+    "p5-k1-2k2": "243bdc320a1efd234f658baab35ed691bf130a52b2a53ce0ca53da589299b224",
+    "p5-k1-k1uk3": "fa46b6a5ae34f2fea9c18fdc1baf9473d99a78df9977a562678c109d98bc4efe",
+    "p5-k23": "691816e8e919ee4980f0348164c6001ab19729549ee61a8a140332c86eba6cb7",
+    "sumner": "a9fd4b92407819ea52e197533a423f2109f135bdaee4af4cf5f61e817d6e015d",
+    "wagon-2k2": "ab9fe7c02ff087bc7c84bac90c2c048db4105e826e23d438dce73e2b36a9f149",
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(COLORINGS_UP_TO_SEVEN))
+def test_colorings_are_pinned(pipeline, all_graphs_7):
+    assert set(COLORINGS_UP_TO_SEVEN) == set(PIPELINES) | set(SUB_COLORERS)
+    digest = hashlib.sha256()
+    for g in all_graphs_7:
+        try:
+            line = json.dumps(color_one(g, pipeline), sort_keys=True)
+        except PreconditionError as exc:
+            line = f"rejected: {exc}"
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == COLORINGS_UP_TO_SEVEN[pipeline]
