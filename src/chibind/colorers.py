@@ -1,10 +1,14 @@
 """Constructive colouring pipelines with bound certificates.
 
 Each pipeline follows the structural decomposition that proves its bound:
-palette slices are allocated per decomposition piece, reuse steps assign
-least-index colours inside a donor slice, and every claimed structural fact is
-re-asserted at runtime.  A certificate records the pieces, the palette, and
-the bound.
+palette slices are allocated per decomposition piece, and reuse steps assign
+least-index colours inside a donor slice.  A cutset-free leaf states the
+lemmas its colouring relies on once, by calling the checkers of
+``structure`` that ``verify`` runs (lemmas 2.2, 4.1 and 4.2 around a
+five-hole of ``p5-k23``; 2.2, 6.3 and 6.4 around one of ``p5-k1-k1uk3``; 6.5
+around its big odd antihole), and raises ``StructureAssertionError`` with the
+violations they report; only palette, budget and reuse checks stay inline.
+A certificate records the pieces, the palette, and the bound.
 
 Every public colourer has one shape: its precondition (``_require_free``; for
 ``color_sumner``, a failed structure proof on an input outside the class),
@@ -35,17 +39,22 @@ from .graphs import (
 )
 from .invariants import (
     Coloring,
-    chi_bound_divisible,
+    _peeled_coloring,
     chromatic_number,
     clique_number,
     clique_number_mask,
     cliques,
-    independence_number,
     is_proper_coloring,
 )
 from .patterns import find_induced, is_free, is_perfect, pattern
 from .structure import (
+    _antihole_violations,
     antihole_neighborhood_split,
+    check_k1uk3_hole_lemma,
+    check_k1uk3_level_lemma,
+    check_k23_hole_lemma,
+    check_k23_level_lemma,
+    check_p5_hole_lemma,
     decompose_five_hole,
     find_all_odd_antiholes,
     find_clique_cutset,
@@ -410,6 +419,23 @@ def _perfect_exact(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]] | N
     return dict(enumerate(coloring.colors)), [("perfect-exact", (1 << h.n) - 1)]
 
 
+def _divisible_coloring(h: Graph) -> Coloring:
+    """The peeled colouring of a piece the proof makes perfectly divisible
+    (lemma 2.4 for independence number two, theorem 1.1 for a five-hole-free
+    leaf), where a round without a division is a bug."""
+    coloring = _peeled_coloring(h)
+    if coloring is None:
+        raise StructureAssertionError("a perfectly divisible piece has no perfect division")
+    return coloring
+
+
+def _assert_lemmas(*violations: list[str]) -> None:
+    """Raise with every violation a lemma checker reports on a leaf."""
+    problems = [v for found in violations for v in found]
+    if problems:
+        raise StructureAssertionError("; ".join(problems))
+
+
 # ---------------------------------------------------------------------------
 # pipeline for hosts with no induced P5 or K2,3
 
@@ -426,9 +452,10 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
         return _triangle_free_map(h, full), [("triangle-free", full)]
     hole = find_five_hole(h)
     if hole is None:
-        _, coloring = chi_bound_divisible(h)
-        return dict(enumerate(coloring.colors)), [("divisible", full)]
-    dec = decompose_five_hole(h, hole, p5_free=True)
+        return dict(enumerate(_divisible_coloring(h).colors)), [("divisible", full)]
+    dec = decompose_five_hole(h, hole)
+    _assert_lemmas(check_p5_hole_lemma(h, dec), check_k23_hole_lemma(h, dec),
+                   check_k23_level_lemma(h, dec))
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
     piece_budget = comb(w - 1, 2)
@@ -440,21 +467,15 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     )
     for idx, (name, vs) in enumerate(pieces):
         base = idx * piece_budget
-        piece = induced(h, vs)
-        if independence_number(piece) > 2:
-            raise StructureAssertionError(f"{name} has independence number above two")
-        used_k, coloring = chi_bound_divisible(piece)
-        if used_k > piece_budget:
+        coloring = _divisible_coloring(induced(h, vs))
+        if coloring.k > piece_budget:
             raise StructureAssertionError(f"{name} exceeded its palette budget")
         for local, v in enumerate(vs):
             cmap[v] = base + coloring.colors[local]
         regions.append((name, vs.mask))
     s_base = 4 * piece_budget
     block = w - 1
-    groups = five_cliques_partition(h, dec)
-    for i, grp in enumerate(groups):
-        if len(grp) > block:
-            raise StructureAssertionError(f"clique group {i + 1} larger than omega-1")
+    for i, grp in enumerate(five_cliques_partition(h, dec)):
         for offset, v in enumerate(sorted(grp)):
             cmap[v] = s_base + i * block + offset
         regions.append((f"clique-group-{i + 1}", grp.mask))
@@ -468,27 +489,13 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     regions.append(("hole-reuse", sum(1 << v for v in hole_list)))
     triple_donor = list(range(0, 3 * piece_budget))
     wide_donor = triple_donor + s_slice
-    allfive_mask = dec.neighbor_class(1, 2, 3, 4, 5).mask
-    level1 = dec.level(1).mask
-    if dec.level(3):
-        raise StructureAssertionError("level three is nonempty in a cutset-free host")
+    # a full-clique component attaches only through the all-five class, so it
+    # may also reuse the clique-group colours
     for comp in components_masks(h.adj, dec.level(2).mask):
         piece = induced(h, VertexSet(comp, h.n))
-        if independence_number(piece) > 2:
-            raise StructureAssertionError("a level-two component has independence number above two")
-        wb = clique_number(piece)
-        used_k, coloring = chi_bound_divisible(piece)
-        if wb < w:
-            donor = triple_donor
-        else:
-            attach = 0
-            for v in bits_of(comp):
-                attach |= h.adj[v]
-            if attach & level1 & ~allfive_mask:
-                raise StructureAssertionError(
-                    "a full-clique level-two component attaches outside the all-five class")
-            donor = wide_donor
-        if used_k > len(donor):
+        coloring = _divisible_coloring(piece)
+        donor = triple_donor if clique_number(piece) < w else wide_donor
+        if coloring.k > len(donor):
             raise StructureAssertionError("a level-two component exceeded its donor slice")
         for local, v in enumerate(bits_of(comp)):
             cmap[v] = donor[coloring.colors[local]]
@@ -613,7 +620,9 @@ def _p5k1k1k3_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
 
 
 def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    dec = decompose_five_hole(h, hole, p5_free=True)
+    dec = decompose_five_hole(h, hole)
+    _assert_lemmas(check_p5_hole_lemma(h, dec), check_k1uk3_hole_lemma(h, dec),
+                   check_k1uk3_level_lemma(h, dec))
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
     allfive = dec.neighbor_class(1, 2, 3, 4, 5)
@@ -634,8 +643,6 @@ def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], lis
         union = (dec.neighbor_class(i, i + 1, i + 2)
                  | dec.neighbor_class(i, i + 1, i + 3)
                  | dec.neighbor_class(i, i + 1, i + 2, i + 3))
-        if not is_independent_mask(h.adj, union.mask):
-            raise StructureAssertionError(f"hole-neighbour union at {i} is not independent")
         for v in union:
             cmap[v] = base + 15 + (i - 1)
         regions.append((f"independent-union-{i}", union.mask))
@@ -663,11 +670,10 @@ def _p5k1k1k3_antihole(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]
     if not orders:
         raise SearchExhaustedError("imperfect five-hole-free piece has no big odd antihole")
     order = orders[0]
+    _assert_lemmas(_antihole_violations(h, order))
     half = (len(order) + 1) // 2
-    s_set, t_set, buckets = antihole_neighborhood_split(h, order)
+    s_set, _, buckets = antihole_neighborhood_split(h, order)
     a_mask = sum(1 << v for v in order)
-    if a_mask | s_set.mask | t_set.mask != (1 << h.n) - 1:
-        raise StructureAssertionError("antihole neighbourhood fails to cover the piece")
     a_piece = induced(h, VertexSet(a_mask, h.n))
     chi, coloring = chromatic_number(a_piece)
     if chi != half:
@@ -687,8 +693,6 @@ def _p5k1k1k3_antihole(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]
     for i, bucket in enumerate(buckets):
         if not bucket:
             continue
-        if not is_independent_mask(h.adj, bucket.mask):
-            raise StructureAssertionError(f"antihole bucket {i + 1} is not independent")
         for v in bucket:
             cmap[v] = offset
         offset += 1

@@ -351,12 +351,11 @@ def write_graph6_file(path: str, graphs: Iterable[Graph]) -> int:
 
 @dataclass(frozen=True)
 class GraphStream:
-    """A deterministic graph source with class filters applied before emission.
+    """The generated members on ``n`` vertices of a class, ``source`` being
+    ``("generated", n)``; graph6 files are read by ``iter_graph6_file``.
 
-    ``source`` is either ``("generated", n)`` or ``("file", path)``.
-    Freeness filters on generated sources prune during extension; the emitted
-    members are identical to post-filtering because the classes are
-    hereditary.
+    Freeness filters prune during extension; the emitted members are
+    identical to post-filtering because the classes are hereditary.
     """
 
     source: tuple
@@ -366,9 +365,7 @@ class GraphStream:
     omega_max: int | None = None
 
     def __iter__(self) -> Iterator[Graph]:
-        if self.source[0] == "generated":
-            return (g for g in representatives(self.source[1], self.free_of) if self._shape(g))
-        return (g for g in iter_graph6_file(self.source[1]) if self.keeps(g))
+        return (g for g in representatives(self.source[1], self.free_of) if self._shape(g))
 
     def keeps(self, g: Graph) -> bool:
         """True iff ``g`` passes every filter of this stream."""
@@ -388,10 +385,6 @@ def generate(n: int, connected_only: bool = False) -> GraphStream:
     """One representative per isomorphism class on exactly ``n`` vertices."""
     _check_generation_size(n)
     return GraphStream(("generated", n), connected_only=connected_only)
-
-
-def from_file(path: str) -> GraphStream:
-    return GraphStream(("file", path))
 
 
 def filter_stream(stream: GraphStream, free_of: Iterable[Pattern | Graph | str] = (),

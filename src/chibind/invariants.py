@@ -108,14 +108,6 @@ def cliques(adj: tuple[int, ...], sub: int, size: int) -> Iterator[int]:
     return grow(sub, 0, size)
 
 
-def maximum_clique(g: Graph) -> VertexSet:
-    """Lexicographically least maximum clique."""
-    mask = next(cliques(g.adj, (1 << g.n) - 1, clique_number(g)), None)
-    if mask is None:
-        raise StructureAssertionError("maximum clique search lost its own optimum")
-    return VertexSet(mask, g.n)
-
-
 def omega_table(adj: tuple[int, ...], n: int) -> list[int]:
     """Clique number of every induced subgraph, indexed by vertex mask."""
     table = [0] * (1 << n)
@@ -297,9 +289,18 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
     every round finds a division, and a round without one raises
     ``PreconditionError``.
     """
+    coloring = _peeled_coloring(g)
+    if coloring is None:
+        raise PreconditionError("input graph is not perfectly divisible")
+    return coloring.k, coloring
+
+
+def _peeled_coloring(g: Graph) -> Coloring | None:
+    """The colouring of :func:`chi_bound_divisible`, or None when a round
+    finds no division."""
     n = g.n
     if n == 0:
-        return 0, Coloring((), 0)
+        return Coloring((), 0)
     _check_division_cap(g)
     comp_adj = complement(g).adj
     mask = (1 << n) - 1
@@ -314,7 +315,7 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
         prev_omega = w
         a = _first_division(g.adj, comp_adj, mask)
         if a is None:
-            raise PreconditionError("input graph is not perfectly divisible")
+            return None
         part = induced(g, VertexSet(a, n))
         chi, sub_coloring = chromatic_number(part)
         if chi != clique_number(part):
@@ -325,4 +326,4 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
         mask &= ~a
     if offset > comb(w_top + 1, 2):
         raise StructureAssertionError("divisible colouring exceeded its palette budget")
-    return offset, Coloring(tuple(colors), offset)
+    return Coloring(tuple(colors), offset)

@@ -4,13 +4,17 @@ facts the colouring pipelines rely on.
 
 Checkers return violation lists rather than booleans so a harness can print
 counterexample certificates.  On the graph classes these facts are proved for,
-a nonempty list means an implementation bug, not a mathematical event.
+a nonempty list means an implementation bug, not a mathematical event.  Each
+fact is stated once, here: ``verify`` runs the checkers on every class member,
+and the colouring pipelines call the same checkers on every cutset-free leaf
+whose colouring relies on them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
 from .graphs import (
@@ -82,13 +86,11 @@ def find_five_hole(g: Graph) -> tuple[int, ...] | None:
     return next(_holes(g.adj, (1 << g.n) - 1, 5), None)
 
 
-def decompose_five_hole(g: Graph, hole: tuple[int, ...], p5_free: bool = False) -> FiveHoleDecomposition:
+def decompose_five_hole(g: Graph, hole: tuple[int, ...]) -> FiveHoleDecomposition:
     """Classify every vertex off the hole by exact hole-neighbourhood and level.
 
-    With ``p5_free`` set, the class-shape facts that hold in every P5-free
-    host are asserted: singleton and adjacent-pair classes are empty, the
-    distance-two classes and consecutive triples see nothing at level two,
-    and a connected host has no vertices past level three.
+    The decomposition asserts nothing about the host; the lemma checkers below
+    state what holds in each class.
     """
     if len(hole) != 5 or len(set(hole)) != 5:
         raise PreconditionError("a five-hole needs five distinct vertices")
@@ -123,22 +125,16 @@ def decompose_five_hole(g: Graph, hole: tuple[int, ...], p5_free: bool = False) 
         for combo in itertools.combinations(range(1, 6), r):
             key = frozenset(combo)
             class_sets[key] = VertexSet(classes.get(key, 0), n)
-    dec = FiveHoleDecomposition(
+    return FiveHoleDecomposition(
         hole=tuple(hole),
         classes=class_sets,
         levels=tuple(VertexSet(m, n) for m in level_masks),
         unreachable=VertexSet(unreachable, n),
     )
-    if p5_free:
-        problems = _p5_class_shape_violations(g, dec)
-        if is_connected(g) and len(dec.levels) > 3:
-            problems.append("a connected P5-free host has vertices past level three")
-        if problems:
-            raise StructureAssertionError("; ".join(problems))
-    return dec
 
 
-def _p5_class_shape_violations(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
+def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
+    """Structure facts of P5-free hosts around a five-hole; empty when correct."""
     out = []
     level2 = dec.level(2).mask
     for i in range(1, 6):
@@ -150,12 +146,6 @@ def _p5_class_shape_violations(g: Graph, dec: FiveHoleDecomposition) -> list[str
         for x in bits_of(near):
             if g.adj[x] & level2:
                 out.append(f"vertex {x} in a distance-two or consecutive-triple class sees level two")
-    return out
-
-
-def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
-    """Structure facts of P5-free hosts around a five-hole; empty when correct."""
-    out = _p5_class_shape_violations(g, dec)
     if is_connected(g) and len(dec.levels) > 3:
         out.append("connected host has vertices past level three")
     level1 = dec.level(1)
@@ -300,81 +290,77 @@ def check_k23_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     return out
 
 
+def _has_triangle(g: Graph, mask: int) -> bool:
+    return next(cliques(g.adj, mask, 3), None) is not None
+
+
 def check_k1uk3_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Class facts of hosts free of P5 and of the join of a vertex to K1+K3."""
     out = []
     k1uk3 = pattern("K1uK3")
-    k3 = pattern("K3")
     for i in range(1, 6):
         vi = dec.hole_vertex(i)
         if not is_free(induced(g, VertexSet(g.adj[vi], g.n)), [k1uk3]):
             out.append(f"neighbourhood of hole vertex v{i} induces K1uK3")
-        if not is_free(induced(g, dec.neighbor_class(i, i + 2)), [k3]):
+        if _has_triangle(g, dec.neighbor_class(i, i + 2).mask):
             out.append(f"class {{{i},{i + 2}}} induces a triangle")
         union = (dec.neighbor_class(i, i + 1, i + 2)
                  | dec.neighbor_class(i, i + 1, i + 3)
                  | dec.neighbor_class(i, i + 1, i + 2, i + 3))
         if not is_independent_mask(g.adj, union.mask):
             out.append(f"triple and quadruple classes starting at {i} are not independent")
-    level1 = dec.level(1).mask
-    for comp in components_masks(g.adj, dec.level(2).mask):
-        dominated = any(g.adj[u] & comp == comp for u in bits_of(level1))
-        if dominated:
-            continue
-        found = False
-        for u, v in itertools.combinations(bits_of(level1), 2):
-            if not g.has_edge(u, v) and g.adj[u] & comp and g.adj[v] & comp:
-                found = True
-                break
-        if not found:
+    for _, first in _level2_attachments(g, dec):
+        if first is None:
             out.append("an undominated level-two component lacks a non-adjacent attachment pair")
     return out
 
 
-def triangle_free_level2_split(g: Graph, dec: FiveHoleDecomposition) -> tuple[VertexSet, VertexSet]:
-    """Split level two into two triangle-free parts, component by component.
-
-    A component dominated by one hole neighbour is triangle-free outright; an
-    undominated one splits into the first attachment's neighbourhood and the
-    rest, following the attachment-pair structure.  Both parts are re-checked
-    before returning.
-    """
-    n = g.n
+def _level2_attachments(g: Graph, dec: FiveHoleDecomposition) -> Iterator[tuple[int, int | None]]:
+    """The attachment rule: each level-two component, with the part of it
+    that goes first in the level-two split.  That part is the whole component
+    when one hole neighbour dominates it; else it is the component's
+    neighbours of ``u``, where ``(u, v)`` is the least non-adjacent pair of
+    hole neighbours that both attach to it; None when there is no such pair."""
     level1 = dec.level(1).mask
-    a_mask = 0
-    b_mask = 0
     for comp in components_masks(g.adj, dec.level(2).mask):
         if any(g.adj[u] & comp == comp for u in bits_of(level1)):
-            a_mask |= comp
+            yield comp, comp
             continue
-        pair = None
-        for u, v in itertools.combinations(bits_of(level1), 2):
-            if not g.has_edge(u, v) and g.adj[u] & comp and g.adj[v] & comp:
-                pair = (u, v)
-                break
-        if pair is None:
+        attached = [u for u in bits_of(level1) if g.adj[u] & comp]
+        pairs = (u for u, v in itertools.combinations(attached, 2) if not g.has_edge(u, v))
+        u = next(pairs, None)
+        yield comp, None if u is None else g.adj[u] & comp
+
+
+def triangle_free_level2_split(g: Graph, dec: FiveHoleDecomposition) -> tuple[VertexSet, VertexSet]:
+    """Split level two into two parts, component by component: a component
+    dominated by one hole neighbour goes to the first part; an undominated one
+    splits into the neighbours of its first attachment and the rest.  Lemma
+    6.4 (``check_k1uk3_level_lemma``) makes both parts triangle-free.
+    """
+    a_mask = 0
+    b_mask = 0
+    for comp, first in _level2_attachments(g, dec):
+        if first is None:
             raise StructureAssertionError("undominated level-two component lacks an attachment pair")
-        u, _ = pair
-        a_mask |= g.adj[u] & comp
-        b_mask |= comp & ~g.adj[u]
-    k3 = pattern("K3")
-    for part, name in ((a_mask, "first"), (b_mask, "second")):
-        if not is_free(induced(g, VertexSet(part, n)), [k3]):
-            raise StructureAssertionError(f"{name} level-two part induces a triangle")
-    return VertexSet(a_mask, n), VertexSet(b_mask, n)
+        a_mask |= first
+        b_mask |= comp & ~first
+    return VertexSet(a_mask, g.n), VertexSet(b_mask, g.n)
 
 
 def check_k1uk3_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Level facts for the same class: level three is triangle-free and level
     two splits into two triangle-free parts."""
     out = []
-    k3 = pattern("K3")
-    if not is_free(induced(g, dec.level(3)), [k3]):
+    if _has_triangle(g, dec.level(3).mask):
         out.append("level three induces a triangle")
     try:
-        triangle_free_level2_split(g, dec)
+        parts = triangle_free_level2_split(g, dec)
     except StructureAssertionError as exc:
-        out.append(str(exc))
+        return out + [str(exc)]
+    for part, name in zip(parts, ("first", "second")):
+        if _has_triangle(g, part.mask):
+            out.append(f"{name} level-two part induces a triangle")
     return out
 
 
@@ -424,28 +410,28 @@ def antihole_neighborhood_split(
             tuple(VertexSet(m, n) for m in buckets))
 
 
+def _antihole_violations(g: Graph, order: tuple[int, ...]) -> list[str]:
+    """The facts of ``check_antihole_lemma`` around one odd antihole."""
+    try:
+        s, _, buckets = antihole_neighborhood_split(g, order)
+    except StructureAssertionError as exc:
+        return [str(exc)]
+    out = []
+    if not is_free(induced(g, s), [pattern("K1uK3")]):
+        out.append("fully attached antihole neighbourhood induces K1uK3")
+    for i, bucket in enumerate(buckets, start=1):
+        if not is_independent_mask(g.adj, bucket.mask):
+            out.append(f"antihole bucket {i} is not independent")
+    if 2 in distances_from(g, VertexSet.of(order, g.n)):
+        out.append("a vertex sits at distance two from an odd antihole")
+    return out
+
+
 def check_antihole_lemma(g: Graph) -> list[str]:
     """Neighbourhood facts around big odd antiholes in five-cycle-free hosts:
     the fully attached part avoids K1uK3, the partial part splits into
     independent buckets, and nothing sits at distance two."""
-    out = []
-    k1uk3 = pattern("K1uK3")
-    for order in find_all_odd_antiholes(g, 7):
-        a_set = VertexSet.of(order, g.n)
-        try:
-            s, _t, buckets = antihole_neighborhood_split(g, order)
-        except StructureAssertionError as exc:
-            out.append(str(exc))
-            continue
-        if not is_free(induced(g, s), [k1uk3]):
-            out.append("fully attached antihole neighbourhood induces K1uK3")
-        for i, bucket in enumerate(buckets, start=1):
-            if not is_independent_mask(g.adj, bucket.mask):
-                out.append(f"antihole bucket {i} is not independent")
-        dist = distances_from(g, a_set)
-        if any(d == 2 for d in dist):
-            out.append("a vertex sits at distance two from an odd antihole")
-    return out
+    return [v for order in find_all_odd_antiholes(g, 7) for v in _antihole_violations(g, order)]
 
 
 def find_homogeneous_set(g: Graph) -> VertexSet | None:
@@ -511,27 +497,21 @@ def find_clique_cutset(g: Graph) -> CutsetReport | None:
 
 
 def minimal_cutsets(g: Graph) -> list[CutsetReport]:
-    """All inclusion-minimal separating sets, by exhaustive subset scan."""
+    """All inclusion-minimal separating sets, by size then mask: the sets whose
+    removal leaves at least two components, each of them full (every member
+    of the set has a neighbour in it)."""
     if not is_connected(g):
         raise PreconditionError("cutsets are defined for connected graphs")
     n = g.n
     if n > 12:
         raise PreconditionError("minimal-cutset scan supports at most 12 vertices")
-    cutsets = []
-    for mask in range(1, (1 << n) - 1):
-        if len(_removal_components(g, mask)) >= 2:
-            cutsets.append(mask)
-    cutsets.sort(key=lambda m: (m.bit_count(), m))
-    minimal: list[int] = []
-    for mask in cutsets:
-        if any(kept & mask == kept for kept in minimal):
-            continue
-        minimal.append(mask)
-    return [
-        CutsetReport(VertexSet(m, n), "minimal-cutset",
-                     tuple(VertexSet(c, n) for c in _removal_components(g, m)))
-        for m in minimal
-    ]
+    out = []
+    for mask in sorted(range(1, (1 << n) - 1), key=lambda m: (m.bit_count(), m)):
+        comps = _removal_components(g, mask)
+        if len(comps) >= 2 and all(g.adj[s] & c for c in comps for s in bits_of(mask)):
+            out.append(CutsetReport(VertexSet(mask, n), "minimal-cutset",
+                                    tuple(VertexSet(c, n) for c in comps)))
+    return out
 
 
 def _dominates(g: Graph, mask: int) -> bool:

@@ -260,3 +260,17 @@ def chi_bound_divisible_per_round(g: Graph) -> tuple[int, Coloring]:
         for i in division.b:
             mask |= 1 << verts[i]
     return offset, Coloring(tuple(colors), offset)
+
+
+def minimal_cutsets_brute(g: Graph) -> list[tuple[int, list[int]]]:
+    """Inclusion-minimal separating sets of a connected graph, by size then
+    mask, each with the components it leaves: every separating subset is
+    collected, then those containing an earlier one are dropped."""
+    full = (1 << g.n) - 1
+    cutsets = sorted((m for m in range(1, full) if len(components_masks(g.adj, full & ~m)) >= 2),
+                     key=lambda m: (m.bit_count(), m))
+    minimal: list[int] = []
+    for mask in cutsets:
+        if not any(kept & mask == kept for kept in minimal):
+            minimal.append(mask)
+    return [(m, components_masks(g.adj, full & ~m)) for m in minimal]

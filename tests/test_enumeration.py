@@ -25,8 +25,8 @@ from chibind.enumeration import (
     decode_graph6,
     encode_graph6,
     filter_stream,
-    from_file,
     generate,
+    iter_graph6_file,
     representatives,
     write_graph6_file,
 )
@@ -136,7 +136,7 @@ def test_graph6_file_round_trip(tmp_path):
     path = tmp_path / "five.g6"
     count = write_graph6_file(str(path), graphs)
     assert count == 34
-    back = list(from_file(str(path)))
+    back = list(iter_graph6_file(str(path)))
     assert back == graphs
 
 

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
-from chibind import colorers, enumeration
+from chibind import colorers, enumeration, invariants
 from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
@@ -346,6 +347,45 @@ def test_pipeline_fault_is_an_assertion_not_a_rejection(monkeypatch, tmp_path, c
     path.write_text(LEVEL_TWO_HOST + "\n")
     assert main(["verify", "--target", "theorem-1.4", "--in", str(path)]) == 1
     assert f"(bug): {LEVEL_TWO_HOST}: " in capsys.readouterr().err
+
+
+# the five-wheel, a cutset-free imperfect member of both five-hole pipelines'
+# classes, and the antihole on seven vertices, a cutset-free member without a
+# five-hole
+WHEEL = "Ehfw"
+ANTIHOLE = "FUzro"
+
+
+@pytest.mark.parametrize("pipeline, checker, g6", [
+    ("p5-k23", "check_p5_hole_lemma", WHEEL),
+    ("p5-k23", "check_k23_hole_lemma", WHEEL),
+    ("p5-k23", "check_k23_level_lemma", WHEEL),
+    ("p5-k1-k1uk3", "check_p5_hole_lemma", WHEEL),
+    ("p5-k1-k1uk3", "check_k1uk3_hole_lemma", WHEEL),
+    ("p5-k1-k1uk3", "check_k1uk3_level_lemma", WHEEL),
+    ("p5-k1-k1uk3", "_antihole_violations", ANTIHOLE),
+])
+def test_leaves_assert_their_lemmas(pipeline, checker, g6, monkeypatch, capsys):
+    monkeypatch.setattr(colorers, checker, lambda *args: ["planted violation"])
+    with pytest.raises(StructureAssertionError, match="planted violation"):
+        color_one(decode_graph6(g6), pipeline)
+    assert main(["color", "--pipeline", pipeline, "--g6", g6]) == 1
+    assert "(bug): planted violation" in capsys.readouterr().err
+
+
+def test_missing_division_inside_p5k23_is_an_assertion(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "_first_division", lambda adj, comp_adj, mask: None)
+    with pytest.raises(StructureAssertionError, match="no perfect division"):
+        color_one(decode_graph6(WITNESS), "p5-k23")
+    assert main(["color", "--pipeline", "p5-k23", "--g6", WITNESS]) == 1
+    assert main(["verify", "--target", "theorem-1.2", "--n", "7"]) == 1
+    found = re.search(r"\(bug\): (\S+): a perfectly divisible piece has no perfect division",
+                      capsys.readouterr().err)
+    assert found
+    with pytest.raises(StructureAssertionError):
+        color_one(decode_graph6(found[1]), "p5-k23")
+    # outside the pipeline, a graph without a division is still bad input
+    assert main(["color", "--pipeline", "divisible", "--g6", "JhdLA_gc?N_"]) == 2
 
 
 # SHA-256 of the color_one payload, or of the rejection, of every graph on at

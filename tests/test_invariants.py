@@ -26,7 +26,6 @@ from chibind.invariants import (
     independence_number,
     is_perfectly_divisible,
     is_proper_coloring,
-    maximum_clique,
     perfection_table,
 )
 from chibind.patterns import is_free, is_perfect, pattern
@@ -66,7 +65,7 @@ def test_clique_and_independence_examples():
 
 def test_maximum_clique_is_least():
     g = from_edge_list(5, [(1, 2), (2, 3), (1, 3), (0, 4)])
-    assert maximum_clique(g).members() == (1, 2, 3)
+    assert next(cliques(g.adj, (1 << g.n) - 1, clique_number(g))) == 0b1110
 
 
 def test_cliques_match_subset_scan(all_graphs_7):
@@ -74,7 +73,6 @@ def test_cliques_match_subset_scan(all_graphs_7):
         full = (1 << g.n) - 1
         for size in range(g.n + 2):
             assert list(cliques(g.adj, full, size)) == cliques_brute(g.adj, g.n, size)
-        assert maximum_clique(g).mask == cliques_brute(g.adj, g.n, clique_number(g))[0]
 
 
 def test_chromatic_examples():

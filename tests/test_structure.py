@@ -43,7 +43,13 @@ from chibind.structure import (
     minimal_cutsets,
     triangle_free_level2_split,
 )
-from oracles import cliques_brute, graph_from_pair_mask, homogeneous_sets_brute, induced_cycles_brute
+from oracles import (
+    cliques_brute,
+    graph_from_pair_mask,
+    homogeneous_sets_brute,
+    induced_cycles_brute,
+    minimal_cutsets_brute,
+)
 
 
 def c5_plus(*attachments):
@@ -122,15 +128,12 @@ def test_decompose_rejects_non_holes():
         decompose_five_hole(complete_graph(5), (0, 1, 2, 3, 4))
 
 
-def test_decompose_flag_catches_misuse():
-    from chibind.errors import StructureAssertionError
-
+def test_p5_hole_lemma_catches_misuse():
     # a pendant on the hole gives a singleton class, impossible without P5
     g = c5_plus([0])
     assert not is_free(g, ["P5"])
-    with pytest.raises(StructureAssertionError):
-        decompose_five_hole(g, (0, 1, 2, 3, 4), p5_free=True)
-    decompose_five_hole(g, (0, 1, 2, 3, 4))  # no flag, no assertion
+    dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
+    assert check_p5_hole_lemma(g, dec) == ["singleton class {1} is nonempty"]
 
 
 def test_class_key_canonicalisation():
@@ -250,6 +253,13 @@ def test_minimal_cutsets_match_definition(g):
                if not any(other != m and other & m == other for other in cutsets)]
     got = [r.cutset.mask for r in minimal_cutsets(g)]
     assert sorted(got) == sorted(minimal)
+
+
+def test_minimal_cutsets_match_the_subset_scan(all_graphs_8):
+    for g in all_graphs_8:
+        if is_connected(g):
+            assert [(r.cutset.mask, [c.mask for c in r.side_components])
+                    for r in minimal_cutsets(g)] == minimal_cutsets_brute(g)
 
 
 def test_dominating_examples():
