@@ -351,21 +351,21 @@ def write_graph6_file(path: str, graphs: Iterable[Graph]) -> int:
 
 @dataclass(frozen=True)
 class GraphStream:
-    """The generated members on ``n`` vertices of a class, ``source`` being
-    ``("generated", n)``; graph6 files are read by ``iter_graph6_file``.
+    """The generated members on ``n`` vertices of a class; graph6 files are
+    read by ``iter_graph6_file`` and filtered by ``keeps``.
 
     Freeness filters prune during extension; the emitted members are
     identical to post-filtering because the classes are hereditary.
     """
 
-    source: tuple
+    n: int
     free_of: tuple = ()
     connected_only: bool = False
     omega_min: int | None = None
     omega_max: int | None = None
 
     def __iter__(self) -> Iterator[Graph]:
-        return (g for g in representatives(self.source[1], self.free_of) if self._shape(g))
+        return (g for g in representatives(self.n, self.free_of) if self._shape(g))
 
     def keeps(self, g: Graph) -> bool:
         """True iff ``g`` passes every filter of this stream."""
@@ -384,7 +384,7 @@ class GraphStream:
 def generate(n: int, connected_only: bool = False) -> GraphStream:
     """One representative per isomorphism class on exactly ``n`` vertices."""
     _check_generation_size(n)
-    return GraphStream(("generated", n), connected_only=connected_only)
+    return GraphStream(n, connected_only=connected_only)
 
 
 def filter_stream(stream: GraphStream, free_of: Iterable[Pattern | Graph | str] = (),

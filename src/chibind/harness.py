@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 from .colorers import (
@@ -124,21 +124,22 @@ class Target:
     default_cap: int
     hard_cap: int
     filter_desc: str
-    streams: Callable[[int], Iterator[Graph]]
+    streams: Callable[[int], Iterable[Graph]]
+    keeps: Callable[[Graph], bool]  # the class filter, for graphs read from a file
     admit: Callable[[Graph], bool]
     check: Callable[[Graph], CheckOutcome]
 
 
-def _sizes(stream_fn: Callable[[int], GraphStream], n_max: int) -> Iterator[Graph]:
+def _sizes(stream_fn: Callable[[int], Iterable[Graph]], n_max: int) -> Iterator[Graph]:
     for n in range(1, n_max + 1):
         yield from stream_fn(n)
 
 
 def _free_stream(names: tuple, connected: bool = False, omega_min: int | None = None):
-    def build(n: int) -> GraphStream:
-        return GraphStream(("generated", n), free_of=tuple(_resolve(p) for p in names),
-                           connected_only=connected, omega_min=omega_min)
-    return build
+    """The class's generated members by vertex count, and its filter."""
+    members = GraphStream(0, free_of=tuple(_resolve(p) for p in names),
+                          connected_only=connected, omega_min=omega_min)
+    return (lambda n: replace(members, n=n)), members.keeps
 
 
 def _resolve(p):
@@ -258,8 +259,9 @@ TARGETS: dict[str, Target] = {}
 
 
 def _register(name: str, default_cap: int, hard_cap: int, filter_desc: str,
-              streams, admit, check) -> None:
-    TARGETS[name] = Target(name, default_cap, hard_cap, filter_desc, streams, admit, check)
+              universe, admit, check) -> None:
+    streams, keeps = universe
+    TARGETS[name] = Target(name, default_cap, hard_cap, filter_desc, streams, keeps, admit, check)
 
 
 _register("theorem-1.1", 8, 10, "connected, no induced P5/C5/K2,3",
@@ -311,7 +313,7 @@ _register("lemma-6.5", 9, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a
 # the two-cliques scan is exponential in the antihole length, so the cap stays
 # well under the 64-vertex graph budget
 _register("observation-2.1", 9, 21, "odd antiholes",
-          _antihole_stream, is_odd_antihole, _check_two_cliques)
+          (_antihole_stream, _always), is_odd_antihole, _check_two_cliques)
 
 
 def verify(target: str, n_max: int | None = None, source: str | None = None,
@@ -380,10 +382,8 @@ def _checked(entry: Target, g: Graph) -> tuple[str, CheckOutcome]:
 
 def _file_universe(path: str, entry: Target, cap: int) -> Iterator[Graph]:
     """The graphs of a graph6 file within the cap that pass the target's
-    stream filters; the cap is applied first, since the filters cost more."""
-    template = entry.streams(1)
-    keeps = template.keeps if isinstance(template, GraphStream) else _always
-    return (g for g in iter_graph6_file(path) if g.n <= cap and keeps(g))
+    class filter; the cap is applied first, since the filter costs more."""
+    return (g for g in iter_graph6_file(path) if g.n <= cap and entry.keeps(g))
 
 
 # ---------------------------------------------------------------------------

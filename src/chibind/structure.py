@@ -2,6 +2,16 @@
 homogeneous sets, cutsets, dominating cliques, and the checkable structure
 facts the colouring pipelines rely on.
 
+Cutsets are found in polynomial time.  ``find_clique_cutset`` runs MCS-M
+(Berry, Blair, Heggernes and Peyton, "Maximum cardinality search for computing
+minimal triangulations of graphs", Algorithmica 2004) once and takes the least
+minimal separator of the triangulation that is a clique of the graph, as in
+Berry, Pogorelcnik and Simonet, "An introduction to clique minimal separator
+decomposition", Algorithms 2010.  ``minimal_cutsets`` lists the minimal
+separators as in Berry, Bordat and Cogis, "Generating all the minimal
+separators of a graph", IJFCS 2000, and keeps those without a non-full
+component.
+
 Checkers return violation lists rather than booleans so a harness can print
 counterexample certificates.  On the graph classes these facts are proved for,
 a nonempty list means an implementation bug, not a mathematical event.  Each
@@ -480,35 +490,117 @@ def _removal_components(g: Graph, mask: int) -> list[int]:
     return components_masks(g.adj, (1 << g.n) - 1 & ~mask)
 
 
+def _mcs_m_separators(adj: tuple[int, ...], n: int) -> Iterator[int]:
+    """The minimal separators of the minimal triangulation H that MCS-M
+    computes, as masks, possibly repeated.
+
+    MCS-M (Berry, Blair, Heggernes and Peyton, Algorithmica 2004) numbers the
+    vertices one at a time.  The chosen vertex v reaches every unnumbered u
+    joined to it by a path whose inner vertices are unnumbered and lighter
+    than u; u gains one weight and v joins ``madj(u)``, u's higher
+    neighbourhood in H.  The order is a maximum cardinality search of H, so a
+    vertex chosen with a weight no greater than its predecessor's starts a
+    new maximal clique of H, and its ``madj`` is a minimal separator of H;
+    every minimal separator of H arises so.
+    """
+    madj = [0] * n
+    buckets = [(1 << n) - 1] + [0] * n  # unnumbered vertices by weight
+    top = 0  # no bucket above it is occupied
+    previous = -1  # the weight of the previous choice
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        v = low.bit_length() - 1
+        buckets[top] ^= low
+        if top <= previous:
+            yield madj[v]
+        previous = top
+        # grow the region v reaches through vertices lighter than the current
+        # bucket; the bucket's vertices adjacent to it are reached
+        inside = low
+        seen = adj[v]
+        passable = 0
+        reached = []
+        for w in range(top + 1):
+            bucket = buckets[w]
+            if not bucket:
+                continue
+            frontier = seen & passable & ~inside
+            while frontier:
+                inside |= frontier
+                for x in bits_of(frontier):
+                    seen |= adj[x]
+                frontier = seen & passable & ~inside
+            if seen & bucket:
+                reached.append((w, seen & bucket))
+            passable |= bucket
+        for w, hit in reached:
+            buckets[w] ^= hit
+            buckets[w + 1] |= hit
+            for u in bits_of(hit):
+                madj[u] |= low
+        top += 1
+
+
 def find_clique_cutset(g: Graph) -> CutsetReport | None:
-    """Least clique (by size then members) whose removal disconnects ``g``."""
+    """Least clique (by size, then sorted members) whose removal disconnects ``g``.
+
+    The least clique cutset is inclusion-minimal, since a smaller clique
+    inside it that also separated would come first, so it is a clique minimal
+    separator.  Those are minimal separators of every minimal triangulation
+    (Berry, Pogorelcnik and Simonet, "An introduction to clique minimal
+    separator decomposition", Algorithms 2010), so the answer is the least
+    separator of the MCS-M triangulation that is a clique in ``g``.
+    """
     if not is_connected(g):
         raise PreconditionError("clique cutsets are defined for connected graphs")
     n = g.n
-    for size in range(1, max(n - 1, 0)):
-        for mask in cliques(g.adj, (1 << n) - 1, size):
-            comps = _removal_components(g, mask)
-            if len(comps) >= 2:
-                return CutsetReport(
-                    VertexSet(mask, n), "clique-cutset",
-                    tuple(VertexSet(c, n) for c in comps),
-                )
+    candidates = {m for m in _mcs_m_separators(g.adj, n) if is_clique_mask(g.adj, m)}
+    for mask in sorted(candidates, key=lambda m: (m.bit_count(), tuple(bits_of(m)))):
+        comps = _removal_components(g, mask)
+        if len(comps) >= 2:
+            return CutsetReport(
+                VertexSet(mask, n), "clique-cutset",
+                tuple(VertexSet(c, n) for c in comps),
+            )
     return None
 
 
 def minimal_cutsets(g: Graph) -> list[CutsetReport]:
-    """All inclusion-minimal separating sets, by size then mask: the sets whose
-    removal leaves at least two components, each of them full (every member
-    of the set has a neighbour in it)."""
+    """All inclusion-minimal separating sets, by size then mask: the minimal
+    separators whose removal leaves only full components (every member of
+    the set has a neighbour in each).
+
+    The minimal separators are listed as in Berry, Bordat and Cogis,
+    "Generating all the minimal separators of a graph", IJFCS 2000: start
+    from N(C) for each component C of G - N[v], then close under
+    S -> N(C) for each component C of G - (S + N(x)) with x in S.
+    """
     if not is_connected(g):
         raise PreconditionError("cutsets are defined for connected graphs")
     n = g.n
-    if n > 12:
-        raise PreconditionError("minimal-cutset scan supports at most 12 vertices")
+    adj = g.adj
+    found: set[int] = set()
+    todo = []
+
+    def add_around(blocked: int) -> None:
+        for comp in _removal_components(g, blocked):
+            sep = neighborhood_mask(adj, comp)
+            if sep not in found:
+                found.add(sep)
+                todo.append(sep)
+
+    for v in range(n):
+        add_around(adj[v] | 1 << v)
+    while todo:
+        sep = todo.pop()
+        for x in bits_of(sep):
+            add_around(sep | adj[x])
     out = []
-    for mask in sorted(range(1, (1 << n) - 1), key=lambda m: (m.bit_count(), m)):
+    for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
         comps = _removal_components(g, mask)
-        if len(comps) >= 2 and all(g.adj[s] & c for c in comps for s in bits_of(mask)):
+        if all(neighborhood_mask(adj, c) == mask for c in comps):
             out.append(CutsetReport(VertexSet(mask, n), "minimal-cutset",
                                     tuple(VertexSet(c, n) for c in comps)))
     return out

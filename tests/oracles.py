@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from chibind.graphs import Graph, VertexSet, bits_of, components_masks, from_edge_list, induced
-from chibind.invariants import Coloring, PerfectDivision, chromatic_number, clique_number
+from chibind.invariants import Coloring, PerfectDivision, chromatic_number, clique_number, cliques
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -260,6 +260,20 @@ def chi_bound_divisible_per_round(g: Graph) -> tuple[int, Coloring]:
         for i in division.b:
             mask |= 1 << verts[i]
     return offset, Coloring(tuple(colors), offset)
+
+
+def clique_cutset_brute(g: Graph) -> tuple[int, list[int]] | None:
+    """Least clique cutset of a connected graph, by size then sorted members,
+    with the components it leaves: every clique of every size is tried, in
+    lexicographic order of its sorted members, by the depth-first clique
+    generator (itself checked against ``cliques_brute``)."""
+    full = (1 << g.n) - 1
+    for size in range(1, g.n - 1):
+        for mask in cliques(g.adj, full, size):
+            comps = components_masks(g.adj, full & ~mask)
+            if len(comps) >= 2:
+                return mask, comps
+    return None
 
 
 def minimal_cutsets_brute(g: Graph) -> list[tuple[int, list[int]]]:

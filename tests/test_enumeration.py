@@ -156,7 +156,7 @@ def test_empty_filter_is_identity():
 
 
 def test_hereditary_fusion_equals_post_filtering():
-    fused = list(GraphStream(("generated", 6), free_of=(complete_graph(3),)))
+    fused = list(GraphStream(6, free_of=(complete_graph(3),)))
     post = [g for g in generate(6) if is_free(g, ["K3"])]
     assert [canonical_key(g) for g in fused] == [canonical_key(g) for g in post]
 

@@ -1,12 +1,14 @@
 """Five-hole decomposition, cutsets, homogeneous sets, and the lemma checkers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibind.errors import PreconditionError, SearchExhaustedError
 from chibind.graphs import (
+    Graph,
     VertexSet,
     complement,
     complete_graph,
@@ -21,7 +23,7 @@ from chibind.graphs import (
     empty_graph,
 )
 from chibind.invariants import clique_number
-from chibind.patterns import is_free, pattern
+from chibind.patterns import has_induced_using, is_free, pattern
 from chibind.structure import (
     antihole_neighborhood_split,
     check_antihole_lemma,
@@ -44,6 +46,7 @@ from chibind.structure import (
     triangle_free_level2_split,
 )
 from oracles import (
+    clique_cutset_brute,
     cliques_brute,
     graph_from_pair_mask,
     homogeneous_sets_brute,
@@ -61,6 +64,32 @@ def c5_plus(*attachments):
             edges.append((n, h))
         n += 1
     return from_edge_list(n, edges)
+
+
+def _cutset_pair(report):
+    """A cutset report in the oracles' form: the mask and the component masks."""
+    return (report.cutset.mask, [c.mask for c in report.side_components]) if report else None
+
+
+def _grown_member(rng, forbidden, n):
+    """A connected member of a hereditary class on ``n`` vertices, grown from
+    an edge: each new vertex copies a random vertex's neighbourhood (as a true
+    or false twin) with a few places flipped, and is kept only when it creates
+    no forbidden induced subgraph."""
+    adj = [0b10, 0b01]
+    while len(adj) < n:
+        k = len(adj)
+        v = rng.randrange(k)
+        sub = adj[v] | (1 << v if rng.random() < 0.5 else 0)
+        for u in range(k):
+            if rng.random() < 0.15:
+                sub ^= 1 << u
+        if not sub:
+            continue
+        child = tuple(a | 1 << k if sub >> u & 1 else a for u, a in enumerate(adj)) + (sub,)
+        if not any(has_induced_using(child, k + 1, pg, k) for pg in forbidden):
+            adj = list(child)
+    return Graph(n, tuple(adj))
 
 
 def test_find_five_hole_examples():
@@ -91,12 +120,8 @@ def test_clique_searches_match_subset_scans(all_graphs_8):
     for g in all_graphs_8:
         if not is_connected(g):
             continue
-        full = (1 << g.n) - 1
         by_size = [cliques_brute(g.adj, g.n, size) for size in range(g.n + 1)]
-        cut = next((m for masks in by_size[1:max(g.n - 1, 1)] for m in masks
-                    if len(components_masks(g.adj, full & ~m)) >= 2), None)
-        report = find_clique_cutset(g)
-        assert (report.cutset.mask if report else None) == cut
+        assert _cutset_pair(find_clique_cutset(g)) == clique_cutset_brute(g)
         dominating = next((m for masks in by_size[1:] for m in masks
                            if all(m >> v & 1 or g.adj[v] & m for v in range(g.n))), None)
         try:
@@ -231,10 +256,41 @@ def test_clique_cutset_examples():
         find_clique_cutset(disjoint_union(complete_graph(2), complete_graph(2)))
 
 
+def test_clique_cutset_breaks_ties_on_sorted_members():
+    # {4,5} has the least mask of the two-vertex clique cutsets, but {3,6}
+    # has the least sorted members
+    g = Graph(7, (96, 48, 72, 84, 106, 83, 61))
+    report = find_clique_cutset(g)
+    assert report.cutset.members() == (3, 6)
+    assert [c.members() for c in report.side_components] == [(0, 1, 4, 5), (2,)]
+    assert _cutset_pair(report) == clique_cutset_brute(g)
+
+
+def test_clique_cutsets_match_the_clique_scan_when_grown():
+    rng = random.Random(20221)
+    grown = [_grown_member(rng, [pattern(p).graph for p in names], 14 + i % 17)
+             for names in (("P5", "K2,3"), ("P5", "K1+(K1uK3)")) for i in range(30)]
+    assert sum(find_clique_cutset(g) is not None for g in grown) >= 10
+    for g in grown:
+        assert _cutset_pair(find_clique_cutset(g)) == clique_cutset_brute(g)
+
+
 def test_minimal_cutsets_examples():
     cuts = [r.cutset.members() for r in minimal_cutsets(cycle_graph(5))]
     assert cuts == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
     assert minimal_cutsets(complete_graph(4)) == []
+
+
+def test_minimal_cutsets_of_long_cycles():
+    # past the reach of a subset scan: the minimal separators of a k-cycle
+    # are its k(k-3)/2 non-adjacent pairs
+    for k in range(13, 21):
+        pairs = sorted((1 << u | 1 << v for u, v in itertools.combinations(range(k), 2)
+                        if (v - u) % k not in (1, k - 1)), key=lambda m: (m.bit_count(), m))
+        reports = minimal_cutsets(cycle_graph(k))
+        assert [r.cutset.mask for r in reports] == pairs
+        assert len(pairs) == k * (k - 3) // 2
+        assert all(len(r.side_components) == 2 for r in reports)
 
 
 @settings(max_examples=50, derandomize=True)
@@ -243,7 +299,6 @@ def test_minimal_cutsets_match_definition(g):
     if not is_connected(g):
         return
     full = (1 << g.n) - 1
-    from chibind.graphs import components_masks
 
     def is_cutset(mask):
         return len(components_masks(g.adj, full & ~mask)) >= 2
