@@ -39,16 +39,19 @@ from .graphs import (
 )
 from .invariants import (
     Coloring,
-    _peeled_coloring,
-    chromatic_number,
+    _optimal_map,
+    _peeled_map,
+    _perfect_map,
     clique_number,
     clique_number_mask,
     cliques,
     is_proper_coloring,
 )
-from .patterns import find_induced, is_free, is_perfect, pattern
+from .patterns import _holes, find_induced, is_free, is_perfect, pattern
 from .structure import (
     _antihole_violations,
+    _clique_separators,
+    _least_clique_cutset,
     antihole_neighborhood_split,
     check_k1uk3_hole_lemma,
     check_k1uk3_level_lemma,
@@ -57,7 +60,6 @@ from .structure import (
     check_p5_hole_lemma,
     decompose_five_hole,
     find_all_odd_antiholes,
-    find_clique_cutset,
     find_dominating_clique_or_p3,
     find_five_hole,
     five_cliques_partition,
@@ -187,12 +189,9 @@ def _bipartition(g: Graph, comp: int) -> tuple[int, int] | None:
 
 def _blowup_classes(g: Graph, comp: int) -> tuple[int, ...]:
     """Verified five-hole blow-up classes of a non-bipartite component."""
-    h_local = induced(g, VertexSet(comp, g.n))
-    verts = list(bits_of(comp))
-    hole_local = find_five_hole(h_local)
-    if hole_local is None:
+    hole = next(_holes(g.adj, comp, 5), None)
+    if hole is None:
         raise StructureAssertionError("non-bipartite triangle-free component has no five-hole")
-    hole = [verts[i] for i in hole_local]
     classes = [0] * 5
     for x in bits_of(comp):
         hits = frozenset(j for j in range(5) if g.has_edge(x, hole[j]) or x == hole[j])
@@ -340,35 +339,30 @@ def _merge_at_cutset(cut_vertices: list[int], d1: dict[int, int], d2: dict[int, 
     return merged
 
 
-def _color_with_cutsets(h: Graph, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    """Split on clique cutsets recursively, merging palettes on the shared clique."""
-    report = find_clique_cutset(h)
-    if report is None:
-        return leaf(h)
-    cut = report.cutset.mask
-    side = report.side_components[0].mask
-    full = (1 << h.n) - 1
-    m1 = side | cut
-    m2 = full & ~side
-    d1, r1 = _recurse_submask(h, m1, leaf)
-    d2, r2 = _recurse_submask(h, m2, leaf)
+def _color_with_cutsets(g: Graph, mask: int, seps: list[int],
+                        leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
+    """Split ``G[mask]`` recursively at its least clique cutset, merging
+    palettes on the shared clique.  A piece's clique minimal separators are
+    those of its component (Tarjan, Discrete Math. 1985), so the first of the
+    component's list ``seps`` inside ``mask`` that separates it is the cut."""
+    found = _least_clique_cutset(g.adj, mask, seps)
+    if found is None:
+        return _leaf_on_copy(g, mask, leaf)
+    cut, comps = found
+    side = comps[0]
+    d1, r1 = _color_with_cutsets(g, side | cut, seps, leaf)
+    d2, r2 = _color_with_cutsets(g, mask & ~side, seps, leaf)
     merged = _merge_at_cutset(list(bits_of(cut)), d1, d2)
-    regions = r1 + r2 + [("clique-cutset-merge", cut)]
-    return merged, regions
+    return merged, r1 + r2 + [("clique-cutset-merge", cut)]
 
 
-def _recurse_submask(h: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    sub = induced(h, VertexSet(mask, h.n))
+def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
+    """Run a cutset-free leaf on the induced copy of ``G[mask]`` and lift its
+    colour map and regions back to the host."""
     verts = list(bits_of(mask))
-    d_local, r_local = _color_with_cutsets(sub, leaf)
-    d = {verts[v]: c for v, c in d_local.items()}
-    regions = []
-    for name, m in r_local:
-        lifted = 0
-        for i in bits_of(m):
-            lifted |= 1 << verts[i]
-        regions.append((name, lifted))
-    return d, regions
+    d_local, r_local = leaf(induced(g, VertexSet(mask, g.n)))
+    regions = [(name, sum(1 << verts[i] for i in bits_of(m))) for name, m in r_local]
+    return {verts[v]: c for v, c in d_local.items()}, regions
 
 
 def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
@@ -388,7 +382,7 @@ def _components_shared_palette(g: Graph, leaf) -> tuple[dict[int, int], list[tup
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
     for comp in components_masks(g.adj, (1 << g.n) - 1):
-        d, r = _recurse_submask(g, comp, leaf)
+        d, r = _color_with_cutsets(g, comp, _clique_separators(g.adj, comp), leaf)
         cmap.update(d)
         regions.extend(r)
     return cmap, regions
@@ -413,20 +407,18 @@ def _perfect_exact(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]] | N
     colours; None if the piece is not perfect."""
     if not is_perfect(h):
         return None
-    chi, coloring = chromatic_number(h)
-    if chi != clique_number(h):
-        raise StructureAssertionError("perfect piece coloured above its clique number")
-    return dict(enumerate(coloring.colors)), [("perfect-exact", (1 << h.n) - 1)]
+    full = (1 << h.n) - 1
+    return _perfect_map(h, full), [("perfect-exact", full)]
 
 
-def _divisible_coloring(h: Graph) -> Coloring:
-    """The peeled colouring of a piece the proof makes perfectly divisible
+def _divisible_map(h: Graph, mask: int) -> dict[int, int]:
+    """The peeled colouring of a part the proof makes perfectly divisible
     (lemma 2.4 for independence number two, theorem 1.1 for a five-hole-free
     leaf), where a round without a division is a bug."""
-    coloring = _peeled_coloring(h)
-    if coloring is None:
+    cmap = _peeled_map(h, mask)
+    if cmap is None:
         raise StructureAssertionError("a perfectly divisible piece has no perfect division")
-    return coloring
+    return cmap
 
 
 def _assert_lemmas(*violations: list[str]) -> None:
@@ -452,7 +444,7 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
         return _triangle_free_map(h, full), [("triangle-free", full)]
     hole = find_five_hole(h)
     if hole is None:
-        return dict(enumerate(_divisible_coloring(h).colors)), [("divisible", full)]
+        return _divisible_map(h, full), [("divisible", full)]
     dec = decompose_five_hole(h, hole)
     _assert_lemmas(check_p5_hole_lemma(h, dec), check_k23_hole_lemma(h, dec),
                    check_k23_level_lemma(h, dec))
@@ -467,11 +459,11 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     )
     for idx, (name, vs) in enumerate(pieces):
         base = idx * piece_budget
-        coloring = _divisible_coloring(induced(h, vs))
-        if coloring.k > piece_budget:
+        piece = _divisible_map(h, vs.mask)
+        if len(set(piece.values())) > piece_budget:
             raise StructureAssertionError(f"{name} exceeded its palette budget")
-        for local, v in enumerate(vs):
-            cmap[v] = base + coloring.colors[local]
+        for v, c in piece.items():
+            cmap[v] = base + c
         regions.append((name, vs.mask))
     s_base = 4 * piece_budget
     block = w - 1
@@ -492,13 +484,12 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     # a full-clique component attaches only through the all-five class, so it
     # may also reuse the clique-group colours
     for comp in components_masks(h.adj, dec.level(2).mask):
-        piece = induced(h, VertexSet(comp, h.n))
-        coloring = _divisible_coloring(piece)
-        donor = triple_donor if clique_number(piece) < w else wide_donor
-        if coloring.k > len(donor):
+        piece = _divisible_map(h, comp)
+        donor = triple_donor if clique_number_mask(h.adj, comp) < w else wide_donor
+        if len(set(piece.values())) > len(donor):
             raise StructureAssertionError("a level-two component exceeded its donor slice")
-        for local, v in enumerate(bits_of(comp)):
-            cmap[v] = donor[coloring.colors[local]]
+        for v, c in piece.items():
+            cmap[v] = donor[c]
         regions.append(("level-two-reuse", comp))
     return cmap, regions
 
@@ -674,12 +665,9 @@ def _p5k1k1k3_antihole(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]
     half = (len(order) + 1) // 2
     s_set, _, buckets = antihole_neighborhood_split(h, order)
     a_mask = sum(1 << v for v in order)
-    a_piece = induced(h, VertexSet(a_mask, h.n))
-    chi, coloring = chromatic_number(a_piece)
+    chi, cmap = _optimal_map(h, a_mask)
     if chi != half:
         raise StructureAssertionError("odd antihole coloured away from half its length")
-    verts = list(bits_of(a_mask))
-    cmap = {verts[i]: coloring.colors[i] for i in range(a_piece.n)}
     regions = [("antihole-exact", a_mask)]
     offset = chi
     if s_set:

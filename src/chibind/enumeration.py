@@ -362,7 +362,6 @@ class GraphStream:
     free_of: tuple = ()
     connected_only: bool = False
     omega_min: int | None = None
-    omega_max: int | None = None
 
     def __iter__(self) -> Iterator[Graph]:
         return (g for g in representatives(self.n, self.free_of) if self._shape(g))
@@ -374,11 +373,7 @@ class GraphStream:
     def _shape(self, g: Graph) -> bool:
         if self.connected_only and not is_connected(g):
             return False
-        if self.omega_min is None and self.omega_max is None:
-            return True
-        w = clique_number(g)
-        return ((self.omega_min is None or w >= self.omega_min)
-                and (self.omega_max is None or w <= self.omega_max))
+        return self.omega_min is None or clique_number(g) >= self.omega_min
 
 
 def generate(n: int, connected_only: bool = False) -> GraphStream:
@@ -388,8 +383,7 @@ def generate(n: int, connected_only: bool = False) -> GraphStream:
 
 
 def filter_stream(stream: GraphStream, free_of: Iterable[Pattern | Graph | str] = (),
-                  connected: bool | None = None, omega_min: int | None = None,
-                  omega_max: int | None = None) -> GraphStream:
+                  connected: bool | None = None, omega_min: int | None = None) -> GraphStream:
     """Narrow a stream; unknown pattern names fail immediately."""
     resolved = tuple(_as_graph(p) for p in free_of)
     merged = stream.free_of + resolved
@@ -398,7 +392,6 @@ def filter_stream(stream: GraphStream, free_of: Iterable[Pattern | Graph | str] 
         free_of=merged,
         connected_only=stream.connected_only if connected is None else connected,
         omega_min=omega_min if omega_min is not None else stream.omega_min,
-        omega_max=omega_max if omega_max is not None else stream.omega_max,
     )
 
 

@@ -174,17 +174,11 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     """Exact chromatic number with a deterministic optimal colouring."""
     if g.n == 0:
         return 0, Coloring((), 0)
-    lo = clique_number(g)
-    hi = greedy_saturation_coloring(g).k
-    chi = hi
-    for k in range(lo, hi):
-        if _solve_k_coloring(g, k) is not None:
-            chi = k
-            break
-    coloring = _solve_k_coloring(g, chi)
-    if coloring is None:
-        raise StructureAssertionError("chromatic search lost its own optimum")
-    return chi, coloring
+    for k in range(clique_number(g), greedy_saturation_coloring(g).k + 1):
+        coloring = _solve_k_coloring(g, k)
+        if coloring is not None:
+            return k, coloring
+    raise StructureAssertionError("chromatic search lost its own optimum")
 
 
 def perfection_table(adj: tuple[int, ...], comp_adj: tuple[int, ...], n: int) -> list[bool]:
@@ -250,8 +244,8 @@ def _divisible(omega: list[int], perfect: list[bool], n: int) -> bool:
     return True
 
 
-def _check_division_cap(g: Graph) -> None:
-    if g.n > 16:
+def _check_division_cap(n: int) -> None:
+    if n > 16:
         raise PreconditionError("perfect-division scan supports at most 16 vertices")
 
 
@@ -261,7 +255,7 @@ def find_perfect_division(g: Graph) -> PerfectDivision | None:
     The empty part is perfect and has clique number zero, so perfect graphs
     always admit a division and edgeless graphs yield ``(V, empty)``.
     """
-    _check_division_cap(g)
+    _check_division_cap(g.n)
     full = (1 << g.n) - 1
     a = _first_division(g.adj, complement(g).adj, full)
     if a is None:
@@ -289,23 +283,41 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
     every round finds a division, and a round without one raises
     ``PreconditionError``.
     """
-    coloring = _peeled_coloring(g)
-    if coloring is None:
+    cmap = _peeled_map(g, (1 << g.n) - 1)
+    if cmap is None:
         raise PreconditionError("input graph is not perfectly divisible")
-    return coloring.k, coloring
+    colors = tuple(cmap[v] for v in range(g.n))
+    k = max(colors, default=-1) + 1
+    return k, Coloring(colors, k)
 
 
-def _peeled_coloring(g: Graph) -> Coloring | None:
-    """The colouring of :func:`chi_bound_divisible`, or None when a round
-    finds no division."""
-    n = g.n
-    if n == 0:
-        return Coloring((), 0)
-    _check_division_cap(g)
+def _optimal_map(g: Graph, mask: int) -> tuple[int, dict[int, int]]:
+    """The chromatic number of ``G[mask]`` and an optimal colouring of it
+    keyed by host vertex; the host is coloured itself when ``mask`` covers
+    it, so only a proper part is copied."""
+    part = g if mask == (1 << g.n) - 1 else induced(g, VertexSet(mask, g.n))
+    chi, coloring = chromatic_number(part)
+    return chi, dict(zip(bits_of(mask), coloring.colors))
+
+
+def _perfect_map(g: Graph, mask: int) -> dict[int, int]:
+    """An optimal colouring of the perfect set ``mask``, asserted to use
+    omega colours."""
+    chi, cmap = _optimal_map(g, mask)
+    if chi != clique_number_mask(g.adj, mask):
+        raise StructureAssertionError("perfect set coloured above its clique number")
+    return cmap
+
+
+def _peeled_map(g: Graph, mask: int) -> dict[int, int] | None:
+    """The colouring of :func:`chi_bound_divisible` of ``G[mask]``, keyed by
+    host vertex, or None when a round finds no division."""
+    if not mask:
+        return {}
+    _check_division_cap(mask.bit_count())
     comp_adj = complement(g).adj
-    mask = (1 << n) - 1
-    w_top = clique_number(g)
-    colors = [-1] * n
+    w_top = clique_number_mask(g.adj, mask)
+    cmap: dict[int, int] = {}
     offset = 0
     prev_omega = w_top + 1
     while mask:
@@ -316,14 +328,10 @@ def _peeled_coloring(g: Graph) -> Coloring | None:
         a = _first_division(g.adj, comp_adj, mask)
         if a is None:
             return None
-        part = induced(g, VertexSet(a, n))
-        chi, sub_coloring = chromatic_number(part)
-        if chi != clique_number(part):
-            raise StructureAssertionError("perfect side coloured above its clique number")
-        for local, v in enumerate(bits_of(a)):
-            colors[v] = offset + sub_coloring.colors[local]
-        offset += chi
+        for v, c in _perfect_map(g, a).items():
+            cmap[v] = offset + c
+        offset = max(cmap.values()) + 1
         mask &= ~a
     if offset > comb(w_top + 1, 2):
         raise StructureAssertionError("divisible colouring exceeded its palette budget")
-    return Coloring(tuple(colors), offset)
+    return cmap

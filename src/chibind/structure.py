@@ -7,8 +7,9 @@ Cutsets are found in polynomial time.  ``find_clique_cutset`` runs MCS-M
 minimal triangulations of graphs", Algorithmica 2004) once and takes the least
 minimal separator of the triangulation that is a clique of the graph, as in
 Berry, Pogorelcnik and Simonet, "An introduction to clique minimal separator
-decomposition", Algorithms 2010.  ``minimal_cutsets`` lists the minimal
-separators as in Berry, Bordat and Cogis, "Generating all the minimal
+decomposition", Algorithms 2010; the colouring pipelines split every piece of
+a component with that component's one list.  ``minimal_cutsets`` lists the
+minimal separators as in Berry, Bordat and Cogis, "Generating all the minimal
 separators of a graph", IJFCS 2000, and keeps those without a non-full
 component.
 
@@ -486,13 +487,9 @@ class CutsetReport:
     side_components: tuple[VertexSet, ...]
 
 
-def _removal_components(g: Graph, mask: int) -> list[int]:
-    return components_masks(g.adj, (1 << g.n) - 1 & ~mask)
-
-
-def _mcs_m_separators(adj: tuple[int, ...], n: int) -> Iterator[int]:
-    """The minimal separators of the minimal triangulation H that MCS-M
-    computes, as masks, possibly repeated.
+def _mcs_m_separators(adj: tuple[int, ...], mask: int) -> Iterator[int]:
+    """The minimal separators of the minimal triangulation H of ``G[mask]``
+    that MCS-M computes, as masks, possibly repeated.
 
     MCS-M (Berry, Blair, Heggernes and Peyton, Algorithmica 2004) numbers the
     vertices one at a time.  The chosen vertex v reaches every unnumbered u
@@ -503,11 +500,11 @@ def _mcs_m_separators(adj: tuple[int, ...], n: int) -> Iterator[int]:
     new maximal clique of H, and its ``madj`` is a minimal separator of H;
     every minimal separator of H arises so.
     """
-    madj = [0] * n
-    buckets = [(1 << n) - 1] + [0] * n  # unnumbered vertices by weight
+    madj = [0] * len(adj)
+    buckets = [mask] + [0] * len(adj)  # unnumbered vertices by weight
     top = 0  # no bucket above it is occupied
     previous = -1  # the weight of the previous choice
-    for _ in range(n):
+    for _ in range(mask.bit_count()):
         while not buckets[top]:
             top -= 1
         low = buckets[top] & -buckets[top]
@@ -543,28 +540,43 @@ def _mcs_m_separators(adj: tuple[int, ...], n: int) -> Iterator[int]:
         top += 1
 
 
+def _clique_separators(adj: tuple[int, ...], mask: int) -> list[int]:
+    """The MCS-M separators of ``G[mask]`` that are cliques, least first by
+    size, then sorted members: for connected ``G[mask]``, all of its clique
+    minimal separators, which are separators of every minimal triangulation."""
+    candidates = {m for m in _mcs_m_separators(adj, mask) if is_clique_mask(adj, m)}
+    return sorted(candidates, key=lambda m: (m.bit_count(), tuple(bits_of(m))))
+
+
+def _least_clique_cutset(adj: tuple[int, ...], mask: int,
+                         separators: list[int]) -> tuple[int, list[int]] | None:
+    """The first of ``separators`` inside ``mask`` whose removal disconnects
+    ``G[mask]``, with the components it leaves, or None."""
+    for cut in separators:
+        if cut & ~mask:
+            continue
+        comps = components_masks(adj, mask & ~cut)
+        if len(comps) >= 2:
+            return cut, comps
+    return None
+
+
 def find_clique_cutset(g: Graph) -> CutsetReport | None:
     """Least clique (by size, then sorted members) whose removal disconnects ``g``.
 
     The least clique cutset is inclusion-minimal, since a smaller clique
     inside it that also separated would come first, so it is a clique minimal
-    separator.  Those are minimal separators of every minimal triangulation
-    (Berry, Pogorelcnik and Simonet, "An introduction to clique minimal
-    separator decomposition", Algorithms 2010), so the answer is the least
-    separator of the MCS-M triangulation that is a clique in ``g``.
+    separator, and the answer is the least separator of the MCS-M
+    triangulation that is a clique in ``g`` and separates it.
     """
     if not is_connected(g):
         raise PreconditionError("clique cutsets are defined for connected graphs")
-    n = g.n
-    candidates = {m for m in _mcs_m_separators(g.adj, n) if is_clique_mask(g.adj, m)}
-    for mask in sorted(candidates, key=lambda m: (m.bit_count(), tuple(bits_of(m)))):
-        comps = _removal_components(g, mask)
-        if len(comps) >= 2:
-            return CutsetReport(
-                VertexSet(mask, n), "clique-cutset",
-                tuple(VertexSet(c, n) for c in comps),
-            )
-    return None
+    full = (1 << g.n) - 1
+    found = _least_clique_cutset(g.adj, full, _clique_separators(g.adj, full))
+    if found is None:
+        return None
+    return CutsetReport(VertexSet(found[0], g.n), "clique-cutset",
+                        tuple(VertexSet(c, g.n) for c in found[1]))
 
 
 def minimal_cutsets(g: Graph) -> list[CutsetReport]:
@@ -581,11 +593,12 @@ def minimal_cutsets(g: Graph) -> list[CutsetReport]:
         raise PreconditionError("cutsets are defined for connected graphs")
     n = g.n
     adj = g.adj
+    full = (1 << n) - 1
     found: set[int] = set()
     todo = []
 
     def add_around(blocked: int) -> None:
-        for comp in _removal_components(g, blocked):
+        for comp in components_masks(adj, full & ~blocked):
             sep = neighborhood_mask(adj, comp)
             if sep not in found:
                 found.add(sep)
@@ -599,7 +612,7 @@ def minimal_cutsets(g: Graph) -> list[CutsetReport]:
             add_around(sep | adj[x])
     out = []
     for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
-        comps = _removal_components(g, mask)
+        comps = components_masks(adj, full & ~mask)
         if all(neighborhood_mask(adj, c) == mask for c in comps):
             out.append(CutsetReport(VertexSet(mask, n), "minimal-cutset",
                                     tuple(VertexSet(c, n) for c in comps)))
@@ -628,13 +641,10 @@ def find_dominating_clique_or_p3(g: Graph) -> tuple[str, VertexSet]:
             if _dominates(g, mask):
                 return "clique", VertexSet(mask, n)
     for combo in itertools.combinations(range(n), 3):
-        sub = induced(g, VertexSet.of(combo, n))
-        if sub.edge_count() == 2 and max(sub.degree_sequence()) == 2:
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if _dominates(g, mask):
-                return "p3", VertexSet(mask, n)
+        mask = sum(1 << v for v in combo)
+        # three vertices with exactly two edges (degree sum four) induce a three-path
+        if sum((g.adj[v] & mask).bit_count() for v in combo) == 4 and _dominates(g, mask):
+            return "p3", VertexSet(mask, n)
     raise SearchExhaustedError("no dominating clique or three-path found")
 
 

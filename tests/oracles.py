@@ -288,3 +288,25 @@ def minimal_cutsets_brute(g: Graph) -> list[tuple[int, list[int]]]:
         if not any(kept & mask == kept for kept in minimal):
             minimal.append(mask)
     return [(m, components_masks(g.adj, full & ~m)) for m in minimal]
+
+
+def cutset_splits_oracle(g: Graph) -> list[tuple[int, int]]:
+    """The (cut, side) splits of the clique-cutset recursion, as host masks in
+    the order they are made: every component, and every piece after it, is
+    copied, its least clique cutset is taken by ``clique_cutset_brute`` on the
+    copy, and it splits into its first side plus the cut and the rest."""
+    splits: list[tuple[int, int]] = []
+
+    def split(mask: int) -> None:
+        verts = list(bits_of(mask))
+        found = clique_cutset_brute(induced(g, VertexSet(mask, g.n)))
+        if found is None:
+            return
+        cut, side = (sum(1 << verts[i] for i in bits_of(m)) for m in (found[0], found[1][0]))
+        splits.append((cut, side))
+        split(side | cut)
+        split(mask & ~side)
+
+    for comp in components_masks(g.adj, (1 << g.n) - 1):
+        split(comp)
+    return splits

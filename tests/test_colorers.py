@@ -1,8 +1,11 @@
 """Sub-colourers, the three certified pipelines, and their certificates."""
 
+import hashlib
+import json
+
 import pytest
 
-from chibind import colorers
+from chibind import colorers, color_one, decode_graph6
 from chibind.colorers import (
     bound_p5_k1_2k2,
     bound_p5_k1_k1k3,
@@ -292,3 +295,28 @@ def test_sumner_exhaustive_to_seven(p5_k3_free_9):
         assert col.used() <= 3
         bipartite = all(kind == "bipartite" for kind, _ in classify_triangle_free(g))
         assert (col.used() <= 2) == bipartite
+
+
+# branch witnesses past the exhaustive pins at n <= 7: the only graph at n = 10
+# whose p5-k1-k1uk3 trace holds level-three-reuse, and a p5-k23 member whose
+# trace holds level-two-reuse; the digests are of the sorted-key JSON payloads
+BRANCH_WITNESSES_AT_TEN = {
+    ("Io?Ggp~^o", "p5-k1-k1uk3"): (
+        "645122ec64d9cad965fceb50f88574fd3ee7c54bc3635f8979c12bf0e8d6b6b1",
+        ["all-five-class"] + [f"distance-two-class-{i}" for i in range(1, 6)]
+        + [f"independent-union-{i}" for i in range(1, 6)]
+        + ["level-two-reuse", "level-three-reuse", "hole-reuse"]),
+    ("I@dlI|^{w", "p5-k23"): (
+        "ecdfb576ca885e6e265f99446858e9b476fb658756eae4086323362ea6cd2ec0",
+        ["triple-classes-a", "triple-classes-b", "triple-classes-c", "all-five-class"]
+        + [f"clique-group-{i}" for i in range(1, 6)] + ["hole-reuse", "level-two-reuse"]),
+}
+
+
+@pytest.mark.parametrize("g6, pipeline", sorted(BRANCH_WITNESSES_AT_TEN))
+def test_branch_witnesses_at_ten_are_pinned(g6, pipeline):
+    digest, steps = BRANCH_WITNESSES_AT_TEN[g6, pipeline]
+    payload = color_one(decode_graph6(g6), pipeline)
+    assert payload["n"] == 10
+    assert [s["step"] for s in payload["trace"]] == steps
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest

@@ -170,11 +170,12 @@ def test_class_member_counts_regression():
 
 
 def test_omega_filters():
-    stream = filter_stream(generate(4), omega_min=2, omega_max=2)
+    stream = filter_stream(generate(4), omega_min=3)
     from chibind.invariants import clique_number
 
     members = list(stream)
-    assert members and all(clique_number(g) == 2 for g in members)
+    assert members and all(clique_number(g) >= 3 for g in members)
+    assert len(members) < len(list(generate(4)))
 
 
 def test_generation_cap():

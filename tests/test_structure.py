@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chibind import colorers
 from chibind.errors import PreconditionError, SearchExhaustedError
 from chibind.graphs import (
     Graph,
@@ -25,6 +26,7 @@ from chibind.graphs import (
 from chibind.invariants import clique_number
 from chibind.patterns import has_induced_using, is_free, pattern
 from chibind.structure import (
+    _least_clique_cutset,
     antihole_neighborhood_split,
     check_antihole_lemma,
     check_c5_cutset_lemma,
@@ -48,6 +50,7 @@ from chibind.structure import (
 from oracles import (
     clique_cutset_brute,
     cliques_brute,
+    cutset_splits_oracle,
     graph_from_pair_mask,
     homogeneous_sets_brute,
     induced_cycles_brute,
@@ -266,13 +269,45 @@ def test_clique_cutset_breaks_ties_on_sorted_members():
     assert _cutset_pair(report) == clique_cutset_brute(g)
 
 
-def test_clique_cutsets_match_the_clique_scan_when_grown():
+def _grown_pipeline_members():
     rng = random.Random(20221)
-    grown = [_grown_member(rng, [pattern(p).graph for p in names], 14 + i % 17)
-             for names in (("P5", "K2,3"), ("P5", "K1+(K1uK3)")) for i in range(30)]
+    return [_grown_member(rng, [pattern(p).graph for p in names], 14 + i % 17)
+            for names in (("P5", "K2,3"), ("P5", "K1+(K1uK3)")) for i in range(30)]
+
+
+def test_clique_cutsets_match_the_clique_scan_when_grown():
+    grown = _grown_pipeline_members()
     assert sum(find_clique_cutset(g) is not None for g in grown) >= 10
     for g in grown:
         assert _cutset_pair(find_clique_cutset(g)) == clique_cutset_brute(g)
+
+
+def test_one_separator_list_splits_like_the_per_piece_search(monkeypatch, all_graphs_8):
+    # the pipelines split every piece of a component with the component's one
+    # list of clique separators; the oracle searches each piece's copy afresh
+    splits = []
+
+    def recording_search(adj, mask, seps):
+        found = _least_clique_cutset(adj, mask, seps)
+        if found is not None:
+            splits.append((found[0], found[1][0]))
+        return found
+
+    def recording_leaf(h):
+        return dict.fromkeys(range(h.n), 0), [("leaf", (1 << h.n) - 1)]
+
+    monkeypatch.setattr(colorers, "_least_clique_cutset", recording_search)
+    for graphs, least_split in ((all_graphs_8, 10000), (_grown_pipeline_members(), 20)):
+        split_graphs = 0
+        for g in graphs:
+            splits.clear()
+            _, regions = colorers._components_shared_palette(g, recording_leaf)
+            assert splits == cutset_splits_oracle(g), g
+            # each split of a piece repeats its cut in both parts
+            leaves = [m for name, m in regions if name == "leaf"]
+            assert sum(m.bit_count() for m in leaves) == g.n + sum(c.bit_count() for c, _ in splits)
+            split_graphs += bool(splits)
+        assert split_graphs >= least_split
 
 
 def test_minimal_cutsets_examples():
