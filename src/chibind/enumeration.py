@@ -367,8 +367,9 @@ class GraphStream:
         return (g for g in representatives(self.n, self.free_of) if self._shape(g))
 
     def keeps(self, g: Graph) -> bool:
-        """True iff ``g`` passes every filter of this stream."""
-        return is_free(g, self.free_of) and self._shape(g)
+        """True iff ``g`` passes every filter of this stream; the shape tests
+        come first, so a disconnected line costs no freeness search."""
+        return self._shape(g) and is_free(g, self.free_of)
 
     def _shape(self, g: Graph) -> bool:
         if self.connected_only and not is_connected(g):

@@ -1,10 +1,19 @@
-"""Forbidden-pattern catalog, induced-subgraph detection, and the perfection test.
+"""Forbidden-pattern catalog, induced-subgraph search, and the perfection test.
 
-Detection is one generic backtracking search over degree-feasible candidate
-maps; every catalog pattern goes through the same audited code path.  Odd-hole
-and odd-antihole search provide the perfection test, and both searches use a
-canonical cycle ordering (least start vertex, smaller second neighbour first)
-so certificates are reproducible.
+Every "does G induce P?" question, for every pattern, goes through one
+search, :func:`_embed`.  It places the pattern vertices along a fixed
+connectivity-first order and tries host vertices in ascending order.  It
+keeps one candidate mask ("domain") per unplaced position: placing a vertex
+narrows every later domain to its neighbours or its non-neighbours, and a
+branch stops as soon as a domain empties (forward checking).  Copies that a
+pattern automorphism maps onto each other are searched once: symmetry
+conditions from the stabiliser chain of the automorphism group, taken along
+the search order, keep only the copy whose images, read in search order, are
+lexicographically least.  That copy is the least one overall, the one plain
+backtracking meets first, so the witness embeddings do not depend on the
+pruning.  Odd-hole and odd-antihole search provide the perfection test, and
+both searches use a canonical cycle ordering (least start vertex, smaller
+second neighbour first) so certificates are reproducible.
 """
 
 from __future__ import annotations
@@ -128,19 +137,23 @@ def _as_graph(p: Pattern | Graph | str) -> Graph:
     return pattern(p).graph
 
 
-def _candidate_masks(host_adj: tuple[int, ...], n: int, padj: tuple[int, ...], k: int) -> list[int] | None:
+def _candidate_masks(host_adj: tuple[int, ...], padj: tuple[int, ...]) -> list[int] | None:
+    """Per pattern vertex, the host vertices of at least its degree; None
+    when some pattern vertex has no candidate."""
     # thresh[d] = vertices of degree at least d
     maxdeg = max((r.bit_count() for r in padj), default=0)
     thresh = [0] * (maxdeg + 1)
-    for v in range(n):
-        d = min(host_adj[v].bit_count(), maxdeg)
-        thresh[d] |= 1 << v
+    bit = 1
+    for row in host_adj:
+        d = row.bit_count()
+        thresh[d if d < maxdeg else maxdeg] |= bit
+        bit <<= 1
     acc = 0
     for d in range(maxdeg, -1, -1):
         acc |= thresh[d]
         thresh[d] = acc
-    cand = [thresh[padj[i].bit_count()] for i in range(k)]
-    if any(not m for m in cand):
+    cand = [thresh[r.bit_count()] for r in padj]
+    if not all(cand):
         return None
     return cand
 
@@ -168,40 +181,111 @@ def _connectivity_order(padj: tuple[int, ...], k: int, start: int) -> tuple[int,
     return tuple(order)
 
 
-def _embed(host_adj: tuple[int, ...], cand: list[int], padj: tuple[int, ...],
-           order: tuple[int, ...], image: list[int], idx: int, used: int, forced: int,
-           visit: Callable[[list[int]], bool] | None = None) -> bool:
-    """Backtracking search for an induced copy, least host vertices first.
+def _chain(padj: tuple[int, ...], order: tuple[int, ...],
+           group: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+    """The search plan along ``order``: per position, the pattern vertex v
+    placed there and one code per later position, bit 0 set when the later
+    vertex w is adjacent to v, bit 1 set when w must get a larger host vertex
+    than v.
 
-    Stops at the first complete ``image`` when ``visit`` is None.  Otherwise
-    hands every complete image to ``visit`` and stops once it returns True.
+    The conditions walk the stabiliser chain of ``group`` along ``order``:
+    every other member w of the orbit of v under the permutations fixing the
+    vertices placed before v must exceed v.  For every automorphism s, f o s
+    is an embedding when f is one, and the member of the class
+    ``{f o s : s in group}`` whose images, read in search order, are
+    lexicographically least meets every condition (Grochow and Kellis).
     """
-    k = len(order)
-    if idx == k:
-        return visit is None or visit(image)
-    i = order[idx]
-    if idx == 0 and forced >= 0:
-        allowed = 1 << forced
-    else:
-        allowed = cand[i] & ~used
-        if forced >= 0:
-            allowed &= ~(1 << forced)
-    row = padj[i]
-    for q in range(idx):
-        j = order[q]
-        if row >> j & 1:
-            allowed &= host_adj[image[j]]
-        else:
-            allowed &= ~host_adj[image[j]]
-        if not allowed:
-            return False
+    above = {}
+    for v in order:
+        for w in {s[v] for s in group} - {v}:
+            above[v, w] = 2
+        group = tuple(s for s in group if s[v] == v)
+    return tuple((v, tuple((padj[v] >> w & 1) | above.get((v, w), 0) for w in order[idx + 1:]))
+                 for idx, v in enumerate(order))
+
+
+def _place_last(image: list[int], vertex: int, dom: int,
+                visit: Callable[[list[int]], bool] | None) -> bool:
+    """Give the last pattern vertex each host vertex of its domain in turn."""
+    while dom:
+        low = dom & -dom
+        dom ^= low
+        image[vertex] = low.bit_length() - 1
+        if visit is None or visit(image):
+            return True
+    return False
+
+
+def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
+           image: list[int], idx: int, visit: Callable[[list[int]], bool] | None = None) -> bool:
+    """Forward-checking search for an induced copy, least host vertices first.
+
+    ``dom`` holds the candidate masks ("domains") of positions ``idx``
+    onwards of ``plan``.  Placing host vertex h ANDs every later domain with
+    N(h), or with the non-neighbours of h other than h, and, for a later
+    vertex that must exceed this one, with the vertices above h; a branch
+    whose later domain empties is dropped at once (Haralick and Elliott).
+    The last position is read off its domain.  ``image`` is indexed by
+    pattern vertex.  Stops at the first complete ``image`` when ``visit`` is
+    None; otherwise hands every complete image that meets the symmetry
+    conditions to ``visit`` and stops once it returns True.
+    """
+    vertex, codes = plan[idx]
+    allowed = dom[0]
+    if not codes:
+        return _place_last(image, vertex, allowed, visit)
+    if len(codes) == 1:
+        last, code, final = plan[idx + 1][0], codes[0], dom[1]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            nbrs = host_adj[low.bit_length() - 1]
+            left = final & (nbrs if code & 1 else ~(nbrs | low))
+            if code & 2:
+                left &= -(low << 1)
+            if left:
+                image[vertex] = low.bit_length() - 1
+                if _place_last(image, last, left, visit):
+                    return True
+        return False
+    rest = dom[1:]
     while allowed:
         low = allowed & -allowed
         allowed ^= low
-        image[i] = low.bit_length() - 1
-        if _embed(host_adj, cand, padj, order, image, idx + 1, used | low, forced, visit):
-            return True
+        nbrs = host_adj[low.bit_length() - 1]
+        off = ~(nbrs | low)
+        above = -(low << 1)
+        masks = (off, nbrs, off & above, nbrs & above)
+        nxt = [d & masks[c] for d, c in zip(rest, codes)]
+        if 0 not in nxt:
+            image[vertex] = low.bit_length() - 1
+            if _embed(host_adj, plan, nxt, image, idx + 1, visit):
+                return True
     return False
+
+
+@lru_cache(maxsize=1024)
+def _automorphisms(padj: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of the pattern, as the tuple of vertex images,
+    listed by one visit-all search of the pattern into itself."""
+    found: list[tuple[int, ...]] = []
+    plan = _chain(padj, _connectivity_order(padj, k, 0), ())
+    cand = _candidate_masks(padj, padj)
+    _embed(padj, plan, [cand[v] for v, _ in plan], [0] * k, 0,
+           lambda image: found.append(tuple(image)))
+    return tuple(found)
+
+
+@lru_cache(maxsize=4096)
+def _plan(padj: tuple[int, ...], k: int, start: int, keep: int) -> tuple[tuple, ...]:
+    """The plan of the search that places ``start`` first, with the symmetry
+    conditions of the automorphisms that map the vertex set ``keep`` onto
+    itself: all of them for :func:`find_induced`, the stabiliser of a pinned
+    position for :func:`has_induced_using`, and for a card of
+    :func:`mark_forbidden_traces` those that keep the neighbours of the
+    removed vertex."""
+    group = tuple(s for s in _automorphisms(padj, k) if all(keep >> s[v] & 1 for v in bits_of(keep)))
+    return _chain(padj, _connectivity_order(padj, k, start), group)
 
 
 def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
@@ -209,7 +293,11 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
     search order, or None.
 
     Pattern vertices are assigned along a fixed connectivity-first order with
-    host candidates tried ascending, so reruns agree byte for byte.
+    host candidates tried ascending, so the embedding returned is the one
+    whose images, read in that order, are lexicographically least.  The
+    search skips every copy that is not the least of its class under the
+    pattern's automorphisms; the least copy overall is the least of its
+    class, so the witness is the one a plain backtracking search finds.
     """
     pg = _as_graph(pat)
     k, n = pg.n, host.n
@@ -217,32 +305,23 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
         return Embedding(())
     if k > n:
         return None
-    cand = _candidate_masks(host.adj, n, pg.adj, k)
+    cand = _candidate_masks(host.adj, pg.adj)
     if cand is None:
         return None
-    order = _connectivity_order(pg.adj, k, 0)
+    plan = _plan(pg.adj, k, 0, 0)
     image = [0] * k
-    if _embed(host.adj, cand, pg.adj, order, image, 0, 0, -1):
+    if _embed(host.adj, plan, [cand[v] for v, _ in plan], image, 0):
         return Embedding(tuple(image))
     return None
 
 
 @lru_cache(maxsize=1024)
 def _pin_orbit_reps(padj: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """One pattern position per automorphism orbit; pinning only these loses
-    nothing because an automorphism moves a pinned copy onto any orbit mate."""
-    reps = []
-    covered = [False] * k
-    image = [0] * k
-    for p in range(k):
-        if covered[p]:
-            continue
-        reps.append(p)
-        order = _connectivity_order(padj, k, p)
-        for q in range(k):
-            if not covered[q] and _embed(padj, [(1 << k) - 1] * k, padj, order, image, 0, 0, q):
-                covered[q] = True
-    return tuple(reps)
+    """The least pattern vertex of each automorphism orbit; pinning only these
+    loses nothing because an automorphism moves a pinned copy onto any orbit
+    mate."""
+    group = _automorphisms(padj, k)
+    return tuple(p for p in range(k) if all(s[p] >= p for s in group))
 
 
 def has_induced_using(host_adj: tuple[int, ...], n: int, pg: Graph, vertex: int) -> bool:
@@ -252,21 +331,22 @@ def has_induced_using(host_adj: tuple[int, ...], n: int, pg: Graph, vertex: int)
     seeded growth calls it per added vertex): a freshly added vertex is the
     only place a new forbidden copy can appear.  Exhaustive generation tests
     all neighbour sets of a parent at once with :func:`mark_forbidden_traces`.
+    The pinned position's domain is ``vertex`` alone, so the symmetry
+    conditions come from the automorphisms that fix that position.
     """
     k = pg.n
     if k == 0 or k > n:
         return k == 0
     padj = pg.adj
-    vdeg = host_adj[vertex].bit_count()
-    cand = _candidate_masks(host_adj, n, padj, k)
+    cand = _candidate_masks(host_adj, padj)
     if cand is None:
         return False
     image = [0] * k
     for pos in _pin_orbit_reps(padj, k):
-        if padj[pos].bit_count() > vdeg:
-            continue
-        order = _connectivity_order(padj, k, pos)
-        if _embed(host_adj, cand, padj, order, image, 0, 0, vertex):
+        plan = _plan(padj, k, pos, 1 << pos)
+        dom = [cand[v] for v, _ in plan]
+        dom[0] &= 1 << vertex
+        if _embed(host_adj, plan, dom, image, 0):
             return True
     return False
 
@@ -274,14 +354,19 @@ def has_induced_using(host_adj: tuple[int, ...], n: int, pg: Graph, vertex: int)
 @lru_cache(maxsize=1024)
 def _cards(padj: tuple[int, ...], k: int) -> tuple[tuple, ...]:
     """Per pinned position x (one per automorphism orbit): the adjacency of
-    the card P - x, its search order, and the card positions adjacent to x."""
+    the card P - x, its search plan, and the card positions adjacent to x.
+
+    The plan's symmetry conditions come from the card automorphisms that map
+    x's neighbour positions onto themselves, so every copy they skip has the
+    image and neighbour image of a copy that is kept.
+    """
     out = []
     for x in _pin_orbit_reps(padj, k):
-        keep = [v for v in range(k) if v != x]
-        pos = {v: i for i, v in enumerate(keep)}
-        cadj = tuple(sum(1 << pos[u] for u in bits_of(padj[v]) if u != x) for v in keep)
-        order = _connectivity_order(cadj, k - 1, 0) if k > 1 else ()
-        out.append((cadj, order, tuple(pos[u] for u in bits_of(padj[x]))))
+        rest = [v for v in range(k) if v != x]
+        pos = {v: i for i, v in enumerate(rest)}
+        cadj = tuple(sum(1 << pos[u] for u in bits_of(padj[v]) if u != x) for v in rest)
+        nbrs = tuple(pos[u] for u in bits_of(padj[x]))
+        out.append((cadj, _plan(cadj, k - 1, 0, sum(1 << i for i in nbrs)), nbrs))
     return tuple(out)
 
 
@@ -293,18 +378,20 @@ def mark_forbidden_traces(host_adj: tuple[int, ...], n: int, pg: Graph, blocked:
     one.  The rest of the copy is an induced copy of the card P - x in the
     host, with image S, and the new vertex sees exactly the image T of x's
     neighbours there: so the copy forbids every ``sub`` with
-    ``sub & S == T``.  One search lists every copy of every card, which
-    replaces one :func:`has_induced_using` call per neighbour set.
+    ``sub & S == T``.  One search lists the copies of every card, one per
+    class of copies with the same S and T, which replaces one
+    :func:`has_induced_using` call per neighbour set.
     """
     k = pg.n
-    if k == 0:
+    if k <= 1:
+        # the new vertex alone is a copy of K1, and every graph has the empty one
         blocked[:] = b"\x01" * len(blocked)
         return
     if k > n + 1:
         return
     full = (1 << n) - 1
-    for cadj, order, nbrs in _cards(pg.adj, k):
-        cand = _candidate_masks(host_adj, n, cadj, k - 1)
+    for cadj, plan, nbrs in _cards(pg.adj, k):
+        cand = _candidate_masks(host_adj, cadj)
         if cand is None:
             continue
 
@@ -322,7 +409,7 @@ def mark_forbidden_traces(host_adj: tuple[int, ...], n: int, pg: Graph, blocked:
                     return False
                 r = (r - 1) & free
 
-        _embed(host_adj, cand, cadj, order, [0] * (k - 1), 0, 0, -1, visit)
+        _embed(host_adj, plan, [cand[v] for v, _ in plan], [0] * (k - 1), 0, visit)
 
 
 def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:

@@ -192,6 +192,55 @@ def induced_copy_exists(host: Graph, pat: Graph) -> bool:
     return False
 
 
+def _embed_plain(host_adj: tuple[int, ...], padj: tuple[int, ...], order: tuple[int, ...],
+                 image: list[int], idx: int, used: int, forced: int) -> bool:
+    # plain backtracking: each pattern vertex is checked against the placed
+    # ones only when it is reached; ``forced`` pins the first one
+    if idx == len(order):
+        return True
+    i = order[idx]
+    if idx == 0 and forced >= 0:
+        allowed = 1 << forced
+    else:
+        allowed = ((1 << len(host_adj)) - 1) & ~used
+        if forced >= 0:
+            allowed &= ~(1 << forced)
+    for q in range(idx):
+        j = order[q]
+        allowed &= host_adj[image[j]] if padj[i] >> j & 1 else ~host_adj[image[j]]
+    for h in bits_of(allowed):
+        image[i] = h
+        if _embed_plain(host_adj, padj, order, image, idx + 1, used | 1 << h, forced):
+            return True
+    return False
+
+
+def least_embedding_plain(host: Graph, pat: Graph) -> tuple[int, ...] | None:
+    """The induced embedding of ``pat`` whose host vertices, read in the
+    package's connectivity order, are lexicographically least: plain
+    backtracking with no domains and no symmetry conditions."""
+    from chibind.patterns import _connectivity_order
+
+    k = pat.n
+    if k > host.n:
+        return None
+    image = [0] * k
+    if k == 0 or _embed_plain(host.adj, pat.adj, _connectivity_order(pat.adj, k, 0), image, 0, 0, -1):
+        return tuple(image)
+    return None
+
+
+def uses_vertex_plain(host_adj: tuple[int, ...], pat: Graph, vertex: int) -> bool:
+    """True iff some induced copy of ``pat`` uses ``vertex``: every pattern
+    vertex is pinned to it in turn."""
+    from chibind.patterns import _connectivity_order
+
+    k = pat.n
+    return k <= len(host_adj) and any(
+        _embed_plain(host_adj, pat.adj, _connectivity_order(pat.adj, k, p), [0] * k, 0, 0, vertex)
+        for p in range(k))
+
+
 def induced_cycles_brute(adj: tuple[int, ...], n: int, length: int) -> list[tuple[int, ...]]:
     """Every induced cycle on ``length`` vertices by scanning all subsets in
     ``combinations`` order.  Each cycle is written from its least vertex

@@ -320,3 +320,28 @@ def test_branch_witnesses_at_ten_are_pinned(g6, pipeline):
     assert payload["n"] == 10
     assert [s["step"] for s in payload["trace"]] == steps
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
+# SHA-256 over every graph with n <= 7 of the sorted-key JSON payload, or the
+# PreconditionError text, one line each: the "input induces P at vertices
+# [...]" witnesses of rejected inputs are pinned with the colourings
+OUTPUTS_TO_SEVEN = {
+    "p5-k23": "2f4adc63d9ed6dc31ca4fbaf4682a606cb48da1ae35fd5b256e00a4bca9f2893",
+    "p5-k1-2k2": "d773afb292c5e95abd01829cb5371fafd1c7aa6d539dd041fb516329d2ab26f1",
+    "p5-k1-k1uk3": "f12798027c438eec05cb8f908fd45f023e9354528b50e837858664557bb77a17",
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(OUTPUTS_TO_SEVEN))
+def test_outputs_and_rejection_texts_to_seven_are_pinned(pipeline, all_graphs_7):
+    h = hashlib.sha256()
+    rejected = 0
+    for g in all_graphs_7:
+        try:
+            out = json.dumps(color_one(g, pipeline), sort_keys=True)
+        except PreconditionError as exc:
+            out = str(exc)
+            rejected += out.startswith("input induces ")
+        h.update(out.encode() + b"\n")
+    assert rejected >= 400
+    assert h.hexdigest() == OUTPUTS_TO_SEVEN[pipeline]

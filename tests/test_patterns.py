@@ -1,5 +1,7 @@
 """Catalog integrity, induced-subgraph detection, and the perfection test."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,8 @@ from chibind.graphs import (
 )
 from chibind.patterns import (
     PATTERN_CATALOG,
+    _automorphisms,
+    _pin_orbit_reps,
     find_induced,
     find_odd_antihole,
     find_odd_hole,
@@ -26,7 +30,14 @@ from chibind.patterns import (
     parse_pattern_list,
     pattern,
 )
-from oracles import graph_from_pair_mask, induced_copy_exists, is_perfect_definitional
+from oracles import (
+    graph_from_pair_mask,
+    induced_copy_exists,
+    is_perfect_definitional,
+    least_embedding_plain,
+    uses_vertex_plain,
+)
+from test_structure import _grown_pipeline_members
 
 # name -> (vertices, edges, sorted degree sequence)
 CATALOG_FACTS = {
@@ -221,3 +232,72 @@ def test_trace_filter_matches_per_child_search(all_graphs_7):
             for pg, marks in zip(patterns, blocked):
                 want = has_induced_using(child, m + 1, pg, m)
                 assert marks[sub] == want, (parent.adj, sub, pg.adj)
+
+
+def test_find_induced_returns_the_plain_search_witness(all_graphs_7):
+    # the symmetry conditions skip only copies that are not the least of
+    # their class, so the least copy, which plain backtracking finds, stays
+    small = [p.graph for p in PATTERN_CATALOG.values() if p.graph.n <= 6]
+    # the catalog's search orders happen to give the stabiliser chains of
+    # vertex order; some five-vertex graphs, labelled canonically, do not
+    small += [g for g in all_graphs_7 if g.n == 5]
+    for host in all_graphs_7:
+        for pg in small:
+            emb = find_induced(host, pg)
+            assert (None if emb is None else emb.map) == least_embedding_plain(host, pg), \
+                (host.adj, pg.adj)
+    named = [pattern(name).graph for name in
+             ("P5", "K2,3", "K1+2K2", "K1+(K1uK3)", "2K2", "K1uK3", "K3", "C5")]
+    for host in _grown_pipeline_members():
+        for pg in named:
+            emb = find_induced(host, pg)
+            assert (None if emb is None else emb.map) == least_embedding_plain(host, pg), \
+                (host.adj, pg.adj)
+
+
+def test_has_induced_using_matches_every_pinned_plain_search(all_graphs_7):
+    patterns = [p.graph for p in PATTERN_CATALOG.values() if p.graph.n <= 5]
+    for host in (g for g in all_graphs_7 if g.n == 6):
+        for pg in patterns:
+            for v in range(host.n):
+                assert has_induced_using(host.adj, host.n, pg, v) == \
+                    uses_vertex_plain(host.adj, pg, v), (host.adj, pg.adj, v)
+
+
+def test_automorphisms_match_a_permutation_scan():
+    for name, pat in PATTERN_CATALOG.items():
+        g = pat.graph
+        if g.n > 7:
+            continue
+        scan = {perm for perm in itertools.permutations(range(g.n))
+                if all(g.adj[perm[v]] == sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1)
+                       for v in range(g.n))}
+        group = _automorphisms(g.adj, g.n)
+        assert len(group) == len(scan) and set(group) == scan, name
+    for n in (8, 9):
+        c = cycle_graph(n)
+        group = _automorphisms(c.adj, n)
+        assert len(set(group)) == len(group) == 2 * n
+        for perm in group:
+            assert sorted(perm) == list(range(n))
+            assert all(c.adj[perm[v]] >> perm[(v + 1) % n] & 1 for v in range(n))
+
+
+# the least vertex of each automorphism orbit, as the plain pinned searches
+# found them
+PIN_ORBIT_REPS = {
+    "2K2": (0,), "C4": (0,), "C5": (0,), "C6": (0,), "C7": (0,), "C8": (0,), "C9": (0,),
+    "K1": (0,), "K2": (0,), "K3": (0,), "K4": (0,), "K5": (0,), "K6": (0,),
+    "K1+(K1uK3)": (0, 1, 2), "K1+2K2": (0, 1), "K1,3": (0, 1), "K1uK3": (0, 1),
+    "K2,3": (0, 2), "P2": (0,), "P3": (0, 1), "P4": (0, 1), "P5": (0, 1, 2),
+    "P6": (0, 1, 2), "P7": (0, 1, 2, 3), "banner": (0, 1, 2, 4), "bull": (0, 2, 3),
+    "cochair": (0, 1, 3, 4), "cricket": (0, 1, 3), "dart": (0, 1, 2, 3), "diamond": (0, 1),
+    "gem": (0, 1, 2), "gem+": (0, 1, 2, 3), "hammer": (0, 2, 3, 4), "house": (0, 1, 2),
+    "paraglider": (0, 1, 4),
+}
+
+
+def test_pin_orbit_reps_are_pinned():
+    assert set(PIN_ORBIT_REPS) == set(PATTERN_CATALOG)
+    for name, pat in PATTERN_CATALOG.items():
+        assert _pin_orbit_reps(pat.graph.adj, pat.graph.n) == PIN_ORBIT_REPS[name], name
