@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 benchmarks/generation.py LABEL
 
 For each class below, empties the generation cache and calls
-``chibind.representatives(n, ...)`` for n = 1..9 in turn, so the time of
+``chibind.representatives(n, ...)`` for n = 1..10 in turn, so the time of
 each n is the cost of extending the members on n - 1 vertices.  The seconds
 and member counts per n are stored under LABEL in ``BENCH_generation.json``
 at the repository root; results under other labels are kept, so runs of two
@@ -22,7 +22,7 @@ from pathlib import Path
 from chibind import enumeration, representatives
 
 CLASSES = ("P5,K2,3", "P5,K1+2K2", "P5,K1+(K1uK3)")
-N_MAX = 9
+N_MAX = 10
 OUT = Path(__file__).resolve().parents[1] / "BENCH_generation.json"
 
 

@@ -4,12 +4,17 @@ Generation extends each (n-1)-vertex representative, the parent, by one
 vertex over its neighbour subsets and keeps one representative per canonical
 form.  A forbidden copy in a child must use the new vertex, so one search per
 parent lists the induced copies of every card P - x of every forbidden P and
-marks the neighbour subsets they rule out.  Of the subsets left, only the
-least of each orbit under the parent's automorphisms is canonicalised: the
-others give isomorphic children.  Canonical forms come from equitable-partition
-refinement with an individualise-and-refine search, taking the minimum
-adjacency string over the explored orderings; cells of pairwise twins collapse
-to a single ordering.  The same search yields the automorphisms.
+marks the neighbour subsets they rule out.  A child is kept only if its new
+vertex has maximum degree in it, the first step of canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  That loses
+no class: every member G has a vertex v of maximum degree, and G - v is a
+member, so G arises from the representative of G - v by a new vertex of
+maximum degree.  Of the subsets left, only the least of each orbit under the
+parent's automorphisms is canonicalised: the others give isomorphic children.
+Canonical forms come from equitable-partition refinement with an
+individualise-and-refine search, taking the minimum adjacency string over the
+explored orderings; cells of pairwise twins collapse to a single ordering.  The
+same search yields the automorphisms.
 """
 
 from __future__ import annotations
@@ -169,7 +174,7 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 def canonical_form(g: Graph) -> Graph:
     """The canonically labelled copy of ``g``."""
     _, perm, _ = _canon(g.n, g.adj)
-    return Graph(g.n, _apply_perm(g.n, g.adj, perm), g.label)
+    return Graph._trusted(g.n, _apply_perm(g.n, g.adj, perm), g.label)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +221,16 @@ def _representatives(n: int, free_graphs: tuple[Graph, ...]) -> list[tuple[int, 
             for pg in free_graphs:
                 mark_forbidden_traces(padj, m, pg, done)
             images = [_sub_images(m, gen) for gen in _canon(m, padj)[2]]
+            # keep a child only if its new vertex has maximum degree there (a
+            # parent vertex of degree top ends at top + 1 if sub holds it);
+            # automorphisms keep degrees, so orbit mates fail together
+            top = max(row.bit_count() for row in padj)
+            hubs = sum(1 << v for v in range(m) if padj[v].bit_count() == top)
             for sub in range(1 << m):
                 if done[sub]:
+                    continue
+                size = sub.bit_count()
+                if size < top or size == top and sub & hubs:
                     continue
                 if images:
                     stack = [sub]
@@ -255,7 +268,7 @@ def representatives(n: int, free_of: Iterable[Pattern | Graph | str] = ()) -> li
     ``free_of`` as induced subgraphs."""
     _check_generation_size(n)
     free_graphs = tuple(_as_graph(p) for p in free_of)
-    return [Graph(n, adj) for adj in _representatives(n, free_graphs)]
+    return [Graph._trusted(n, adj) for adj in _representatives(n, free_graphs)]
 
 
 # ---------------------------------------------------------------------------

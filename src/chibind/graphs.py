@@ -122,6 +122,16 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...], label: str | None = None) -> Graph:
+        """A graph from rows already known to be valid, such as rows derived
+        from a validated graph; skips the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "label", label)
+        return g
+
     def vertices(self) -> VertexSet:
         return VertexSet.full(self.n)
 
@@ -203,12 +213,13 @@ def induced(g: Graph, s: VertexSet) -> Graph:
         for u in bits_of(g.adj[v] & mask):
             row |= 1 << pos[u]
         rows.append(row)
-    return Graph(len(old), tuple(rows), g.label)
+    return Graph._trusted(len(old), tuple(rows), g.label)
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)), g.label)
+    return Graph._trusted(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)),
+                          g.label)
 
 
 def disjoint_union(g1: Graph, g2: Graph, label: str | None = None) -> Graph:

@@ -272,19 +272,19 @@ _register("theorem-1.2", 9, 10, "no induced P5/K2,3, omega >= 2",
 _register("theorem-1.3", 9, 10, "connected, no induced P5/K1+2K2, omega >= 2",
           _free_stream(("P5", "K1+2K2"), connected=True, omega_min=2), _always,
           _bound_check("p5-k1-2k2", bound_p5_k1_2k2, connected_only=True))
-_register("theorem-1.4", 9, 10, "no induced P5/K1+(K1uK3)",
+_register("theorem-1.4", 10, 10, "no induced P5/K1+(K1uK3)",
           _free_stream(("P5", "K1+(K1uK3)")), _always,
           _bound_check("p5-k1-k1uk3", bound_p5_k1_k1k3, connected_only=True))
 _register("lemma-2.2", 9, 10, "no induced P5, with a five-hole",
           _free_stream(("P5",)), _has_five_hole, _per_hole_check(check_p5_hole_lemma))
-_register("lemma-2.4", 8, 10, "independence number at most two",
+_register("lemma-2.4", 10, 10, "independence number at most two",
           _free_stream((_TRIPLE_INDEPENDENT,)), _always, _check_divisible)
-_register("lemma-3.1", 9, 10, "connected, no induced P5/C5/K2,3, no clique cutset",
+_register("lemma-3.1", 10, 10, "connected, no induced P5/C5/K2,3, no clique cutset",
           _free_stream(("P5", "C5", "K2,3"), connected=True), _no_clique_cutset,
           _check_c5_cutsets)
-_register("lemma-4.1", 9, 10, "no induced P5/K2,3, with a five-hole",
+_register("lemma-4.1", 10, 10, "no induced P5/K2,3, with a five-hole",
           _free_stream(("P5", "K2,3")), _has_five_hole, _per_hole_check(check_k23_hole_lemma))
-_register("lemma-4.2", 9, 10, "connected, no induced P5/K2,3, no clique cutset, five-hole",
+_register("lemma-4.2", 10, 10, "connected, no induced P5/K2,3, no clique cutset, five-hole",
           _free_stream(("P5", "K2,3"), connected=True),
           lambda g: _has_five_hole(g) and _no_clique_cutset(g),
           _per_hole_check(check_k23_level_lemma))
@@ -292,21 +292,21 @@ _register("lemma-5.1", 9, 10, "connected, no induced P5",
           _free_stream(("P5",), connected=True), _always, _check_dominating)
 _register("lemma-5.2", 8, 10, "no induced 2K2",
           _free_stream(("2K2",)), _always, _bound_check("wagon-2k2", bound_wagon_2k2))
-_register("lemma-6.1", 9, 10, "no induced P5/K3",
+_register("lemma-6.1", 10, 10, "no induced P5/K3",
           _free_stream(("P5", "K3")), _always,
           _bound_check("sumner", bound_sumner, describe=_shapes))
-_register("lemma-6.2", 9, 10, "no induced P5/K1uK3, at least one edge",
+_register("lemma-6.2", 10, 10, "no induced P5/K1uK3, at least one edge",
           _free_stream(("P5", "K1uK3")), lambda g: g.edge_count() >= 1,
           _bound_check("k1-union-k3", bound_k1_union_k3))
-_register("lemma-6.3", 9, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
+_register("lemma-6.3", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
           _free_stream(("P5", "K1+(K1uK3)"), connected=True),
           lambda g: _has_five_hole(g) and _no_clique_cutset(g),
           _per_hole_check(check_k1uk3_hole_lemma))
-_register("lemma-6.4", 9, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
+_register("lemma-6.4", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
           _free_stream(("P5", "K1+(K1uK3)"), connected=True),
           lambda g: _has_five_hole(g) and _no_clique_cutset(g),
           _per_hole_check(check_k1uk3_level_lemma))
-_register("lemma-6.5", 9, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a big odd antihole",
+_register("lemma-6.5", 10, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a big odd antihole",
           _free_stream(("P5", "K1+(K1uK3)")),
           lambda g: not _has_five_hole(g) and find_odd_antihole(g) is not None,
           _check_antiholes)

@@ -243,9 +243,30 @@ def test_cold_generation_equals_tracked_files(key, monkeypatch):
     free = tuple(empty_graph(3) if name == "3K1" else pattern(name).graph
                  for name in CACHED_CLASSES[key])
     cache = Path(__file__).parent / "_cache"
-    for n in range(1, 9 if key == "P5-K23" else 8):
+    for n in range(1, 9):
         text = "".join(encode_graph6(g) + "\n" for g in representatives(n, free))
         assert text == (cache / f"v1-{key}-{n}.g6").read_text(encoding="ascii"), (key, n)
+
+
+def test_generation_canonicalises_only_children_with_a_maximum_degree_new_vertex(monkeypatch):
+    monkeypatch.setattr(enumeration, "_GEN_CACHE", {})
+    free = (pattern("P5").graph, pattern("K2,3").graph)
+    calls = []
+    canon = enumeration._canon
+
+    def recording(n, adj):
+        calls.append(adj)
+        return canon(n, adj)
+
+    monkeypatch.setattr(enumeration, "_canon", recording)
+    representatives(8, free)
+    # the patterns are canonicalised for the cache key; the parents are
+    # canonical forms, which refinement ends with a vertex of maximum degree
+    patterns = {pg.adj for pg in free}
+    children = [adj for adj in calls if adj not in patterns]
+    assert max(map(len, children)) == 8
+    for adj in children:
+        assert adj[-1].bit_count() == max(row.bit_count() for row in adj), adj
 
 
 def test_unknown_pattern_name_fails_fast():

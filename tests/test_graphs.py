@@ -66,6 +66,18 @@ def test_graph_validation_rejects_asymmetry():
         Graph(2, (1, 2))  # loop bits
 
 
+def test_unvalidated_copies_pass_validation(all_graphs_7):
+    from chibind.enumeration import canonical_form
+
+    # induced, complement and canonical_form build their graphs unvalidated
+    for g in all_graphs_7:
+        full = (1 << g.n) - 1
+        copies = [complement(g), canonical_form(g), induced(g, VertexSet(full & 0x55, g.n))]
+        copies += [induced(g, VertexSet(full ^ 1 << v, g.n)) for v in range(g.n)]
+        for h in copies:
+            assert h == Graph(h.n, h.adj)
+
+
 def test_induced_examples():
     c5 = cycle_graph(5)
     p4 = induced(c5, VertexSet.of([0, 1, 2, 3], 5))
