@@ -10,6 +10,7 @@ timing is kept out of the canonical JSON.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
@@ -45,12 +46,12 @@ from .invariants import (
     is_proper_coloring,
 )
 from .patterns import (
+    _as_graph,
     find_odd_hole,
     find_odd_antihole,
     is_odd_antihole,
     is_perfect,
     odd_antihole_not_two_cliques,
-    pattern,
 )
 from .structure import (
     check_antihole_lemma,
@@ -137,13 +138,9 @@ def _sizes(stream_fn: Callable[[int], Iterable[Graph]], n_max: int) -> Iterator[
 
 def _free_stream(names: tuple, connected: bool = False, omega_min: int | None = None):
     """The class's generated members by vertex count, and its filter."""
-    members = GraphStream(0, free_of=tuple(_resolve(p) for p in names),
+    members = GraphStream(0, free_of=tuple(_as_graph(p) for p in names),
                           connected_only=connected, omega_min=omega_min)
     return (lambda n: replace(members, n=n)), members.keeps
-
-
-def _resolve(p):
-    return p.graph if hasattr(p, "graph") else (p if isinstance(p, Graph) else pattern(p).graph)
 
 
 def _has_five_hole(g: Graph) -> bool:
@@ -316,7 +313,7 @@ _register("observation-2.1", 9, 21, "odd antiholes",
           (_antihole_stream, _always), is_odd_antihole, _check_two_cliques)
 
 
-def verify(target: str, n_max: int | None = None, source: str | None = None,
+def verify(target: str, n_max: int | None = None, source: str | os.PathLike | None = None,
            keep_rows: bool = False, connected: bool = False) -> VerificationReport:
     """Run one verification target over its universe up to ``n_max`` vertices.
 
@@ -326,6 +323,12 @@ def verify(target: str, n_max: int | None = None, source: str | None = None,
     """
     if target not in TARGETS:
         raise KeyError(f"unknown verification target {target!r}; known: {sorted(TARGETS)}")
+    if n_max is not None and (not isinstance(n_max, int) or isinstance(n_max, bool)):
+        raise PreconditionError(f"n_max must be an int, not {n_max!r}")
+    if isinstance(source, os.PathLike):
+        source = os.fspath(source)
+    if source is not None and not isinstance(source, str):
+        raise PreconditionError(f"source must be a str or os.PathLike path, not {source!r}")
     entry = TARGETS[target]
     cap = entry.default_cap if n_max is None else n_max
     if not 1 <= cap <= entry.hard_cap:

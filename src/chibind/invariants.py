@@ -76,6 +76,7 @@ def clique_number_mask(adj: tuple[int, ...], sub: int) -> int:
             cand ^= 1 << v
             nxt = cand & adj[v]
             if size + 1 + nxt.bit_count() > best:
+                # kept: without it cocktail-party graphs K2,...,2 cost ~6x per 4 vertices
                 if nxt and size + 1 + _greedy_color_bound(adj, nxt) <= best:
                     continue
                 expand(nxt, size + 1)
@@ -119,31 +120,6 @@ def omega_table(adj: tuple[int, ...], n: int) -> list[int]:
     return table
 
 
-def greedy_saturation_coloring(g: Graph) -> Coloring:
-    """Deterministic saturation-order greedy colouring (upper bound seed)."""
-    n = g.n
-    if n == 0:
-        return Coloring((), 0)
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        pick = -1
-        key = (-1, -1, 0)
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            cand = (len(neighbor_colors[v]), g.degree(v), -v)
-            if pick < 0 or cand > key:
-                pick, key = v, cand
-        c = 0
-        while c in neighbor_colors[pick]:
-            c += 1
-        colors[pick] = c
-        for u in bits_of(g.adj[pick]):
-            neighbor_colors[u].add(c)
-    return Coloring(tuple(colors), max(colors) + 1)
-
-
 def _solve_k_coloring(g: Graph, k: int) -> Coloring | None:
     """Deterministic backtracking k-colouring; vertex order is degree-descending."""
     n = g.n
@@ -174,7 +150,7 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     """Exact chromatic number with a deterministic optimal colouring."""
     if g.n == 0:
         return 0, Coloring((), 0)
-    for k in range(clique_number(g), greedy_saturation_coloring(g).k + 1):
+    for k in range(clique_number(g), g.n + 1):
         coloring = _solve_k_coloring(g, k)
         if coloring is not None:
             return k, coloring

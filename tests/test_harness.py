@@ -1,8 +1,10 @@
 """Verification targets, report determinism, and the CLI surface."""
 
 import hashlib
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,21 @@ def test_verify_from_file(tmp_path):
     assert report.graphs_checked == 2
     assert report.violations == []
     assert report.params["source"] == str(path)
+    from_path = verify("lemma-5.2", n_max=8, source=path)
+    assert from_path.params["source"] == str(path)
+    assert from_path.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("n_max", ["3", 3.5, True])
+def test_verify_rejects_a_non_int_cap(n_max):
+    with pytest.raises(PreconditionError, match="n_max must be an int"):
+        verify("lemma-5.2", n_max=n_max)
+
+
+@pytest.mark.parametrize("source", [123, 0, b"in.g6"])
+def test_verify_rejects_a_source_that_is_not_a_path(source):
+    with pytest.raises(PreconditionError, match="source must be"):
+        verify("lemma-5.2", n_max=4, source=source)
 
 
 def test_verify_rows_for_csv():
@@ -412,3 +429,24 @@ def test_colorings_are_pinned(pipeline, all_graphs_7):
             line = f"rejected: {exc}"
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == COLORINGS_UP_TO_SEVEN[pipeline]
+
+
+def test_suite_script_runs_every_target(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "suite.py"
+    spec = importlib.util.spec_from_file_location("suite", path)
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    monkeypatch.setattr(suite, "N_MAX", 5)
+    monkeypatch.setattr(suite, "OUT", tmp_path / "BENCH_suite.json")
+    monkeypatch.setattr(enumeration, "_GEN_CACHE", {})
+    suite.main("first")
+    first = json.loads(suite.OUT.read_text())["first"]
+    assert set(first["targets"]) == set(TARGETS)
+    assert all(t["violations"] == 0 for t in first["targets"].values())
+    for name, (free_of, _) in suite.classes().items():
+        expected = {} if free_of is None else {
+            str(n): len(representatives(n, free_of)) for n in range(1, 6)}
+        assert first["classes"][name]["counts"] == expected
+    suite.main("second")
+    results = json.loads(suite.OUT.read_text())
+    assert set(results) == {"first", "second"} and results["first"] == first

@@ -1,5 +1,7 @@
 """Exact invariants, perfect divisions, and the divisibility colourer."""
 
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -21,6 +23,7 @@ from chibind.invariants import (
     chi_bound_divisible,
     chromatic_number,
     clique_number,
+    clique_number_mask,
     cliques,
     find_perfect_division,
     independence_number,
@@ -37,6 +40,7 @@ from oracles import (
     first_division_brute,
     graph_from_pair_mask,
     is_perfect_definitional,
+    omega_table_brute,
     perfectly_divisible_definitional,
 )
 
@@ -61,6 +65,17 @@ def test_clique_and_independence_examples():
     assert independence_number(cycle_graph(5)) == 2
     assert independence_number(pattern("K2,3").graph) == 3
     assert independence_number(pattern("2K2").graph) == 2
+    # the cocktail-party graph K2,...,2 on 64 vertices, a P5-free and K2,3-free input
+    party = complement(from_edge_list(64, [(2 * i, 2 * i + 1) for i in range(32)]))
+    assert clique_number(party) == 32
+    assert independence_number(party) == 2
+
+
+def test_clique_number_mask_matches_subset_table(all_graphs_7):
+    for g in all_graphs_7:
+        if g.n <= 6:
+            table = omega_table_brute(g.adj, g.n)
+            assert [clique_number_mask(g.adj, s) for s in range(1 << g.n)] == table
 
 
 def test_maximum_clique_is_least():
@@ -84,6 +99,18 @@ def test_chromatic_examples():
     assert chromatic_dp(p) == 3
     chi, col = chromatic_number(p)
     assert chi == 3 and is_proper_coloring(p, col)
+
+
+# SHA-256 of chromatic_number (chi and colours) over every graph with 1..7 vertices
+CHROMATIC_UP_TO_SEVEN = "c7086b34429cf82223846dcd6dd19c1d49a2dde7e8faed5cf1abfa3a298fa888"
+
+
+def test_chromatic_colorings_are_pinned(all_graphs_7):
+    digest = hashlib.sha256()
+    for g in all_graphs_7:
+        chi, col = chromatic_number(g)
+        digest.update(json.dumps([chi, list(col.colors)]).encode() + b"\n")
+    assert digest.hexdigest() == CHROMATIC_UP_TO_SEVEN
 
 
 def test_chromatic_empty_graph():
