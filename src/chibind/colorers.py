@@ -14,7 +14,13 @@ Every public colourer has one shape: its precondition (``_require_free``; for
 ``color_sumner``, a failed structure proof on an input outside the class),
 then a core that colours a vertex mask of the host, then ``_certified``, which
 asserts that the colouring covers the host, is proper and stays within the
-bound; the pipelines reach ``_certified`` through ``_finish``.  Pipelines
+bound; the pipelines reach ``_certified`` through ``_finish``.  The
+precondition is the only search for forbidden patterns, and the keyword
+``member=True`` skips it: ``verify`` colours only graphs that are in the class
+by construction (generated members, or file lines that passed the class
+filter).  Connectivity and clique-number preconditions, the lemma assertions
+and ``_certified`` still run, so a non-member passed as a member ends in an
+assertion or in a certified colouring, never in a wrong answer.  Pipelines
 colour their pieces through the cores (``_triangle_free_map``, ``_k1uk3_map``,
 ``_wagon_map``), never through the public colourers, so a piece is not
 re-checked against a precondition the decomposition already guarantees, and a
@@ -144,13 +150,14 @@ def _triangle_free_shape(g: Graph, comp: int) -> tuple[str, tuple[int, ...]]:
     return "blown-up-five-hole", _blowup_classes(g, comp)
 
 
-def _in_triangle_free_class(g: Graph, core):
+def _in_triangle_free_class(g: Graph, core, member: bool = False):
     """``core`` on the whole host; a failed structure proof is a bug on a
-    member of the class and a precondition failure on anything else."""
+    member of the class (always so when ``member``) and a precondition
+    failure on anything else."""
     try:
         return core(g, (1 << g.n) - 1)
     except StructureAssertionError:
-        if is_free(g, [_P5, _K3]):
+        if member or is_free(g, [_P5, _K3]):
             raise
         raise PreconditionError("input induces P5 or K3") from None
 
@@ -227,12 +234,14 @@ def _triangle_free_map(g: Graph, mask: int) -> dict[int, int]:
     return cmap
 
 
-def color_sumner(g: Graph) -> Coloring:
+def color_sumner(g: Graph, *, member: bool = False) -> Coloring:
     """Three colours for hosts with no induced P5 or K3.
 
     Any graph whose components are bipartite or five-hole blow-ups is accepted.
+    ``member`` vouches that the host is in the class, so a failed structure
+    proof is an assertion without a freeness search.
     """
-    return _certified(g, _in_triangle_free_class(g, _triangle_free_map), 3)
+    return _certified(g, _in_triangle_free_class(g, _triangle_free_map, member), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +270,11 @@ def _k1uk3_map(g: Graph, mask: int) -> dict[int, int]:
     return cmap
 
 
-def color_k1_union_k3_free(g: Graph) -> Coloring:
-    """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5 or K1uK3."""
-    _require_free(g, [_P5, _K1UK3])
+def color_k1_union_k3_free(g: Graph, *, member: bool = False) -> Coloring:
+    """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5
+    or K1uK3; ``member`` vouches for the class and skips the search."""
+    if not member:
+        _require_free(g, [_P5, _K1UK3])
     return _certified(g, _k1uk3_map(g, (1 << g.n) - 1), bound_k1_union_k3(clique_number(g)))
 
 
@@ -295,9 +306,11 @@ def _wagon_map(g: Graph, mask: int, w: int) -> dict[int, int]:
     return cmap
 
 
-def color_wagon_2k2_free(g: Graph) -> Coloring:
-    """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2."""
-    _require_free(g, [_2K2])
+def color_wagon_2k2_free(g: Graph, *, member: bool = False) -> Coloring:
+    """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2;
+    ``member`` vouches for the class and skips the search."""
+    if not member:
+        _require_free(g, [_2K2])
     w = clique_number(g)
     return _certified(g, _wagon_map(g, (1 << g.n) - 1, w), bound_wagon_2k2(w))
 
@@ -494,14 +507,16 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     return cmap, regions
 
 
-def color_p5_k23(g: Graph) -> tuple[Coloring, BoundCertificate]:
+def color_p5_k23(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCertificate]:
     """Colour a host with no induced P5 or K2,3 within ``2*omega^2 - omega - 3``.
 
     Components and clique cutsets split first; cutset-free pieces go through
     the triangle-free structure, perfect divisibility, or the five-hole
-    decomposition with its clique groups and palette reuse.
+    decomposition with its clique groups and palette reuse.  ``member``
+    vouches for the class and skips the search.
     """
-    _require_free(g, [_P5, _K23])
+    if not member:
+        _require_free(g, [_P5, _K23])
     if clique_number(g) < 2:
         raise PreconditionError("the certified bound needs omega at least two")
     cmap, regions = _components_shared_palette(g, _p5k23_leaf)
@@ -512,17 +527,19 @@ def color_p5_k23(g: Graph) -> tuple[Coloring, BoundCertificate]:
 # pipeline for hosts with no induced P5 or K1+2K2
 
 
-def color_p5_k1_2k2(g: Graph) -> tuple[Coloring, BoundCertificate]:
+def color_p5_k1_2k2(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCertificate]:
     """Colour a connected host with no induced P5 or K1+2K2 within
     ``(3/2)(omega^2 - omega)``, via a dominating clique or three-path.
 
     Each dominator neighbourhood induces no 2K2, so the bucket colourer
     handles it; leftover vertices in the clique branch fall into independent
-    per-clique-vertex classes.
+    per-clique-vertex classes.  ``member`` vouches for the class and skips
+    the search.
     """
     if not is_connected(g):
         raise PreconditionError("the pipeline needs a connected input; split components first")
-    _require_free(g, [_P5, _K1_2K2])
+    if not member:
+        _require_free(g, [_P5, _K1_2K2])
     w = clique_number(g)
     if w < 2:
         raise PreconditionError("the certified bound needs omega at least two")
@@ -688,14 +705,16 @@ def _p5k1k1k3_antihole(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]
     return cmap, regions
 
 
-def color_p5_k1_k1k3(g: Graph) -> tuple[Coloring, BoundCertificate]:
+def color_p5_k1_k1k3(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCertificate]:
     """Colour a host with no induced P5 or K1+(K1uK3) within ``3*omega + 11``.
 
     Cutset-free pieces are perfect, carry a five-hole whose neighbourhood
     decomposes into a peelable class, fifteen triangle-free colours, and five
     independent unions, or carry a big odd antihole whose neighbourhood splits
-    into a fully attached peelable part and independent buckets.
+    into a fully attached peelable part and independent buckets.  ``member``
+    vouches for the class and skips the search.
     """
-    _require_free(g, [_P5, _K1_K1UK3])
+    if not member:
+        _require_free(g, [_P5, _K1_K1UK3])
     cmap, regions = _components_shared_palette(g, _p5k1k1k3_leaf)
     return _finish(g, "p5-k1-k1uk3", bound_p5_k1_k1k3, cmap, regions)

@@ -166,7 +166,9 @@ def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: 
     """Check of a colouring bound: the exact chromatic number against the
     bound, then the colouring of ``pipeline`` (on connected graphs only if
     ``connected_only``) for properness and for a colour count between the
-    two.  ``describe`` adds its own columns to the row."""
+    two.  ``describe`` adds its own columns to the row.  The universe is the
+    colourer's class (or a subclass of it), so the colourer is told the graph
+    is a member and does not search it for the class's patterns again."""
     def check(g: Graph) -> CheckOutcome:
         w = clique_number(g)
         bound = bound_fn(w)
@@ -177,7 +179,7 @@ def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: 
         ratio = chi / bound if bound > 0 else None
         row = {"n": g.n, "omega": w, "chi": chi, "bound": bound}
         if not connected_only or is_connected(g):
-            coloring, _ = _colored(g, pipeline)
+            coloring, _ = _colored(g, pipeline, member=True)
             used = coloring.used()
             if not is_proper_coloring(g, coloring):
                 violations.append(f"{pipeline} colouring is improper")
@@ -329,6 +331,9 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
         source = os.fspath(source)
     if source is not None and not isinstance(source, str):
         raise PreconditionError(f"source must be a str or os.PathLike path, not {source!r}")
+    for flag, value in (("keep_rows", keep_rows), ("connected", connected)):
+        if not isinstance(value, bool):
+            raise PreconditionError(f"{flag} must be a bool, not {value!r}")
     entry = TARGETS[target]
     cap = entry.default_cap if n_max is None else n_max
     if not 1 <= cap <= entry.hard_cap:
@@ -341,31 +346,36 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
         graphs = _file_universe(source, entry, cap)
         source_desc = source
 
-    results = [_checked(entry, g) for g in graphs
-               if entry.admit(g) and (not connected or is_connected(g))]
-    results.sort(key=lambda item: (len(item[0]), item[0]))
+    # only the violations, the best ratio and (for the CSV) the rows are
+    # kept; the witness of the best ratio is the least graph6 string by
+    # length, then text, as is the order of the rows
+    checked = 0
     violations = []
     rows = []
-    best_ratio = None
-    witness = None
-    for g6, outcome in results:
-        for detail in outcome.violations:
-            violations.append((g6, detail))
+    best = None  # (-ratio, len(g6), g6)
+    for g in graphs:
+        if not entry.admit(g) or (connected and not is_connected(g)):
+            continue
+        g6, outcome = _checked(entry, g)
+        checked += 1
+        violations.extend((g6, detail) for detail in outcome.violations)
         if keep_rows:
             rows.append({"g6": g6, **outcome.row,
                          "ratio": outcome.ratio if outcome.ratio is not None else "",
                          "violations": len(outcome.violations)})
-        if outcome.ratio is not None and (best_ratio is None or outcome.ratio > best_ratio):
-            best_ratio = outcome.ratio
-            witness = g6
+        if outcome.ratio is not None:
+            key = (-outcome.ratio, len(g6), g6)
+            if best is None or key < best:
+                best = key
+    rows.sort(key=lambda row: (len(row["g6"]), row["g6"]))
     extremes = {}
-    if best_ratio is not None:
-        extremes = {"max_ratio": round(best_ratio, 6), "witness": witness}
+    if best is not None:
+        extremes = {"max_ratio": round(-best[0], 6), "witness": best[2]}
     filter_desc = entry.filter_desc + (", connected" if connected else "")
     return VerificationReport(
         target=target,
         params={"n_max": cap, "filter": filter_desc, "source": source_desc},
-        graphs_checked=len(results),
+        graphs_checked=checked,
         violations=sorted(violations),
         extremes=extremes,
         wall_time=time.monotonic() - started,
@@ -403,24 +413,26 @@ SUB_COLORERS: dict[str, tuple[Callable, Callable[[int], int]]] = {
     "sumner": (color_sumner, bound_sumner),
     "wagon-2k2": (color_wagon_2k2_free, bound_wagon_2k2),
     "k1-union-k3": (color_k1_union_k3_free, bound_k1_union_k3),
-    "divisible": (lambda g: chi_bound_divisible(g)[1], bound_divisible),
+    # peeling has no class precondition to skip
+    "divisible": (lambda g, member=False: chi_bound_divisible(g)[1], bound_divisible),
 }
 
 
-def _colored(g: Graph, pipeline: str) -> tuple[Coloring, BoundCertificate | None]:
+def _colored(g: Graph, pipeline: str, member: bool) -> tuple[Coloring, BoundCertificate | None]:
     """The colouring of ``g`` by a pipeline, with its certificate, or by a
-    sub-colourer, which has none."""
+    sub-colourer, which has none; ``member`` vouches that ``g`` is in the
+    colourer's class, which skips the freeness search."""
     if pipeline in PIPELINES:
-        return PIPELINES[pipeline](g)
+        return PIPELINES[pipeline](g, member=member)
     if pipeline in SUB_COLORERS:
-        return SUB_COLORERS[pipeline][0](g), None
+        return SUB_COLORERS[pipeline][0](g, member=member), None
     raise KeyError(f"unknown pipeline {pipeline!r}; known: "
                    f"{sorted(PIPELINES) + sorted(SUB_COLORERS)}")
 
 
 def color_one(g: Graph, pipeline: str) -> dict:
     """Colour one graph through a pipeline; raises on precondition failure."""
-    coloring, cert = _colored(g, pipeline)
+    coloring, cert = _colored(g, pipeline, member=False)
     if cert is None:
         w = clique_number(g)
         cert = BoundCertificate(pipeline, w, SUB_COLORERS[pipeline][1](w), coloring.used(), ())

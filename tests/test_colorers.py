@@ -345,3 +345,28 @@ def test_outputs_and_rejection_texts_to_seven_are_pinned(pipeline, all_graphs_7)
         h.update(out.encode() + b"\n")
     assert rejected >= 400
     assert h.hexdigest() == OUTPUTS_TO_SEVEN[pipeline]
+
+
+@pytest.mark.parametrize("colorer", [
+    color_p5_k23, color_p5_k1_2k2, color_p5_k1_k1k3,
+    color_wagon_2k2_free, color_k1_union_k3_free, color_sumner])
+def test_a_non_member_passed_as_a_member_is_never_miscoloured(colorer, all_graphs_7):
+    """``member=True`` skips only the freeness search: on every graph with
+    n <= 7, members or not, the colourer returns a proper colouring, fails
+    an assertion, or rejects a connectivity or clique-number precondition,
+    which it still checks."""
+    outcomes = set()
+    for g in all_graphs_7:
+        try:
+            out = colorer(g, member=True)
+        except StructureAssertionError:
+            outcomes.add("assertion")
+            continue
+        except PreconditionError as exc:
+            assert not str(exc).startswith("input induces"), exc
+            outcomes.add("precondition")
+            continue
+        coloring = out[0] if isinstance(out, tuple) else out
+        assert is_proper_coloring(g, coloring)
+        outcomes.add("coloured")
+    assert {"coloured", "assertion"} <= outcomes

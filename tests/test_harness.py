@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chibind import colorers, enumeration, invariants
+from chibind import colorers, enumeration, harness, invariants
 from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
@@ -22,7 +22,7 @@ from chibind.graphs import (
 )
 from chibind.harness import PIPELINES, SUB_COLORERS, TARGETS, analyze_one, color_one, verify
 from chibind.invariants import cliques
-from chibind.patterns import is_free, pattern
+from chibind.patterns import _as_graph, is_free, pattern
 
 
 def test_target_registry_is_complete():
@@ -99,6 +99,13 @@ def test_verify_rejects_a_non_int_cap(n_max):
         verify("lemma-5.2", n_max=n_max)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("connected", "no"), ("connected", 1), ("keep_rows", "yes"), ("keep_rows", None)])
+def test_verify_rejects_a_non_bool_flag(flag, value):
+    with pytest.raises(PreconditionError, match=f"{flag} must be a bool"):
+        verify("lemma-5.2", n_max=4, **{flag: value})
+
+
 @pytest.mark.parametrize("source", [123, 0, b"in.g6"])
 def test_verify_rejects_a_source_that_is_not_a_path(source):
     with pytest.raises(PreconditionError, match="source must be"):
@@ -113,6 +120,19 @@ def test_verify_rows_for_csv():
     header = verify("theorem-1.2", n_max=5, keep_rows=True).to_csv().splitlines()[0]
     assert "colors_used" in header.split(",")
     assert "fallback" not in header.split(",")
+
+
+def test_verify_report_does_not_depend_on_the_file_order(tmp_path):
+    forward, backward = tmp_path / "forward.g6", tmp_path / "backward.g6"
+    graphs = [g for n in range(1, 7) for g in representatives(n)]
+    write_graph6_file(str(forward), graphs)
+    write_graph6_file(str(backward), graphs[::-1])
+    for target in ("lemma-5.2", "theorem-1.4"):
+        a = verify(target, n_max=6, source=str(forward), keep_rows=True)
+        b = verify(target, n_max=6, source=str(backward), keep_rows=True)
+        assert a.extremes and a.to_csv() == b.to_csv()
+        assert a.to_json() == b.to_json().replace(json.dumps(str(backward)),
+                                                  json.dumps(str(forward)))
 
 
 def test_verify_from_file_keeps_connected_filter(tmp_path):
@@ -450,3 +470,79 @@ def test_suite_script_runs_every_target(tmp_path, monkeypatch):
     suite.main("second")
     results = json.loads(suite.OUT.read_text())
     assert set(results) == {"first", "second"} and results["first"] == first
+
+
+# the colouring-bound targets and the colourer that each one runs
+BOUND_TARGETS = {
+    "theorem-1.2": "p5-k23",
+    "theorem-1.3": "p5-k1-2k2",
+    "theorem-1.4": "p5-k1-k1uk3",
+    "lemma-5.2": "wagon-2k2",
+    "lemma-6.1": "sumner",
+    "lemma-6.2": "k1-union-k3",
+}
+
+
+def test_bound_targets_colour_members_of_their_colourers_classes(monkeypatch):
+    """``verify`` tells the colourers that every graph is a class member; that
+    holds when each pattern a colourer's precondition searches for contains a
+    pattern that the target's universe, generated or read from a file,
+    excludes."""
+    colored = {}
+    colored_by = harness._colored
+    for target in TARGETS:
+        def recording(g, pipeline, member, target=target):
+            colored.setdefault(target, set()).add((pipeline, member))
+            return colored_by(g, pipeline, member)
+        monkeypatch.setattr(harness, "_colored", recording)
+        verify(target, n_max=5)
+    assert colored == {t: {(p, True)} for t, p in BOUND_TARGETS.items()}
+
+    # the five searching colourers go through _require_free; sumner tests
+    # freeness only after a failed structure proof, which K3 provokes
+    searched = {}
+    for pipeline in BOUND_TARGETS.values():
+        searched[pipeline] = found = []
+        monkeypatch.setattr(colorers, "_require_free", lambda g, pats: found.extend(pats))
+        monkeypatch.setattr(colorers, "is_free", lambda g, pats: found.extend(pats))
+        try:
+            color_one(complete_graph(3), pipeline)
+        except PreconditionError:
+            assert pipeline == "sumner"
+    for target, pipeline in BOUND_TARGETS.items():
+        universe = TARGETS[target].streams(0)
+        assert TARGETS[target].keeps.__self__.free_of == universe.free_of
+        assert searched[pipeline]
+        for p in searched[pipeline]:
+            assert any(not is_free(_as_graph(p), [q]) for q in universe.free_of), (target, p)
+
+
+def test_verify_colours_without_a_freeness_search(monkeypatch):
+    def no_search(g, pats):
+        raise AssertionError("a class member was searched for its patterns")
+
+    monkeypatch.setattr(colorers, "_require_free", no_search)
+    for target in BOUND_TARGETS:
+        report = verify(target, n_max=6)
+        assert report.graphs_checked and report.violations == []
+    with pytest.raises(AssertionError, match="searched"):
+        color_one(cycle_graph(5), "p5-k23")
+
+
+# SHA-256 of the canonical JSON report of each colouring-bound target at
+# n <= 7, as made while the colourers still searched every member
+BOUND_REPORTS_UP_TO_SEVEN = {
+    "lemma-5.2": "55e8a5c31393ff9f174fccb4efd3c9986ebba153ae79bc156496ff0aabda7088",
+    "lemma-6.1": "f539ae408e05636c5889085357f561c3ad82020ca971b712b7a65262248be2f6",
+    "lemma-6.2": "ff0de9868e29231bec613ff02ce9f5fe3caf74667b313625a6354bb6399a2d4c",
+    "theorem-1.2": "0162c692c4b578259aea7923165fd8cfe6d7f3ec2ec0427a637730b9fd389dc3",
+    "theorem-1.3": "9b3de79cb8ed1fe8eb1c153269f12333d792b7b7646f9d419bc30f59955ce0b2",
+    "theorem-1.4": "cf694f43e360d27a51b69645d573dc84b10c29513063ed849ca3aed57caed40e",
+}
+
+
+@pytest.mark.parametrize("target", sorted(BOUND_REPORTS_UP_TO_SEVEN))
+def test_bound_reports_are_pinned(target):
+    assert set(BOUND_REPORTS_UP_TO_SEVEN) == set(BOUND_TARGETS)
+    report = verify(target, n_max=7).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == BOUND_REPORTS_UP_TO_SEVEN[target]
