@@ -472,18 +472,18 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     )
     for idx, (name, vs) in enumerate(pieces):
         base = idx * piece_budget
-        piece = _divisible_map(h, vs.mask)
+        piece = _divisible_map(h, vs)
         if len(set(piece.values())) > piece_budget:
             raise StructureAssertionError(f"{name} exceeded its palette budget")
         for v, c in piece.items():
             cmap[v] = base + c
-        regions.append((name, vs.mask))
+        regions.append((name, vs))
     s_base = 4 * piece_budget
     block = w - 1
     for i, grp in enumerate(five_cliques_partition(h, dec)):
-        for offset, v in enumerate(sorted(grp)):
+        for offset, v in enumerate(bits_of(grp)):
             cmap[v] = s_base + i * block + offset
-        regions.append((f"clique-group-{i + 1}", grp.mask))
+        regions.append((f"clique-group-{i + 1}", grp))
     s_slice = list(range(s_base, s_base + 5 * block))
     hole_list = list(dec.hole)
     # the first colour of group i is always free for hole vertex i: group i
@@ -496,7 +496,7 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     wide_donor = triple_donor + s_slice
     # a full-clique component attaches only through the all-five class, so it
     # may also reuse the clique-group colours
-    for comp in components_masks(h.adj, dec.level(2).mask):
+    for comp in components_masks(h.adj, dec.level(2)):
         piece = _divisible_map(h, comp)
         donor = triple_donor if clique_number_mask(h.adj, comp) < w else wide_donor
         if len(set(piece.values())) > len(donor):
@@ -634,35 +634,35 @@ def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], lis
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
     allfive = dec.neighbor_class(1, 2, 3, 4, 5)
-    inner = _k1uk3_map(h, allfive.mask)
+    inner = _k1uk3_map(h, allfive)
     cmap.update(inner)
     base = max(inner.values()) + 1 if inner else 0
-    regions.append(("all-five-class", allfive.mask))
+    regions.append(("all-five-class", allfive))
     # five triangle-free distance-two classes, three colours each
     for i in range(1, 6):
         cls = dec.neighbor_class(i, i + 2)
         block = base + 3 * (i - 1)
-        for v, c in _triangle_free_map(h, cls.mask).items():
+        for v, c in _triangle_free_map(h, cls).items():
             cmap[v] = block + c
-        regions.append((f"distance-two-class-{i}", cls.mask))
+        regions.append((f"distance-two-class-{i}", cls))
     slice15 = list(range(base, base + 15))
     # independent unions of the remaining hole-neighbour classes
     for i in range(1, 6):
         union = (dec.neighbor_class(i, i + 1, i + 2)
                  | dec.neighbor_class(i, i + 1, i + 3)
                  | dec.neighbor_class(i, i + 1, i + 2, i + 3))
-        for v in union:
+        for v in bits_of(union):
             cmap[v] = base + 15 + (i - 1)
-        regions.append((f"independent-union-{i}", union.mask))
+        regions.append((f"independent-union-{i}", union))
     # level two splits into two triangle-free parts; level three is
     # triangle-free; all reuse the fifteen-colour block
     part_a, part_b = triangle_free_level2_split(h, dec)
-    for v, c in _triangle_free_map(h, part_a.mask).items():
+    for v, c in _triangle_free_map(h, part_a).items():
         cmap[v] = slice15[c]
-    for v, c in _triangle_free_map(h, part_b.mask).items():
+    for v, c in _triangle_free_map(h, part_b).items():
         cmap[v] = slice15[3 + c]
-    regions.append(("level-two-reuse", dec.level(2).mask))
-    level3 = dec.level(3).mask
+    regions.append(("level-two-reuse", dec.level(2)))
+    level3 = dec.level(3)
     for v, c in _triangle_free_map(h, level3).items():
         cmap[v] = slice15[6 + c]
     if level3:

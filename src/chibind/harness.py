@@ -34,7 +34,7 @@ from .colorers import (
 )
 from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
 from .enumeration import GraphStream, encode_graph6, iter_graph6_file
-from .graphs import Graph, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
+from .graphs import Graph, bits_of, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
 from .invariants import (
     Coloring,
     chi_bound_divisible,
@@ -471,11 +471,12 @@ def analyze_one(g: Graph) -> dict:
     if five is not None:
         dec = decompose_five_hole(g, five)
         profile["five_hole"] = list(five)
-        profile["hole_classes"] = {
-            "{" + ",".join(map(str, sorted(key))) + "}": sorted(vs)
-            for key, vs in sorted(dec.classes.items(), key=lambda kv: sorted(kv[0]))
-            if vs
-        }
+        # pattern p names the hole positions i with bit i-1 set; the keys
+        # run in the order of their position lists
+        positions = sorted(([i + 1 for i in range(5) if p >> i & 1], mask)
+                           for p, mask in enumerate(dec.classes) if mask)
+        profile["hole_classes"] = {"{" + ",".join(map(str, key)) + "}": list(bits_of(mask))
+                                   for key, mask in positions}
     if is_connected(g) and g.n >= 2:
         cut = find_clique_cutset(g)
         profile["clique_cutset"] = sorted(cut.cutset) if cut else None

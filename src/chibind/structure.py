@@ -2,6 +2,15 @@
 homogeneous sets, cutsets, dominating cliques, and the checkable structure
 facts the colouring pipelines rely on.
 
+A five-hole decomposition is plain vertex masks.  Its classes sort the hole's
+neighbours by the exact set of hole vertices each one sees, as a 5-bit
+pattern index: bit ``i-1`` of pattern ``p`` stands for ``v_i``, so
+``classes[0b00101]`` holds the vertices that see exactly ``v_1`` and ``v_3``,
+and ``classes[0]``, the vertices that see no hole vertex, stays empty.
+``neighbor_class(1, 3)`` reads the same entry from 1-based, cyclic positions.
+The levels are the masks of the vertices at distance one, two, ... from the
+hole.
+
 Cutsets are found in polynomial time.  ``find_clique_cutset`` runs MCS-M
 (Berry, Blair, Heggernes and Peyton, "Maximum cardinality search for computing
 minimal triangulations of graphs", Algorithmica 2004) once and takes the least
@@ -45,45 +54,49 @@ from .invariants import clique_number_mask, cliques
 from .patterns import _holes, is_free, pattern
 
 
-def _class_key(*indices: int) -> frozenset[int]:
-    """Literal 1-based class index set, reduced mod 5."""
-    return frozenset((i - 1) % 5 + 1 for i in indices)
+def _pattern(*indices: int) -> int:
+    """The pattern index of 1-based hole positions, reduced mod 5: bit
+    ``i-1`` stands for ``v_i``."""
+    p = 0
+    for i in indices:
+        p |= 1 << (i - 1) % 5
+    return p
 
 
-ALL_FIVE = _class_key(1, 2, 3, 4, 5)
+def _pattern_of(row: int, hole: tuple[int, ...]) -> int:
+    """The pattern index of the hole vertices that an adjacency row sees."""
+    a, b, c, d, e = hole
+    return (row >> a & 1 | (row >> b & 1) << 1 | (row >> c & 1) << 2
+            | (row >> d & 1) << 3 | (row >> e & 1) << 4)
+
+
+# the pattern pairs {i,i+1,i+3} and {i,i+1,i+2,i+4} of a bad pair
+_BAD_PAIRS = frozenset(frozenset((_pattern(i, i + 1, i + 3), _pattern(i, i + 1, i + 2, i + 4)))
+                       for i in range(1, 6))
 
 
 @dataclass(frozen=True, eq=False)
 class FiveHoleDecomposition:
-    """A five-hole, the exact-neighbourhood classes on it, and distance levels.
-
-    ``classes`` maps every nonempty index subset ``T`` of ``{1..5}`` to the
-    vertices adjacent to exactly ``{v_i : i in T}`` on the hole.  ``levels[i]``
-    holds the vertices at hop distance ``i+1`` from the hole; vertices in
-    other components land in ``unreachable``.
+    """A five-hole, its 32 exact-neighbourhood classes by pattern index (see
+    the module docstring) and its distance levels, all as vertex masks:
+    ``levels[i]`` holds the vertices at hop distance ``i+1`` from the hole,
+    and vertices in other components are in no level.
     """
 
     hole: tuple[int, int, int, int, int]
-    classes: dict[frozenset[int], VertexSet]
-    levels: tuple[VertexSet, ...]
-    unreachable: VertexSet
+    classes: tuple[int, ...]
+    levels: tuple[int, ...]
 
     def hole_vertex(self, i: int) -> int:
         """1-based, cyclic: index 6 means index 1."""
         return self.hole[(i - 1) % 5]
 
-    def neighbor_class(self, *indices: int) -> VertexSet:
-        return self.classes[_class_key(*indices)]
+    def neighbor_class(self, *indices: int) -> int:
+        """The class of the 1-based, cyclic hole positions ``indices``."""
+        return self.classes[_pattern(*indices)]
 
-    def level(self, i: int) -> VertexSet:
-        n = self.levels[0].n if self.levels else self.unreachable.n
-        if 1 <= i <= len(self.levels):
-            return self.levels[i - 1]
-        return VertexSet(0, n)
-
-    def hole_set(self) -> VertexSet:
-        n = self.unreachable.n
-        return VertexSet.of(self.hole, n)
+    def level(self, i: int) -> int:
+        return self.levels[i - 1] if 1 <= i <= len(self.levels) else 0
 
 
 def find_all_five_holes(g: Graph) -> list[tuple[int, ...]]:
@@ -103,6 +116,9 @@ def decompose_five_hole(g: Graph, hole: tuple[int, ...]) -> FiveHoleDecompositio
     The decomposition asserts nothing about the host; the lemma checkers below
     state what holds in each class.
     """
+    for v in hole:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
+            raise PreconditionError(f"hole entry {v!r} is not a vertex of 0..{g.n - 1}")
     if len(hole) != 5 or len(set(hole)) != 5:
         raise PreconditionError("a five-hole needs five distinct vertices")
     for i in range(5):
@@ -112,77 +128,49 @@ def decompose_five_hole(g: Graph, hole: tuple[int, ...]) -> FiveHoleDecompositio
             raise PreconditionError(f"hole vertices {a},{b} are not adjacent")
         if g.has_edge(a, c):
             raise PreconditionError(f"hole chord {a},{c}: cycle is not induced")
-    n = g.n
-    hole_mask = 0
-    for v in hole:
-        hole_mask |= 1 << v
-    dist = distances_from(g, VertexSet(hole_mask, n))
-    depth = max((d for d in dist if d is not None), default=0)
-    level_masks = [0] * depth
-    unreachable = 0
-    for v in range(n):
-        d = dist[v]
-        if d is None:
-            unreachable |= 1 << v
-        elif d >= 1:
-            level_masks[d - 1] |= 1 << v
-    classes: dict[frozenset[int], int] = {}
-    if depth >= 1:
-        for x in bits_of(level_masks[0]):
-            key = frozenset(i + 1 for i in range(5) if g.has_edge(x, hole[i]))
-            classes[key] = classes.get(key, 0) | (1 << x)
-    class_sets = {}
-    for r in range(1, 6):
-        for combo in itertools.combinations(range(1, 6), r):
-            key = frozenset(combo)
-            class_sets[key] = VertexSet(classes.get(key, 0), n)
-    return FiveHoleDecomposition(
-        hole=tuple(hole),
-        classes=class_sets,
-        levels=tuple(VertexSet(m, n) for m in level_masks),
-        unreachable=VertexSet(unreachable, n),
-    )
+    hole = tuple(hole)
+    seen = frontier = sum(1 << v for v in hole)
+    levels = []
+    while frontier := neighborhood_mask(g.adj, frontier) & ~seen:
+        levels.append(frontier)
+        seen |= frontier
+    classes = [0] * 32
+    for x in bits_of(levels[0] if levels else 0):
+        classes[_pattern_of(g.adj[x], hole)] |= 1 << x
+    return FiveHoleDecomposition(hole, tuple(classes), tuple(levels))
 
 
 def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Structure facts of P5-free hosts around a five-hole; empty when correct."""
     out = []
-    level2 = dec.level(2).mask
+    level2 = dec.level(2)
     for i in range(1, 6):
         if dec.neighbor_class(i):
             out.append(f"singleton class {{{i}}} is nonempty")
         if dec.neighbor_class(i, i + 1):
             out.append(f"adjacent-pair class {{{i},{i + 1}}} is nonempty")
-        near = dec.neighbor_class(i, i + 2).mask | dec.neighbor_class(i, i + 1, i + 2).mask
+        near = dec.neighbor_class(i, i + 2) | dec.neighbor_class(i, i + 1, i + 2)
         for x in bits_of(near):
             if g.adj[x] & level2:
                 out.append(f"vertex {x} in a distance-two or consecutive-triple class sees level two")
     if is_connected(g) and len(dec.levels) > 3:
         out.append("connected host has vertices past level three")
-    level1 = dec.level(1)
-    level3 = dec.level(3).mask
-    for x in level1:
-        if level3:
-            dist_x = distances_from(g, VertexSet(1 << x, g.n))
-            reach2 = 0
-            for v in range(g.n):
-                if dist_x[v] == 2:
-                    reach2 |= 1 << v
-            if reach2 & level3 and _class_key(*_class_of(g, dec, x)) != ALL_FIVE:
+    level3 = dec.level(3)
+    if level3:
+        # the vertices at distance two from x are N(N(x)) less N[x]
+        for x in bits_of(dec.level(1) & ~dec.neighbor_class(1, 2, 3, 4, 5)):
+            if neighborhood_mask(g.adj, g.adj[x]) & ~(1 << x) & level3:
                 out.append(f"vertex {x} reaches level three at distance two but misses a hole vertex")
-    for x in dec.level(2):
-        for comp in components_masks(g.adj, level3):
+    level3_comps = components_masks(g.adj, level3)
+    for x in bits_of(level2):
+        for comp in level3_comps:
             hit = g.adj[x] & comp
             if hit and hit != comp:
                 out.append(f"level-two vertex {x} is neither complete nor anticomplete to a level-three component")
     return out
 
 
-def _class_of(g: Graph, dec: FiveHoleDecomposition, x: int) -> tuple[int, ...]:
-    return tuple(i for i in range(1, 6) if g.has_edge(x, dec.hole_vertex(i)))
-
-
-def five_cliques_partition(g: Graph, dec: FiveHoleDecomposition) -> tuple[VertexSet, ...]:
+def five_cliques_partition(g: Graph, dec: FiveHoleDecomposition) -> tuple[int, ...]:
     """The five clique groups covering the classes outside the all-five class
     and the consecutive triples; group ``i`` avoids hole vertex ``v_i``."""
     nc = dec.neighbor_class
@@ -200,18 +188,12 @@ def is_bad_pair(g: Graph, dec: FiveHoleDecomposition, u: int, v: int) -> bool:
     """Non-adjacent hole neighbours whose classes pair up as
     ``{i,i+1,i+3}`` against ``{i,i+1,i+2,i+4}`` for some ``i``."""
     level1 = dec.level(1)
-    if u not in level1 or v not in level1:
+    if min(u, v) < 0 or not (level1 >> u & 1 and level1 >> v & 1):
         raise PreconditionError("bad pairs are defined for hole neighbours")
     if g.has_edge(u, v):
         raise PreconditionError("bad pairs are non-adjacent by definition")
-    tu = frozenset(_class_of(g, dec, u))
-    tv = frozenset(_class_of(g, dec, v))
-    for i in range(1, 6):
-        three = _class_key(i, i + 1, i + 3)
-        four = _class_key(i, i + 1, i + 2, i + 4)
-        if (tu, tv) in ((three, four), (four, three)):
-            return True
-    return False
+    pair = frozenset((_pattern_of(g.adj[u], dec.hole), _pattern_of(g.adj[v], dec.hole)))
+    return pair in _BAD_PAIRS
 
 
 def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
@@ -219,10 +201,10 @@ def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     out = []
     n = g.n
     level1 = dec.level(1)
-    level2 = dec.level(2).mask
+    level2 = dec.level(2)
     hv = dec.hole_vertex
     # (a) two common second neighbours on the hole with the middle missed force an edge
-    for u, v in itertools.combinations(level1, 2):
+    for u, v in itertools.combinations(bits_of(level1), 2):
         if g.has_edge(u, v):
             continue
         for i in range(1, 6):
@@ -237,23 +219,24 @@ def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
             (f"{{{i},{i + 1},{i + 3}}}", dec.neighbor_class(i, i + 1, i + 3)),
             (f"{{{i}..{i + 3}}}", dec.neighbor_class(i, i + 1, i + 2, i + 3)),
         ):
-            if not is_clique_mask(g.adj, vs.mask):
+            if not is_clique_mask(g.adj, vs):
                 out.append(f"class {key_desc} is not a clique")
     # (c) small independence and completeness between consecutive triples
     comp_adj = complement(g).adj
-    if clique_number_mask(comp_adj, dec.neighbor_class(1, 2, 3, 4, 5).mask) > 2:
+    allfive = dec.neighbor_class(1, 2, 3, 4, 5)
+    if clique_number_mask(comp_adj, allfive) > 2:
         out.append("all-five class has three pairwise non-adjacent vertices")
     for i in range(1, 6):
-        triple = dec.neighbor_class(i, i + 1, i + 2).mask
+        triple = dec.neighbor_class(i, i + 1, i + 2)
         if clique_number_mask(comp_adj, triple) > 2:
             out.append(f"consecutive triple class at {i} has three pairwise non-adjacent vertices")
-        nxt = dec.neighbor_class(i + 1, i + 2, i + 3).mask
+        nxt = dec.neighbor_class(i + 1, i + 2, i + 3)
         for x in bits_of(triple):
             if g.adj[x] & nxt != nxt:
                 out.append(f"class at {i} is not complete to the next consecutive triple")
                 break
     # (d) only bad pairs share level-two neighbours
-    for u, v in itertools.combinations(level1, 2):
+    for u, v in itertools.combinations(bits_of(level1), 2):
         if g.has_edge(u, v) or is_bad_pair(g, dec, u, v):
             continue
         if g.adj[u] & g.adj[v] & level2:
@@ -261,19 +244,19 @@ def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     # (e) the five-clique partition
     groups = five_cliques_partition(g, dec)
     w = clique_number_mask(g.adj, (1 << n) - 1)
-    expected = level1.mask & ~dec.neighbor_class(1, 2, 3, 4, 5).mask
+    expected = level1 & ~allfive
     for i in range(1, 6):
-        expected &= ~dec.neighbor_class(i, i + 1, i + 2).mask
+        expected &= ~dec.neighbor_class(i, i + 1, i + 2)
     union = 0
     for i, grp in enumerate(groups, start=1):
-        if union & grp.mask:
+        if union & grp:
             out.append(f"clique group {i} overlaps an earlier group")
-        union |= grp.mask
-        if not is_clique_mask(g.adj, grp.mask):
+        union |= grp
+        if not is_clique_mask(g.adj, grp):
             out.append(f"clique group {i} is not a clique")
-        if len(grp) > max(w - 1, 0):
+        if grp.bit_count() > max(w - 1, 0):
             out.append(f"clique group {i} exceeds size omega-1")
-        if g.adj[hv(i)] & grp.mask:
+        if g.adj[hv(i)] & grp:
             out.append(f"hole vertex v{i} has a neighbour in its own clique group")
     if union != expected:
         out.append("clique groups do not partition the leftover hole neighbourhood")
@@ -290,12 +273,12 @@ def check_k23_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     if dec.level(3):
         out.append("level three is nonempty")
     w = clique_number_mask(g.adj, (1 << n) - 1)
-    allfive = dec.neighbor_class(1, 2, 3, 4, 5).mask
-    for comp in components_masks(g.adj, dec.level(2).mask):
+    allfive = dec.neighbor_class(1, 2, 3, 4, 5)
+    for comp in components_masks(g.adj, dec.level(2)):
         if clique_number_mask(comp_adj, comp) > 2:
             out.append("a level-two component has three pairwise non-adjacent vertices")
         if clique_number_mask(g.adj, comp) == w:
-            attach = neighborhood_mask(g.adj, comp) & dec.level(1).mask
+            attach = neighborhood_mask(g.adj, comp) & dec.level(1)
             if attach & ~allfive:
                 out.append("a full-clique level-two component attaches outside the all-five class")
     return out
@@ -311,14 +294,14 @@ def check_k1uk3_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     k1uk3 = pattern("K1uK3")
     for i in range(1, 6):
         vi = dec.hole_vertex(i)
-        if not is_free(induced(g, VertexSet(g.adj[vi], g.n)), [k1uk3]):
+        if not is_free(induced(g, g.neighbors(vi)), [k1uk3]):
             out.append(f"neighbourhood of hole vertex v{i} induces K1uK3")
-        if _has_triangle(g, dec.neighbor_class(i, i + 2).mask):
+        if _has_triangle(g, dec.neighbor_class(i, i + 2)):
             out.append(f"class {{{i},{i + 2}}} induces a triangle")
         union = (dec.neighbor_class(i, i + 1, i + 2)
                  | dec.neighbor_class(i, i + 1, i + 3)
                  | dec.neighbor_class(i, i + 1, i + 2, i + 3))
-        if not is_independent_mask(g.adj, union.mask):
+        if not is_independent_mask(g.adj, union):
             out.append(f"triple and quadruple classes starting at {i} are not independent")
     for _, first in _level2_attachments(g, dec):
         if first is None:
@@ -332,8 +315,8 @@ def _level2_attachments(g: Graph, dec: FiveHoleDecomposition) -> Iterator[tuple[
     when one hole neighbour dominates it; else it is the component's
     neighbours of ``u``, where ``(u, v)`` is the least non-adjacent pair of
     hole neighbours that both attach to it; None when there is no such pair."""
-    level1 = dec.level(1).mask
-    for comp in components_masks(g.adj, dec.level(2).mask):
+    level1 = dec.level(1)
+    for comp in components_masks(g.adj, dec.level(2)):
         if any(g.adj[u] & comp == comp for u in bits_of(level1)):
             yield comp, comp
             continue
@@ -343,11 +326,12 @@ def _level2_attachments(g: Graph, dec: FiveHoleDecomposition) -> Iterator[tuple[
         yield comp, None if u is None else g.adj[u] & comp
 
 
-def triangle_free_level2_split(g: Graph, dec: FiveHoleDecomposition) -> tuple[VertexSet, VertexSet]:
-    """Split level two into two parts, component by component: a component
-    dominated by one hole neighbour goes to the first part; an undominated one
-    splits into the neighbours of its first attachment and the rest.  Lemma
-    6.4 (``check_k1uk3_level_lemma``) makes both parts triangle-free.
+def triangle_free_level2_split(g: Graph, dec: FiveHoleDecomposition) -> tuple[int, int]:
+    """Split level two into two vertex masks, component by component: a
+    component dominated by one hole neighbour goes to the first part; an
+    undominated one splits into the neighbours of its first attachment and
+    the rest.  Lemma 6.4 (``check_k1uk3_level_lemma``) makes both parts
+    triangle-free.
     """
     a_mask = 0
     b_mask = 0
@@ -356,21 +340,21 @@ def triangle_free_level2_split(g: Graph, dec: FiveHoleDecomposition) -> tuple[Ve
             raise StructureAssertionError("undominated level-two component lacks an attachment pair")
         a_mask |= first
         b_mask |= comp & ~first
-    return VertexSet(a_mask, g.n), VertexSet(b_mask, g.n)
+    return a_mask, b_mask
 
 
 def check_k1uk3_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Level facts for the same class: level three is triangle-free and level
     two splits into two triangle-free parts."""
     out = []
-    if _has_triangle(g, dec.level(3).mask):
+    if _has_triangle(g, dec.level(3)):
         out.append("level three induces a triangle")
     try:
         parts = triangle_free_level2_split(g, dec)
     except StructureAssertionError as exc:
         return out + [str(exc)]
     for part, name in zip(parts, ("first", "second")):
-        if _has_triangle(g, part.mask):
+        if _has_triangle(g, part):
             out.append(f"{name} level-two part induces a triangle")
     return out
 

@@ -3,14 +3,24 @@
 Everything here recomputes facts by a different route than the package:
 labeled enumeration with explicit isomorphism rejection, subset dynamic
 programming over independent sets for chromatic numbers, the definitional
-perfection check, and plain subset scans.  These stay deliberately naive.
+perfection check, plain subset scans, and the five-hole decomposition with
+frozenset class keys.  These stay deliberately naive.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from chibind.graphs import Graph, VertexSet, bits_of, components_masks, from_edge_list, induced
+from chibind.errors import PreconditionError
+from chibind.graphs import (
+    Graph,
+    VertexSet,
+    bits_of,
+    components_masks,
+    distances_from,
+    from_edge_list,
+    induced,
+)
 from chibind.invariants import Coloring, PerfectDivision, chromatic_number, clique_number, cliques
 
 
@@ -259,6 +269,49 @@ def induced_cycles_brute(adj: tuple[int, ...], n: int, length: int) -> list[tupl
         if len(order) == length:
             out.append(tuple(order))
     return out
+
+
+def five_hole_decomposition_plain(
+    g: Graph, hole: tuple[int, ...]
+) -> tuple[dict[frozenset[int], VertexSet], tuple[VertexSet, ...], VertexSet]:
+    """The five-hole decomposition keyed by frozensets of 1-based hole
+    positions, with validated vertex sets and levels read off one
+    breadth-first search: ``(classes, levels, unreachable)``, where
+    ``classes`` maps every nonempty position set to its class."""
+    if len(hole) != 5 or len(set(hole)) != 5:
+        raise PreconditionError("a five-hole needs five distinct vertices")
+    for i in range(5):
+        a, b = hole[i], hole[(i + 1) % 5]
+        c = hole[(i + 2) % 5]
+        if not g.has_edge(a, b):
+            raise PreconditionError(f"hole vertices {a},{b} are not adjacent")
+        if g.has_edge(a, c):
+            raise PreconditionError(f"hole chord {a},{c}: cycle is not induced")
+    n = g.n
+    hole_mask = 0
+    for v in hole:
+        hole_mask |= 1 << v
+    dist = distances_from(g, VertexSet(hole_mask, n))
+    depth = max((d for d in dist if d is not None), default=0)
+    level_masks = [0] * depth
+    unreachable = 0
+    for v in range(n):
+        d = dist[v]
+        if d is None:
+            unreachable |= 1 << v
+        elif d >= 1:
+            level_masks[d - 1] |= 1 << v
+    classes: dict[frozenset[int], int] = {}
+    if depth >= 1:
+        for x in bits_of(level_masks[0]):
+            key = frozenset(i + 1 for i in range(5) if g.has_edge(x, hole[i]))
+            classes[key] = classes.get(key, 0) | (1 << x)
+    class_sets = {}
+    for r in range(1, 6):
+        for combo in itertools.combinations(range(1, 6), r):
+            key = frozenset(combo)
+            class_sets[key] = VertexSet(classes.get(key, 0), n)
+    return class_sets, tuple(VertexSet(m, n) for m in level_masks), VertexSet(unreachable, n)
 
 
 def cliques_brute(adj: tuple[int, ...], n: int, size: int) -> list[int]:

@@ -13,7 +13,6 @@ from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
 from chibind.graphs import (
-    VertexSet,
     complement,
     complete_graph,
     cycle_graph,
@@ -371,7 +370,7 @@ LEVEL_TWO_HOST = "F?N^_"
 
 def test_pipeline_fault_is_an_assertion_not_a_rejection(monkeypatch, tmp_path, capsys):
     def split_with_a_triangle(g, dec):
-        return VertexSet(next(cliques(g.adj, (1 << g.n) - 1, 3)), g.n), VertexSet(0, g.n)
+        return next(cliques(g.adj, (1 << g.n) - 1, 3)), 0
 
     monkeypatch.setattr(colorers, "triangle_free_level2_split", split_with_a_triangle)
     g = decode_graph6(LEVEL_TWO_HOST)
@@ -546,3 +545,28 @@ def test_bound_reports_are_pinned(target):
     assert set(BOUND_REPORTS_UP_TO_SEVEN) == set(BOUND_TARGETS)
     report = verify(target, n_max=7).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == BOUND_REPORTS_UP_TO_SEVEN[target]
+
+
+# SHA-256 of the canonical JSON and of the CSV report, rows kept, of each
+# five-hole target at n <= 8, as made while the decomposition still keyed its
+# classes by frozensets of hole positions
+FIVE_HOLE_REPORTS_UP_TO_EIGHT = {
+    "lemma-2.2": ("06cb070a81cb1e4d2655e92caae630ac2353d14a07c13ac3383bdd4cd3ee0388",
+                  "3f891b8c77d5edaec4fe57c9ca1ae6128df3320ab1d9bb139a8afbfbc029a075"),
+    "lemma-4.1": ("58652b725bf6bb3072c3acd683c318846817cf8a7e538b5a83ce5bfea401661b",
+                  "732fba256e7ddcd6d2976509d9c4b96ebf1a88644f0f36ff60b0ebcdf5ac546c"),
+    "lemma-4.2": ("f05d80c84d3d17249a657cabd7f9a4533cb83ef07222bf07ecacfe7737e0ed99",
+                  "b14413302b99a980a200d8003e2b2d042062b4e5e62b3d615e6c086dd7f213ff"),
+    "lemma-6.3": ("3651aa456f330007362233ec0508217acc81b9c467b49ecf344e25a2cea6d46a",
+                  "a5e6405c6e5852b7428e98af864a19b48316add00b2d3ed675b052e3f35817a8"),
+    "lemma-6.4": ("3270cd2f5a7c60dfe02e4557a5686c0dc918271c5a54af78c25b6928a4e266cd",
+                  "a5e6405c6e5852b7428e98af864a19b48316add00b2d3ed675b052e3f35817a8"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(FIVE_HOLE_REPORTS_UP_TO_EIGHT))
+def test_five_hole_reports_are_pinned(target):
+    report = verify(target, 8, keep_rows=True)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (report.to_json(), report.to_csv()))
+    assert report.violations == [] and digests == FIVE_HOLE_REPORTS_UP_TO_EIGHT[target]

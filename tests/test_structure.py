@@ -16,6 +16,7 @@ from chibind.graphs import (
     components_masks,
     cycle_graph,
     disjoint_union,
+    distances_from,
     from_edge_list,
     induced,
     is_connected,
@@ -51,6 +52,7 @@ from oracles import (
     clique_cutset_brute,
     cliques_brute,
     cutset_splits_oracle,
+    five_hole_decomposition_plain,
     graph_from_pair_mask,
     homogeneous_sets_brute,
     induced_cycles_brute,
@@ -139,14 +141,16 @@ def test_clique_searches_match_subset_scans(all_graphs_8):
 def test_decompose_classes():
     g = c5_plus([0, 2])  # one vertex adjacent to v1 and v3 in 1-based terms
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
-    assert dec.neighbor_class(1, 3).members() == (5,)
+    assert dec.neighbor_class(1, 3) == 1 << 5
+    # pattern index: bit i-1 stands for v_i
+    assert dec.classes[0b00101] == 1 << 5
     assert not dec.neighbor_class(1, 2)
     apex = c5_plus(range(5))
     dec = decompose_five_hole(apex, (0, 1, 2, 3, 4))
-    assert dec.neighbor_class(1, 2, 3, 4, 5).members() == (5,)
+    assert dec.neighbor_class(1, 2, 3, 4, 5) == dec.classes[0b11111] == 1 << 5
     c5 = cycle_graph(5)
     dec = decompose_five_hole(c5, (0, 1, 2, 3, 4))
-    assert not dec.levels and all(not v for v in dec.classes.values())
+    assert dec.levels == () and dec.classes == (0,) * 32 and dec.level(1) == 0
 
 
 def test_decompose_rejects_non_holes():
@@ -154,6 +158,36 @@ def test_decompose_rejects_non_holes():
         decompose_five_hole(cycle_graph(5), (0, 1, 2, 3, 3))
     with pytest.raises(PreconditionError):
         decompose_five_hole(complete_graph(5), (0, 1, 2, 3, 4))
+    for bad in (-1, 4.0, 5, True, "4"):
+        with pytest.raises(PreconditionError, match="hole entry"):
+            decompose_five_hole(cycle_graph(5), (0, 1, 2, 3, bad))
+
+
+def _assert_decomposition_matches_plain(g, hole):
+    dec = decompose_five_hole(g, hole)
+    classes, levels, _ = five_hole_decomposition_plain(g, hole)
+    assert dec.hole == hole and dec.classes[0] == 0
+    for key, vs in classes.items():
+        assert dec.classes[sum(1 << i - 1 for i in key)] == vs.mask, (g, hole, sorted(key))
+    assert dec.levels == tuple(level.mask for level in levels), (g, hole)
+
+
+def test_decomposition_matches_the_plain_one_up_to_eight(all_graphs_8):
+    holes = 0
+    for g in all_graphs_8:
+        for hole in find_all_five_holes(g):
+            _assert_decomposition_matches_plain(g, hole)
+            holes += 1
+    assert holes == 7267
+
+
+def test_decomposition_matches_the_plain_one_when_grown():
+    holes = 0
+    for g in _grown_pipeline_members():
+        for hole in find_all_five_holes(g):
+            _assert_decomposition_matches_plain(g, hole)
+            holes += 1
+    assert holes == 422
 
 
 def test_p5_hole_lemma_catches_misuse():
@@ -164,27 +198,56 @@ def test_p5_hole_lemma_catches_misuse():
     assert check_p5_hole_lemma(g, dec) == ["singleton class {1} is nonempty"]
 
 
+# hosts around the five-hole 0..4 that break one fact of lemma 2.2 each, with
+# the violations the checker reports, and a last one whose level-two vertices
+# are each complete to one level-three component and anticomplete to the other
+APEX = [(5, i) for i in range(5)]
+P5_HOLE_LEMMA_HOSTS = (
+    ([(5, 0), (5, 1)], ["adjacent-pair class {1,2} is nonempty"]),
+    ([(5, 0), (5, 2), (6, 5), (7, 6)],
+     ["vertex 5 in a distance-two or consecutive-triple class sees level two",
+      "vertex 5 reaches level three at distance two but misses a hole vertex"]),
+    (APEX + [(6, 5), (7, 6), (8, 7)], ["connected host has vertices past level three"]),
+    (APEX + [(6, 5), (9, 5), (7, 6), (8, 7), (8, 9)],
+     ["level-two vertex 6 is neither complete nor anticomplete to a level-three component",
+      "level-two vertex 9 is neither complete nor anticomplete to a level-three component"]),
+    (APEX + [(6, 5), (9, 5), (7, 6), (8, 9)], []),
+)
+
+
+@pytest.mark.parametrize("extra,expected", P5_HOLE_LEMMA_HOSTS)
+def test_p5_hole_lemma_reports_each_fact(extra, expected):
+    edges = [(i, (i + 1) % 5) for i in range(5)] + extra
+    g = from_edge_list(1 + max(max(e) for e in extra), edges)
+    assert check_p5_hole_lemma(g, decompose_five_hole(g, (0, 1, 2, 3, 4))) == expected
+
+
 def test_class_key_canonicalisation():
     g = c5_plus([0, 2])
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
     # {k, k+2} and {l, l+3} with l = k+2 name the same literal set
-    assert dec.neighbor_class(1, 3) == dec.neighbor_class(3, 6)
+    assert dec.neighbor_class(1, 3) == dec.neighbor_class(3, 6) == 1 << 5
     assert dec.neighbor_class(1, 3, 4) == dec.neighbor_class(3, 4, 6)
+    assert dec.neighbor_class(1, 3) == dec.neighbor_class(1, 1, 3, 8)
 
 
 def test_decomposition_partitions_vertices():
-    g = c5_plus([0, 2], [0, 1, 2], [1, 3])
+    # a path hangs off the hole, and a separate edge is reached from no level
+    base = c5_plus([0, 2], [0, 1, 2], [1, 3])
+    g = from_edge_list(12, list(base.edges()) + [(8, 5), (9, 8), (10, 11)])
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
-    covered = dec.hole_set().mask | dec.unreachable.mask
+    covered = sum(1 << v for v in dec.hole)
     for level in dec.levels:
-        assert covered & level.mask == 0
-        covered |= level.mask
-    assert covered == (1 << g.n) - 1
+        assert level and covered & level == 0
+        covered |= level
+    dist = distances_from(g, VertexSet.of(dec.hole, g.n))
+    assert covered == sum(1 << v for v, d in enumerate(dist) if d is not None)
+    assert covered != (1 << g.n) - 1
     class_union = 0
-    for vs in dec.classes.values():
-        assert class_union & vs.mask == 0
-        class_union |= vs.mask
-    assert class_union == dec.level(1).mask
+    for vs in dec.classes:
+        assert class_union & vs == 0
+        class_union |= vs
+    assert class_union == dec.level(1)
 
 
 def test_check_p5_hole_lemma_on_small_cases():
@@ -201,8 +264,8 @@ def test_check_k23_hole_lemma_small():
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
     assert check_k23_hole_lemma(g, dec) == []
     groups = five_cliques_partition(g, dec)
-    assert groups[1].members() == (5,)
-    assert sum(len(grp) for grp in groups) == 1
+    assert groups[1] == 1 << 5
+    assert sum(grp.bit_count() for grp in groups) == 1
     assert check_k23_level_lemma(g, dec) == []
 
 
