@@ -11,8 +11,10 @@ second job on the machine disturbs less than the wall clock.
 Holding one class at a time bounds memory.  observation-2.1 generates
 nothing, so it is only checked.  The numbers are stored under LABEL in
 ``BENCH_suite.json`` at the repository root, with the generation, check and
-suite totals, wall and CPU; results under other labels are kept, so runs of
-two commits (point PYTHONPATH at each one's ``src``) end up side by side.
+suite totals, wall and CPU, and the process's peak resident size in MB
+(``ru_maxrss``, which Linux gives in KB); results under other labels are
+kept, so runs of two commits (point PYTHONPATH at each one's ``src``) end up
+side by side.
 Standard library only.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -85,6 +88,7 @@ def main(label: str) -> None:
         "check_total_s": round(sum(t["check_s"] for t in targets.values()), 2),
         "check_total_cpu_s": round(sum(t["check_cpu_s"] for t in targets.values()), 2),
         "suite_s": round(time.perf_counter() - start, 2),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     results = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
     results[label] = run

@@ -10,6 +10,15 @@ around its big odd antihole), and raises ``StructureAssertionError`` with the
 violations they report; only palette, budget and reuse checks stay inline.
 A certificate records the pieces, the palette, and the bound.
 
+A leaf searches its least five-hole once, then its big odd antiholes (seven
+or more vertices) at most once.  With neither it is perfect, by the Strong
+Perfect Graph Theorem (Chudnovsky, Robertson, Seymour and Thomas, Ann. Math.
+2006), since its host has no induced P5 and so no longer odd hole; it is then
+coloured with omega colours, which is asserted.  Else a ``p5-k23`` leaf is
+coloured triangle-free at omega two, else around its five-hole, else by
+perfect divisibility; a ``p5-k1-k1uk3`` leaf around its five-hole, else
+around its first big odd antihole.
+
 Every public colourer has one shape: its precondition (``_require_free``; for
 ``color_sumner``, a failed structure proof on an input outside the class),
 then a core that colours a vertex mask of the host, then ``_certified``, which
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
+from .errors import PreconditionError, StructureAssertionError
 from .graphs import (
     Graph,
     VertexSet,
@@ -42,6 +51,7 @@ from .graphs import (
     induced,
     is_connected,
     is_independent_mask,
+    neighborhood_mask,
 )
 from .invariants import (
     Coloring,
@@ -53,11 +63,13 @@ from .invariants import (
     cliques,
     is_proper_coloring,
 )
-from .patterns import _holes, find_induced, is_free, is_perfect, pattern
+from .patterns import _holes, find_induced, is_free, pattern
 from .structure import (
     _antihole_violations,
     _clique_separators,
     _least_clique_cutset,
+    _pattern,
+    _pattern_of,
     antihole_neighborhood_split,
     check_k1uk3_hole_lemma,
     check_k1uk3_level_lemma,
@@ -174,24 +186,24 @@ def classify_triangle_free(g: Graph) -> list[tuple[str, tuple[VertexSet, ...]]]:
 
 
 def _bipartition(g: Graph, comp: int) -> tuple[int, int] | None:
-    side = {}
-    start = (comp & -comp).bit_length() - 1
-    side[start] = 0
-    frontier = [start]
+    """The even and odd breadth-first layers of ``comp`` from its least
+    vertex, or None when an edge inside a layer closes an odd cycle."""
+    sides = [0, 0]
+    seen = frontier = comp & -comp
+    parity = 0
     while frontier:
-        nxt = []
-        for v in frontier:
-            for u in bits_of(g.adj[v] & comp):
-                if u in side:
-                    if side[u] == side[v]:
-                        return None
-                else:
-                    side[u] = side[v] ^ 1
-                    nxt.append(u)
-        frontier = nxt
-    even = sum(1 << v for v, s in side.items() if s == 0)
-    odd = sum(1 << v for v, s in side.items() if s == 1)
-    return even, odd
+        sides[parity] |= frontier
+        frontier = neighborhood_mask(g.adj, frontier) & comp & ~seen
+        seen |= frontier
+        parity ^= 1
+    even, odd = sides
+    if is_independent_mask(g.adj, even) and is_independent_mask(g.adj, odd):
+        return even, odd
+    return None
+
+
+# the pattern of hole positions j-1 and j+1, which blow-up class j sees
+_BLOWUP_PATTERNS = tuple(_pattern(j, j + 2) for j in range(5))
 
 
 def _blowup_classes(g: Graph, comp: int) -> tuple[int, ...]:
@@ -199,17 +211,12 @@ def _blowup_classes(g: Graph, comp: int) -> tuple[int, ...]:
     hole = next(_holes(g.adj, comp, 5), None)
     if hole is None:
         raise StructureAssertionError("non-bipartite triangle-free component has no five-hole")
-    classes = [0] * 5
-    for x in bits_of(comp):
-        hits = frozenset(j for j in range(5) if g.has_edge(x, hole[j]) or x == hole[j])
-        placed = False
-        for j in range(5):
-            if x == hole[j] or hits == frozenset(((j - 1) % 5, (j + 1) % 5)):
-                classes[j] |= 1 << x
-                placed = True
-                break
-        if not placed:
+    classes = [1 << v for v in hole]
+    for x in bits_of(comp & ~sum(classes)):
+        sees = _pattern_of(g.adj[x], hole)
+        if sees not in _BLOWUP_PATTERNS:
             raise StructureAssertionError(f"vertex {x} does not fit the five-hole blow-up")
+        classes[_BLOWUP_PATTERNS.index(sees)] |= 1 << x
     for j in range(5):
         if not is_independent_mask(g.adj, classes[j]):
             raise StructureAssertionError(f"blow-up class {j} is not independent")
@@ -378,9 +385,9 @@ def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple
     return {verts[v]: c for v, c in d_local.items()}, regions
 
 
-def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
+def _finish(g: Graph, pid: str, bound_fn, w: int, cmap: dict[int, int],
             regions: list[tuple[str, int]]) -> tuple[Coloring, BoundCertificate]:
-    w = clique_number(g)
+    """Certify a pipeline's colouring of ``g``, whose clique number is ``w``."""
     bound = bound_fn(w)
     coloring = _certified(g, cmap, bound)
     trace = []
@@ -415,11 +422,9 @@ def _greedy_in_slice(g: Graph, cmap: dict[int, int], vertices: list[int],
     return True
 
 
-def _perfect_exact(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]] | None:
-    """An optimal colouring of a perfect piece, which needs only omega
-    colours; None if the piece is not perfect."""
-    if not is_perfect(h):
-        return None
+def _perfect_exact(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
+    """An optimal colouring of a leaf its pipeline has shown perfect, which
+    needs only omega colours."""
     full = (1 << h.n) - 1
     return _perfect_map(h, full), [("perfect-exact", full)]
 
@@ -446,16 +451,17 @@ def _assert_lemmas(*violations: list[str]) -> None:
 
 
 def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    exact = _perfect_exact(h)
-    if exact is not None:
-        return exact
+    """A cutset-free leaf with no induced P5, hence no odd hole on seven or
+    more vertices, is perfect iff it has no five-hole and no big odd antihole."""
+    hole = find_five_hole(h)
     full = (1 << h.n) - 1
+    if hole is None and not find_all_odd_antiholes(h, 7):
+        return _perfect_exact(h)
     w = clique_number(h)
     if w <= 2:
         # triangle-free members are exactly the three-colourable ones here,
         # which keeps the certificate tight at omega two
         return _triangle_free_map(h, full), [("triangle-free", full)]
-    hole = find_five_hole(h)
     if hole is None:
         return _divisible_map(h, full), [("divisible", full)]
     dec = decompose_five_hole(h, hole)
@@ -517,10 +523,11 @@ def color_p5_k23(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCert
     """
     if not member:
         _require_free(g, [_P5, _K23])
-    if clique_number(g) < 2:
+    w = clique_number(g)
+    if w < 2:
         raise PreconditionError("the certified bound needs omega at least two")
     cmap, regions = _components_shared_palette(g, _p5k23_leaf)
-    return _finish(g, "p5-k23", bound_p5_k23, cmap, regions)
+    return _finish(g, "p5-k23", bound_p5_k23, w, cmap, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +596,7 @@ def color_p5_k1_2k2(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundC
                 rest &= ~mine
             if rest:
                 raise StructureAssertionError("the dominating clique failed to cover the graph")
-    return _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, cmap, regions)
+    return _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, w, cmap, regions)
 
 
 def _order_p3(g: Graph, triple: list[int]) -> list[int]:
@@ -618,13 +625,15 @@ def _wagon_piece(g: Graph, piece_mask: int, owned: int, offset: int, w: int,
 
 
 def _p5k1k1k3_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    exact = _perfect_exact(h)
-    if exact is not None:
-        return exact
+    """A cutset-free leaf with no induced P5, hence no odd hole on seven or
+    more vertices, is perfect iff it has no five-hole and no big odd antihole."""
     hole = find_five_hole(h)
     if hole is not None:
         return _p5k1k1k3_hole(h, hole)
-    return _p5k1k1k3_antihole(h)
+    orders = find_all_odd_antiholes(h, 7)
+    if orders:
+        return _p5k1k1k3_antihole(h, orders[0])
+    return _perfect_exact(h)
 
 
 def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], list[tuple[str, int]]]:
@@ -673,35 +682,31 @@ def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], lis
     return cmap, regions
 
 
-def _p5k1k1k3_antihole(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    orders = find_all_odd_antiholes(h, 7)
-    if not orders:
-        raise SearchExhaustedError("imperfect five-hole-free piece has no big odd antihole")
-    order = orders[0]
+def _p5k1k1k3_antihole(h: Graph,
+                       order: tuple[int, ...]) -> tuple[dict[int, int], list[tuple[str, int]]]:
     _assert_lemmas(_antihole_violations(h, order))
     half = (len(order) + 1) // 2
-    s_set, _, buckets = antihole_neighborhood_split(h, order)
+    s_mask, _, buckets = antihole_neighborhood_split(h, order)
     a_mask = sum(1 << v for v in order)
     chi, cmap = _optimal_map(h, a_mask)
     if chi != half:
         raise StructureAssertionError("odd antihole coloured away from half its length")
     regions = [("antihole-exact", a_mask)]
     offset = chi
-    if s_set:
+    if s_mask:
         if clique_number(h) < half:
             raise StructureAssertionError("full attachment without clique-number headroom")
-        inner = _k1uk3_map(h, s_set.mask)
+        inner = _k1uk3_map(h, s_mask)
         for v, c in inner.items():
             cmap[v] = offset + c
         offset += max(inner.values()) + 1
-        regions.append(("full-attachment", s_set.mask))
+        regions.append(("full-attachment", s_mask))
     for i, bucket in enumerate(buckets):
         if not bucket:
             continue
-        for v in bucket:
-            cmap[v] = offset
+        cmap.update(dict.fromkeys(bits_of(bucket), offset))
         offset += 1
-        regions.append((f"antihole-bucket-{i + 1}", bucket.mask))
+        regions.append((f"antihole-bucket-{i + 1}", bucket))
     return cmap, regions
 
 
@@ -717,4 +722,4 @@ def color_p5_k1_k1k3(g: Graph, *, member: bool = False) -> tuple[Coloring, Bound
     if not member:
         _require_free(g, [_P5, _K1_K1UK3])
     cmap, regions = _components_shared_palette(g, _p5k1k1k3_leaf)
-    return _finish(g, "p5-k1-k1uk3", bound_p5_k1_k1k3, cmap, regions)
+    return _finish(g, "p5-k1-k1uk3", bound_p5_k1_k1k3, clique_number(g), cmap, regions)

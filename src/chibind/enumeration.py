@@ -184,15 +184,6 @@ def canonical_form(g: Graph) -> Graph:
 _GEN_CACHE: dict[tuple, list[tuple[int, ...]]] = {}
 
 
-def _sub_images(m: int, gen: tuple[int, ...]) -> list[int]:
-    """Image of every vertex subset of an ``m``-vertex graph under ``gen``."""
-    img = [0] * (1 << m)
-    for s in range(1, 1 << m):
-        low = s & -s
-        img[s] = img[s ^ low] | 1 << gen[low.bit_length() - 1]
-    return img
-
-
 def _pattern_cache_key(free_graphs: tuple[Graph, ...]) -> tuple:
     return tuple(sorted(canonical_key(pg) for pg in free_graphs))
 
@@ -204,9 +195,6 @@ def _representatives(n: int, free_graphs: tuple[Graph, ...]) -> list[tuple[int, 
         return cached
     if n == 0:
         out = [()]
-    elif n == 1:
-        g1 = Graph(1, (0,))
-        out = [(0,)] if is_free(g1, free_graphs) else []
     else:
         parents = _representatives(n - 1, free_graphs)
         m = n - 1
@@ -220,11 +208,11 @@ def _representatives(n: int, free_graphs: tuple[Graph, ...]) -> list[tuple[int, 
             done = bytearray(1 << m)
             for pg in free_graphs:
                 mark_forbidden_traces(padj, m, pg, done)
-            images = [_sub_images(m, gen) for gen in _canon(m, padj)[2]]
+            gens = _canon(m, padj)[2]
             # keep a child only if its new vertex has maximum degree there (a
             # parent vertex of degree top ends at top + 1 if sub holds it);
             # automorphisms keep degrees, so orbit mates fail together
-            top = max(row.bit_count() for row in padj)
+            top = max((row.bit_count() for row in padj), default=0)
             hubs = sum(1 << v for v in range(m) if padj[v].bit_count() == top)
             for sub in range(1 << m):
                 if done[sub]:
@@ -232,12 +220,14 @@ def _representatives(n: int, free_graphs: tuple[Graph, ...]) -> list[tuple[int, 
                 size = sub.bit_count()
                 if size < top or size == top and sub & hubs:
                     continue
-                if images:
+                if gens:
                     stack = [sub]
                     while stack:
                         s = stack.pop()
-                        for img in images:
-                            t = img[s]
+                        for gen in gens:
+                            t = 0
+                            for v in bits_of(s):
+                                t |= 1 << gen[v]
                             if not done[t]:
                                 done[t] = 1
                                 stack.append(t)

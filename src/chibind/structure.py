@@ -43,7 +43,6 @@ from .graphs import (
     bits_of,
     complement,
     components_masks,
-    distances_from,
     induced,
     is_clique_mask,
     is_connected,
@@ -69,6 +68,8 @@ def _pattern_of(row: int, hole: tuple[int, ...]) -> int:
     return (row >> a & 1 | (row >> b & 1) << 1 | (row >> c & 1) << 2
             | (row >> d & 1) << 3 | (row >> e & 1) << 4)
 
+
+_K1UK3 = pattern("K1uK3")
 
 # the pattern pairs {i,i+1,i+3} and {i,i+1,i+2,i+4} of a bad pair
 _BAD_PAIRS = frozenset(frozenset((_pattern(i, i + 1, i + 3), _pattern(i, i + 1, i + 2, i + 4)))
@@ -291,10 +292,9 @@ def _has_triangle(g: Graph, mask: int) -> bool:
 def check_k1uk3_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Class facts of hosts free of P5 and of the join of a vertex to K1+K3."""
     out = []
-    k1uk3 = pattern("K1uK3")
     for i in range(1, 6):
         vi = dec.hole_vertex(i)
-        if not is_free(induced(g, g.neighbors(vi)), [k1uk3]):
+        if not is_free(induced(g, g.neighbors(vi)), [_K1UK3]):
             out.append(f"neighbourhood of hole vertex v{i} induces K1uK3")
         if _has_triangle(g, dec.neighbor_class(i, i + 2)):
             out.append(f"class {{{i},{i + 2}}} induces a triangle")
@@ -371,53 +371,43 @@ def find_all_odd_antiholes(g: Graph, min_length: int = 7) -> list[tuple[int, ...
     return out
 
 
-def antihole_neighborhood_split(
-    g: Graph, order: tuple[int, ...]
-) -> tuple[VertexSet, VertexSet, tuple[VertexSet, ...]]:
-    """Split the neighbourhood of an odd antihole into the fully attached part
-    ``S`` and the partially attached part ``T``, with ``T`` bucketed by the
-    first position whose vertex is missed while the next and the third-next
-    are hit.  Every partially attached vertex must land in a bucket.
+def antihole_neighborhood_split(g: Graph, order: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """Split the neighbourhood of an odd antihole into the masks of the fully
+    attached part ``S`` and the partially attached part ``T``, with ``T``
+    bucketed by the first position whose vertex is missed while the next and
+    the third-next are hit.  Every partially attached vertex must land in a
+    bucket.
     """
-    n = g.n
     h = len(order)
-    a_mask = 0
-    for v in order:
-        a_mask |= 1 << v
+    a_mask = sum(1 << v for v in order)
     nbrs = neighborhood_mask(g.adj, a_mask)
-    s_mask = 0
-    for x in bits_of(nbrs):
-        if g.adj[x] & a_mask == a_mask:
-            s_mask |= 1 << x
-    t_mask = nbrs & ~s_mask
-    buckets = [0] * h
-    for x in bits_of(t_mask):
-        for i in range(h):
-            vi = order[i]
-            vi1 = order[(i + 1) % h]
-            vi3 = order[(i + 3) % h]
-            if not g.has_edge(x, vi) and g.has_edge(x, vi1) and g.has_edge(x, vi3):
-                buckets[i] |= 1 << x
-                break
-        else:
-            raise StructureAssertionError(f"partially attached vertex {x} fits no antihole bucket")
-    return (VertexSet(s_mask, n), VertexSet(t_mask, n),
-            tuple(VertexSet(m, n) for m in buckets))
+    s_mask = sum(1 << x for x in bits_of(nbrs) if g.adj[x] & a_mask == a_mask)
+    left = t_mask = nbrs & ~s_mask
+    buckets = []
+    for i in range(h):
+        fits = left & ~g.adj[order[i]] & g.adj[order[(i + 1) % h]] & g.adj[order[(i + 3) % h]]
+        buckets.append(fits)
+        left &= ~fits
+    if left:
+        x = (left & -left).bit_length() - 1
+        raise StructureAssertionError(f"partially attached vertex {x} fits no antihole bucket")
+    return s_mask, t_mask, tuple(buckets)
 
 
 def _antihole_violations(g: Graph, order: tuple[int, ...]) -> list[str]:
     """The facts of ``check_antihole_lemma`` around one odd antihole."""
     try:
-        s, _, buckets = antihole_neighborhood_split(g, order)
+        s, t, buckets = antihole_neighborhood_split(g, order)
     except StructureAssertionError as exc:
         return [str(exc)]
     out = []
-    if not is_free(induced(g, s), [pattern("K1uK3")]):
+    if not is_free(induced(g, VertexSet(s, g.n)), [_K1UK3]):
         out.append("fully attached antihole neighbourhood induces K1uK3")
     for i, bucket in enumerate(buckets, start=1):
-        if not is_independent_mask(g.adj, bucket.mask):
+        if not is_independent_mask(g.adj, bucket):
             out.append(f"antihole bucket {i} is not independent")
-    if 2 in distances_from(g, VertexSet.of(order, g.n)):
+    # S and T make up N(A), so what lies at distance two is N(N(A)) less A
+    if neighborhood_mask(g.adj, s | t) & ~sum(1 << v for v in order):
         out.append("a vertex sits at distance two from an odd antihole")
     return out
 

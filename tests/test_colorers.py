@@ -76,6 +76,31 @@ def test_sumner_rejects_triangles():
         color_sumner(complete_graph(3))
 
 
+def c5_with(n, extra):
+    """The five-cycle 0..4 on ``n`` vertices, plus the ``extra`` edges."""
+    return from_edge_list(n, [(i, (i + 1) % 5) for i in range(5)] + extra)
+
+
+# negative controls: hosts outside the class, each failing one step of the
+# triangle-free structure proof
+@pytest.mark.parametrize("g, text", [
+    (cycle_graph(7), "non-bipartite triangle-free component has no five-hole"),
+    (c5_with(6, [(5, 0)]), "vertex 5 does not fit the five-hole blow-up"),
+    (c5_with(7, [(5, 1), (5, 4), (6, 1), (6, 4), (5, 6)]), "blow-up class 0 is not independent"),
+    (c5_with(7, [(5, 1), (5, 4), (6, 0), (6, 2)]),
+     "blow-up class 0 not complete to its successor"),
+    (c5_with(7, [(5, 1), (5, 4), (6, 1), (6, 3), (5, 6)]),
+     "blow-up class 0 not anticomplete to distance two"),
+])
+def test_sumner_structure_proof_failures_are_named(g, text):
+    with pytest.raises(StructureAssertionError) as exc:
+        color_sumner(g, member=True)
+    assert str(exc.value) == text
+    with pytest.raises(PreconditionError) as exc:
+        color_sumner(g)
+    assert str(exc.value) == "input induces P5 or K3"
+
+
 def test_k1uk3_colorer_examples():
     col = color_k1_union_k3_free(complete_graph(3))
     assert col.used() == 3  # bound 3*3-3 = 6
@@ -299,26 +324,34 @@ def test_sumner_exhaustive_to_seven(p5_k3_free_9):
 
 
 # branch witnesses past the exhaustive pins at n <= 7: the only graph at n = 10
-# whose p5-k1-k1uk3 trace holds level-three-reuse, and a p5-k23 member whose
-# trace holds level-two-reuse; the digests are of the sorted-key JSON payloads
-BRANCH_WITNESSES_AT_TEN = {
+# whose p5-k1-k1uk3 trace holds level-three-reuse, a p5-k23 member at n = 10
+# whose trace holds level-two-reuse, and the least members (both at n = 8)
+# whose p5-k1-k1uk3 antihole traces hold full-attachment and a bucket; the
+# digests are of the sorted-key JSON payloads
+BRANCH_WITNESSES_PAST_SEVEN = {
     ("Io?Ggp~^o", "p5-k1-k1uk3"): (
-        "645122ec64d9cad965fceb50f88574fd3ee7c54bc3635f8979c12bf0e8d6b6b1",
+        10, "645122ec64d9cad965fceb50f88574fd3ee7c54bc3635f8979c12bf0e8d6b6b1",
         ["all-five-class"] + [f"distance-two-class-{i}" for i in range(1, 6)]
         + [f"independent-union-{i}" for i in range(1, 6)]
         + ["level-two-reuse", "level-three-reuse", "hole-reuse"]),
     ("I@dlI|^{w", "p5-k23"): (
-        "ecdfb576ca885e6e265f99446858e9b476fb658756eae4086323362ea6cd2ec0",
+        10, "ecdfb576ca885e6e265f99446858e9b476fb658756eae4086323362ea6cd2ec0",
         ["triple-classes-a", "triple-classes-b", "triple-classes-c", "all-five-class"]
         + [f"clique-group-{i}" for i in range(1, 6)] + ["hole-reuse", "level-two-reuse"]),
+    ("GLvnf{", "p5-k1-k1uk3"): (
+        8, "8e4ba7ebcba4d6eaa9f0f0fa5b6612894bcdda0713845d497923f2783de6f606",
+        ["antihole-exact", "full-attachment"]),
+    ("G@Vnno", "p5-k1-k1uk3"): (
+        8, "ef99a768ddbbb06f0cc255aa21e26f82d307552b94026978840334febbb084d0",
+        ["antihole-exact", "antihole-bucket-3"]),
 }
 
 
-@pytest.mark.parametrize("g6, pipeline", sorted(BRANCH_WITNESSES_AT_TEN))
-def test_branch_witnesses_at_ten_are_pinned(g6, pipeline):
-    digest, steps = BRANCH_WITNESSES_AT_TEN[g6, pipeline]
+@pytest.mark.parametrize("g6, pipeline", sorted(BRANCH_WITNESSES_PAST_SEVEN))
+def test_branch_witnesses_past_seven_are_pinned(g6, pipeline):
+    n, digest, steps = BRANCH_WITNESSES_PAST_SEVEN[g6, pipeline]
     payload = color_one(decode_graph6(g6), pipeline)
-    assert payload["n"] == 10
+    assert payload["n"] == n
     assert [s["step"] for s in payload["trace"]] == steps
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
 
@@ -371,3 +404,27 @@ def test_a_non_member_passed_as_a_member_is_never_miscoloured(colorer, all_graph
         assert is_proper_coloring(g, coloring)
         outcomes.add("coloured")
     assert {"coloured", "assertion"} <= outcomes
+
+
+@pytest.mark.parametrize("pipeline, free_of", [
+    (color_p5_k23, ["P5", "K2,3"]),
+    (color_p5_k1_2k2, ["P5", "K1+2K2"]),
+    (color_p5_k1_k1k3, ["P5", "K1+(K1uK3)"]),
+])
+def test_pipelines_measure_the_host_clique_number_once(pipeline, free_of, monkeypatch):
+    """Each pipeline takes omega of the whole host once and hands it to
+    ``_finish``; the leaves measure their own induced copies."""
+    hosts = []
+    measure = colorers.clique_number
+
+    def counting(h):
+        hosts.append(h)
+        return measure(h)
+
+    monkeypatch.setattr(colorers, "clique_number", counting)
+    members = [g for g in map(decode_graph6, ("Ehfw", "FUzro", "GLvnf{", "I@dlI|^{w", "Io?Ggp~^o"))
+               if is_free(g, free_of)]
+    assert len(members) >= 4
+    for g in members:
+        pipeline(g, member=True)
+        assert sum(h is g for h in hosts) == 1

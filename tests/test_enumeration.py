@@ -261,9 +261,10 @@ def test_generation_canonicalises_only_children_with_a_maximum_degree_new_vertex
     monkeypatch.setattr(enumeration, "_canon", recording)
     representatives(8, free)
     # the patterns are canonicalised for the cache key; the parents are
-    # canonical forms, which refinement ends with a vertex of maximum degree
+    # canonical forms, which refinement ends with a vertex of maximum degree,
+    # except the empty parent of n = 1, which has no vertex
     patterns = {pg.adj for pg in free}
-    children = [adj for adj in calls if adj not in patterns]
+    children = [adj for adj in calls if adj and adj not in patterns]
     assert max(map(len, children)) == 8
     for adj in children:
         assert adj[-1].bit_count() == max(row.bit_count() for row in adj), adj

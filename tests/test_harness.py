@@ -462,6 +462,7 @@ def test_suite_script_runs_every_target(tmp_path, monkeypatch):
     first = json.loads(suite.OUT.read_text())["first"]
     assert set(first["targets"]) == set(TARGETS)
     assert all(t["violations"] == 0 for t in first["targets"].values())
+    assert isinstance(first["peak_rss_mb"], float) and first["peak_rss_mb"] > 0
     for name, (free_of, _) in suite.classes().items():
         expected = {} if free_of is None else {
             str(n): len(representatives(n, free_of)) for n in range(1, 6)}

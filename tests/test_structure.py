@@ -474,7 +474,7 @@ def test_antihole_machinery():
     # add one fully attached vertex
     g = from_edge_list(8, list(c7bar.edges()) + [(7, i) for i in range(7)])
     s, t, _ = antihole_neighborhood_split(g, (0, 1, 2, 3, 4, 5, 6))
-    assert s.members() == (7,) and not t
+    assert s == 1 << 7 and not t
     if is_free(g, ["P5", "K1+(K1uK3)"]) and find_five_hole(g) is None:
         assert check_antihole_lemma(g) == []
 
@@ -526,6 +526,18 @@ def test_antihole_checker_fires_on_distance_two():
     edges = list(c7bar.edges()) + [(7, i) for i in range(7)] + [(8, 7)]
     g = from_edge_list(9, edges)
     assert any("distance two" in v for v in check_antihole_lemma(g))
+
+
+@pytest.mark.parametrize("n, extra, text", [
+    (8, [(7, 0)], "partially attached vertex 7 fits no antihole bucket"),
+    (9, [(7, 1), (7, 3), (8, 7)], "a vertex sits at distance two from an odd antihole"),
+    (9, [(7, 1), (7, 3), (8, 1), (8, 3), (7, 8)], "antihole bucket 1 is not independent"),
+    (11, [(v, i) for v in range(7, 11) for i in range(7)] + [(8, 9), (8, 10), (9, 10)],
+     "fully attached antihole neighbourhood induces K1uK3"),
+])
+def test_antihole_checker_names_each_failed_fact(n, extra, text):
+    g = from_edge_list(n, list(complement(cycle_graph(7)).edges()) + extra)
+    assert check_antihole_lemma(g) == [text]
 
 
 def test_level_checker_fires_on_third_level():
