@@ -261,10 +261,7 @@ def _k1uk3_map(g: Graph, mask: int) -> dict[int, int]:
     triangle-free, and its neighbourhood recurses with a smaller clique number."""
     cmap: dict[int, int] = {}
     for comp in components_masks(g.adj, mask):
-        if is_independent_mask(g.adj, comp):
-            cmap.update(dict.fromkeys(bits_of(comp), 0))
-            continue
-        if clique_number_mask(g.adj, comp) <= 2:
+        if next(cliques(g.adj, comp, 3), None) is None:
             cmap.update(_triangle_free_map(g, comp))
             continue
         v = max(bits_of(comp), key=lambda x: ((g.adj[x] & comp).bit_count(), -x))
@@ -377,17 +374,18 @@ def _color_with_cutsets(g: Graph, mask: int, seps: list[int],
 
 
 def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    """Run a cutset-free leaf on the induced copy of ``G[mask]`` and lift its
-    colour map and regions back to the host."""
+    """Run a cutset-free leaf on the induced copy of ``G[mask]`` (the host when
+    ``mask`` covers it) and lift its colour map and regions back to the host."""
     verts = list(bits_of(mask))
     d_local, r_local = leaf(induced(g, VertexSet(mask, g.n)))
     regions = [(name, sum(1 << verts[i] for i in bits_of(m))) for name, m in r_local]
     return {verts[v]: c for v, c in d_local.items()}, regions
 
 
-def _finish(g: Graph, pid: str, bound_fn, w: int, cmap: dict[int, int],
+def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
             regions: list[tuple[str, int]]) -> tuple[Coloring, BoundCertificate]:
-    """Certify a pipeline's colouring of ``g``, whose clique number is ``w``."""
+    """Certify a pipeline's colouring of ``g``."""
+    w = clique_number(g)
     bound = bound_fn(w)
     coloring = _certified(g, cmap, bound)
     trace = []
@@ -429,11 +427,11 @@ def _perfect_exact(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     return _perfect_map(h, full), [("perfect-exact", full)]
 
 
-def _divisible_map(h: Graph, mask: int) -> dict[int, int]:
+def _divisible_map(h: Graph, mask: int, w: int) -> dict[int, int]:
     """The peeled colouring of a part the proof makes perfectly divisible
     (lemma 2.4 for independence number two, theorem 1.1 for a five-hole-free
     leaf), where a round without a division is a bug."""
-    cmap = _peeled_map(h, mask)
+    cmap = _peeled_map(h, mask, w)
     if cmap is None:
         raise StructureAssertionError("a perfectly divisible piece has no perfect division")
     return cmap
@@ -463,7 +461,7 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
         # which keeps the certificate tight at omega two
         return _triangle_free_map(h, full), [("triangle-free", full)]
     if hole is None:
-        return _divisible_map(h, full), [("divisible", full)]
+        return _divisible_map(h, full, w), [("divisible", full)]
     dec = decompose_five_hole(h, hole)
     _assert_lemmas(check_p5_hole_lemma(h, dec), check_k23_hole_lemma(h, dec),
                    check_k23_level_lemma(h, dec))
@@ -478,7 +476,7 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     )
     for idx, (name, vs) in enumerate(pieces):
         base = idx * piece_budget
-        piece = _divisible_map(h, vs)
+        piece = _divisible_map(h, vs, clique_number_mask(h.adj, vs))
         if len(set(piece.values())) > piece_budget:
             raise StructureAssertionError(f"{name} exceeded its palette budget")
         for v, c in piece.items():
@@ -503,8 +501,9 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     # a full-clique component attaches only through the all-five class, so it
     # may also reuse the clique-group colours
     for comp in components_masks(h.adj, dec.level(2)):
-        piece = _divisible_map(h, comp)
-        donor = triple_donor if clique_number_mask(h.adj, comp) < w else wide_donor
+        comp_w = clique_number_mask(h.adj, comp)
+        piece = _divisible_map(h, comp, comp_w)
+        donor = triple_donor if comp_w < w else wide_donor
         if len(set(piece.values())) > len(donor):
             raise StructureAssertionError("a level-two component exceeded its donor slice")
         for v, c in piece.items():
@@ -523,11 +522,10 @@ def color_p5_k23(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCert
     """
     if not member:
         _require_free(g, [_P5, _K23])
-    w = clique_number(g)
-    if w < 2:
+    if clique_number(g) < 2:
         raise PreconditionError("the certified bound needs omega at least two")
     cmap, regions = _components_shared_palette(g, _p5k23_leaf)
-    return _finish(g, "p5-k23", bound_p5_k23, w, cmap, regions)
+    return _finish(g, "p5-k23", bound_p5_k23, cmap, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +594,7 @@ def color_p5_k1_2k2(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundC
                 rest &= ~mine
             if rest:
                 raise StructureAssertionError("the dominating clique failed to cover the graph")
-    return _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, w, cmap, regions)
+    return _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, cmap, regions)
 
 
 def _order_p3(g: Graph, triple: list[int]) -> list[int]:
@@ -688,7 +686,7 @@ def _p5k1k1k3_antihole(h: Graph,
     half = (len(order) + 1) // 2
     s_mask, _, buckets = antihole_neighborhood_split(h, order)
     a_mask = sum(1 << v for v in order)
-    chi, cmap = _optimal_map(h, a_mask)
+    chi, _, cmap = _optimal_map(h, a_mask)
     if chi != half:
         raise StructureAssertionError("odd antihole coloured away from half its length")
     regions = [("antihole-exact", a_mask)]
@@ -722,4 +720,4 @@ def color_p5_k1_k1k3(g: Graph, *, member: bool = False) -> tuple[Coloring, Bound
     if not member:
         _require_free(g, [_P5, _K1_K1UK3])
     cmap, regions = _components_shared_palette(g, _p5k1k1k3_leaf)
-    return _finish(g, "p5-k1-k1uk3", bound_p5_k1_k1k3, clique_number(g), cmap, regions)
+    return _finish(g, "p5-k1-k1uk3", bound_p5_k1_k1k3, cmap, regions)

@@ -246,6 +246,8 @@ def _representatives(n: int, free_graphs: tuple[Graph, ...]) -> list[tuple[int, 
 
 
 def _check_generation_size(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise PreconditionError(f"vertex count must be an int, not {n!r}")
     if n < 0:
         raise PreconditionError(f"vertex count {n} is negative")
     if n > GENERATION_CAP:

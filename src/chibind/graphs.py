@@ -1,8 +1,8 @@
 """Immutable bitmask graphs on at most 64 vertices and the basic constructions.
 
 A graph stores one adjacency word per vertex, so every subset of vertices fits
-in a single machine word and subset-indexed dynamic programs stay cheap.  All
-operations return new objects; nothing here mutates its inputs.
+in a single machine word and subset-indexed dynamic programs stay cheap.  A
+graph never changes after construction; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -108,12 +108,20 @@ class Graph:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise GraphError(f"vertex count must be an int, not {self.n!r}")
         if not 0 <= self.n <= MAX_VERTICES:
             raise CapacityError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        try:
+            object.__setattr__(self, "adj", tuple(self.adj))
+        except TypeError:
+            raise GraphError(f"adjacency rows must be iterable, not {self.adj!r}") from None
         if len(self.adj) != self.n:
             raise GraphError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
+            if not isinstance(row, int) or isinstance(row, bool):
+                raise GraphError(f"adjacency row {v} must be an int, not {row!r}")
             if row < 0 or row & ~full:
                 raise GraphError(f"adjacency row {v} has bits outside the vertex range")
             if row >> v & 1:
@@ -203,8 +211,10 @@ def _bind(g: Graph, s: VertexSet) -> int:
 
 
 def induced(g: Graph, s: VertexSet) -> Graph:
-    """Induced subgraph on ``s``, relabelled by ascending original index."""
+    """Induced subgraph on ``s``, relabelled by ascending original index (``g`` if ``s`` is all)."""
     mask = _bind(g, s)
+    if mask == (1 << g.n) - 1:
+        return g
     old = list(bits_of(mask))
     pos = {v: i for i, v in enumerate(old)}
     rows = []

@@ -430,8 +430,16 @@ def _colored(g: Graph, pipeline: str, member: bool) -> tuple[Coloring, BoundCert
                    f"{sorted(PIPELINES) + sorted(SUB_COLORERS)}")
 
 
+def _require_graph(g: Graph) -> None:
+    if not isinstance(g, Graph):
+        raise PreconditionError(f"expected a Graph, not {g!r}")
+
+
 def color_one(g: Graph, pipeline: str) -> dict:
     """Colour one graph through a pipeline; raises on precondition failure."""
+    _require_graph(g)
+    if not isinstance(pipeline, str):
+        raise PreconditionError(f"pipeline must be a str, not {pipeline!r}")
     coloring, cert = _colored(g, pipeline, member=False)
     if cert is None:
         w = clique_number(g)
@@ -450,6 +458,7 @@ def color_one(g: Graph, pipeline: str) -> dict:
 
 def analyze_one(g: Graph) -> dict:
     """Structural profile: invariants, searches, cutsets, and divisibility."""
+    _require_graph(g)
     chi, _ = chromatic_number(g)
     hole = find_odd_hole(g)
     antihole = find_odd_antihole(g)

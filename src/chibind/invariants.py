@@ -6,7 +6,9 @@ over the subsets of a vertex set, capped at 16 vertices; it serves
 :func:`find_perfect_division` and every peeling round of
 :func:`chi_bound_divisible`.  Only the divisibility dynamic program of
 :func:`is_perfectly_divisible` builds the subset-indexed ``omega_table`` and
-``perfection_table``, and it is capped at 13 vertices.
+``perfection_table``, and it is capped at 13 vertices.  :func:`clique_number`
+keeps omega on the graph after its one search, which every layer then shares;
+a ``Graph`` never changes, so the kept value cannot go stale.
 """
 
 from __future__ import annotations
@@ -86,7 +88,10 @@ def clique_number_mask(adj: tuple[int, ...], sub: int) -> int:
 
 
 def clique_number(g: Graph) -> int:
-    return clique_number_mask(g.adj, (1 << g.n) - 1)
+    """The clique number, searched once per graph and kept on it; graphs are immutable."""
+    if "_omega" not in g.__dict__:
+        object.__setattr__(g, "_omega", clique_number_mask(g.adj, (1 << g.n) - 1))
+    return g._omega
 
 
 def independence_number(g: Graph) -> int:
@@ -148,8 +153,6 @@ def _solve_k_coloring(g: Graph, k: int) -> Coloring | None:
 
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     """Exact chromatic number with a deterministic optimal colouring."""
-    if g.n == 0:
-        return 0, Coloring((), 0)
     for k in range(clique_number(g), g.n + 1):
         coloring = _solve_k_coloring(g, k)
         if coloring is not None:
@@ -181,14 +184,14 @@ def perfection_table(adj: tuple[int, ...], comp_adj: tuple[int, ...], n: int) ->
     return [not b for b in imperfect]
 
 
-def _first_division(adj: tuple[int, ...], comp_adj: tuple[int, ...], mask: int) -> int | None:
+def _first_division(adj: tuple[int, ...], comp_adj: tuple[int, ...], mask: int,
+                    w: int) -> int | None:
     """Perfect side ``A`` of the first division of ``G[mask]``, or None: the
     first ``A`` by ascending popcount, then mask (Gosper's hack over the
-    compressed index of ``mask``) whose rest holds no ``omega(G[mask])``-clique
-    and whose two views have no odd hole.  The empty ``A`` never qualifies."""
+    compressed index of ``mask``) whose rest holds no ``w = omega(G[mask])``
+    clique and whose two views have no odd hole.  The empty ``A`` never qualifies."""
     verts = list(bits_of(mask))
     m = len(verts)
-    w = clique_number_mask(adj, mask)
     for k in range(1, m + 1):
         x = (1 << k) - 1
         while x >> m == 0:
@@ -233,7 +236,7 @@ def find_perfect_division(g: Graph) -> PerfectDivision | None:
     """
     _check_division_cap(g.n)
     full = (1 << g.n) - 1
-    a = _first_division(g.adj, complement(g).adj, full)
+    a = _first_division(g.adj, complement(g).adj, full, clique_number(g))
     if a is None:
         return None
     return PerfectDivision(VertexSet(a, g.n), VertexSet(full & ~a, g.n),
@@ -259,7 +262,7 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
     every round finds a division, and a round without one raises
     ``PreconditionError``.
     """
-    cmap = _peeled_map(g, (1 << g.n) - 1)
+    cmap = _peeled_map(g, (1 << g.n) - 1, clique_number(g))
     if cmap is None:
         raise PreconditionError("input graph is not perfectly divisible")
     colors = tuple(cmap[v] for v in range(g.n))
@@ -268,46 +271,41 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
 
 
 def _optimal_map(g: Graph, mask: int) -> tuple[int, dict[int, int]]:
-    """The chromatic number of ``G[mask]`` and an optimal colouring of it
-    keyed by host vertex; the host is coloured itself when ``mask`` covers
-    it, so only a proper part is copied."""
-    part = g if mask == (1 << g.n) - 1 else induced(g, VertexSet(mask, g.n))
+    """The chromatic number of ``G[mask]``, its clique number and an optimal
+    colouring of it keyed by host vertex."""
+    part = induced(g, VertexSet(mask, g.n))
     chi, coloring = chromatic_number(part)
-    return chi, dict(zip(bits_of(mask), coloring.colors))
+    return chi, clique_number(part), dict(zip(bits_of(mask), coloring.colors))
 
 
 def _perfect_map(g: Graph, mask: int) -> dict[int, int]:
     """An optimal colouring of the perfect set ``mask``, asserted to use
     omega colours."""
-    chi, cmap = _optimal_map(g, mask)
-    if chi != clique_number_mask(g.adj, mask):
+    chi, w, cmap = _optimal_map(g, mask)
+    if chi != w:
         raise StructureAssertionError("perfect set coloured above its clique number")
     return cmap
 
 
-def _peeled_map(g: Graph, mask: int) -> dict[int, int] | None:
-    """The colouring of :func:`chi_bound_divisible` of ``G[mask]``, keyed by
-    host vertex, or None when a round finds no division."""
-    if not mask:
-        return {}
+def _peeled_map(g: Graph, mask: int, w: int) -> dict[int, int] | None:
+    """The colouring of :func:`chi_bound_divisible` of ``G[mask]`` (clique number
+    ``w``), keyed by host vertex, or None when a round finds no division."""
     _check_division_cap(mask.bit_count())
     comp_adj = complement(g).adj
-    w_top = clique_number_mask(g.adj, mask)
+    w_top = w
     cmap: dict[int, int] = {}
     offset = 0
-    prev_omega = w_top + 1
     while mask:
-        w = clique_number_mask(g.adj, mask)
-        if w >= prev_omega:
-            raise StructureAssertionError("clique number failed to drop between rounds")
-        prev_omega = w
-        a = _first_division(g.adj, comp_adj, mask)
+        a = _first_division(g.adj, comp_adj, mask, w)
         if a is None:
             return None
         for v, c in _perfect_map(g, a).items():
             cmap[v] = offset + c
         offset = max(cmap.values()) + 1
         mask &= ~a
+        prev_omega, w = w, clique_number_mask(g.adj, mask)
+        if w >= prev_omega:
+            raise StructureAssertionError("clique number failed to drop between rounds")
     if offset > comb(w_top + 1, 2):
         raise StructureAssertionError("divisible colouring exceeded its palette budget")
     return cmap

@@ -49,7 +49,7 @@ from .graphs import (
     is_independent_mask,
     neighborhood_mask,
 )
-from .invariants import clique_number_mask, cliques
+from .invariants import clique_number, clique_number_mask, cliques
 from .patterns import _holes, is_free, pattern
 
 
@@ -200,7 +200,6 @@ def is_bad_pair(g: Graph, dec: FiveHoleDecomposition, u: int, v: int) -> bool:
 def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Structure facts of hosts with no induced P5 or K2,3 around a five-hole."""
     out = []
-    n = g.n
     level1 = dec.level(1)
     level2 = dec.level(2)
     hv = dec.hole_vertex
@@ -244,7 +243,7 @@ def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
             out.append(f"non-adjacent non-bad pair {u},{v} shares a level-two neighbour")
     # (e) the five-clique partition
     groups = five_cliques_partition(g, dec)
-    w = clique_number_mask(g.adj, (1 << n) - 1)
+    w = clique_number(g)
     expected = level1 & ~allfive
     for i in range(1, 6):
         expected &= ~dec.neighbor_class(i, i + 1, i + 2)
@@ -269,11 +268,10 @@ def check_k23_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     nothing at level three, small independence per level-two component, and
     full-clique components attach only through the all-five class."""
     out = []
-    n = g.n
     comp_adj = complement(g).adj
     if dec.level(3):
         out.append("level three is nonempty")
-    w = clique_number_mask(g.adj, (1 << n) - 1)
+    w = clique_number(g)
     allfive = dec.neighbor_class(1, 2, 3, 4, 5)
     for comp in components_masks(g.adj, dec.level(2)):
         if clique_number_mask(comp_adj, comp) > 2:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from chibind import colorers, color_one, decode_graph6
+from chibind import colorers, color_one, decode_graph6, invariants, structure
 from chibind.colorers import (
     bound_p5_k1_2k2,
     bound_p5_k1_k1k3,
@@ -412,19 +412,21 @@ def test_a_non_member_passed_as_a_member_is_never_miscoloured(colorer, all_graph
     (color_p5_k1_k1k3, ["P5", "K1+(K1uK3)"]),
 ])
 def test_pipelines_measure_the_host_clique_number_once(pipeline, free_of, monkeypatch):
-    """Each pipeline takes omega of the whole host once and hands it to
-    ``_finish``; the leaves measure their own induced copies."""
-    hosts = []
-    measure = colorers.clique_number
+    """Each pipeline searches the clique number of the whole host once; every
+    later reader, a leaf that is the whole host included, shares it."""
+    searched = []
+    search = invariants.clique_number_mask
 
-    def counting(h):
-        hosts.append(h)
-        return measure(h)
+    def counting(adj, sub):
+        if sub == (1 << len(adj)) - 1:
+            searched.append(adj)
+        return search(adj, sub)
 
-    monkeypatch.setattr(colorers, "clique_number", counting)
+    for module in (invariants, structure, colorers):
+        monkeypatch.setattr(module, "clique_number_mask", counting)
     members = [g for g in map(decode_graph6, ("Ehfw", "FUzro", "GLvnf{", "I@dlI|^{w", "Io?Ggp~^o"))
                if is_free(g, free_of)]
     assert len(members) >= 4
     for g in members:
         pipeline(g, member=True)
-        assert sum(h is g for h in hosts) == 1
+        assert sum(adj is g.adj for adj in searched) == 1

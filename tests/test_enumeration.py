@@ -193,6 +193,16 @@ def test_negative_size_is_rejected(n):
         list(generate(n))
 
 
+@pytest.mark.parametrize("n", [3.5, 3.0, True, "3"])
+def test_non_int_size_is_rejected(n):
+    with pytest.raises(PreconditionError, match="vertex count must be an int"):
+        representatives(n)
+    with pytest.raises(PreconditionError, match="vertex count must be an int"):
+        generate(n)
+    with pytest.raises(PreconditionError, match="vertex count must be an int"):
+        list(GraphStream(n))
+
+
 def _sub_orbits(n: int, perms) -> list[frozenset[int]]:
     """Orbits of vertex subsets under the group generated by ``perms``."""
     seen: set[int] = set()

@@ -66,6 +66,22 @@ def test_graph_validation_rejects_asymmetry():
         Graph(2, (1, 2))  # loop bits
 
 
+def test_graph_keeps_its_own_rows():
+    rows = [2, 1]
+    g = Graph(2, rows)
+    rows[0] = 0
+    assert g.adj == (2, 1) and type(g.adj) is tuple
+    assert hash(g) == hash(Graph(2, (2, 1)))
+
+
+@pytest.mark.parametrize("n, adj", [
+    ("2", ()), (2.0, (0, 0)), (True, (0,)), (False, ()), (None, ()),
+    (2, (2.0, 1)), (2, (2, True)), (2, ("2", 1)), (2, None), (2, 3)])
+def test_graph_validation_rejects_non_int_input(n, adj):
+    with pytest.raises(GraphError):
+        Graph(n, adj)
+
+
 def test_unvalidated_copies_pass_validation(all_graphs_7):
     from chibind.enumeration import canonical_form
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chibind import colorers, enumeration, harness, invariants
+from chibind import colorers, enumeration, harness, invariants, structure
 from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
@@ -17,6 +17,7 @@ from chibind.graphs import (
     complete_graph,
     cycle_graph,
     from_edge_list,
+    induced,
     is_connected,
 )
 from chibind.harness import PIPELINES, SUB_COLORERS, TARGETS, analyze_one, color_one, verify
@@ -109,6 +110,20 @@ def test_verify_rejects_a_non_bool_flag(flag, value):
 def test_verify_rejects_a_source_that_is_not_a_path(source):
     with pytest.raises(PreconditionError, match="source must be"):
         verify("lemma-5.2", n_max=4, source=source)
+
+
+@pytest.mark.parametrize("g", [None, "G", "Ehfw", 5, [0, 1]])
+def test_single_graph_entry_points_reject_a_non_graph(g):
+    with pytest.raises(PreconditionError, match="expected a Graph"):
+        color_one(g, "p5-k23")
+    with pytest.raises(PreconditionError, match="expected a Graph"):
+        analyze_one(g)
+
+
+@pytest.mark.parametrize("pipeline", [["x"], None, 3, ("p5-k23",)])
+def test_color_one_rejects_a_pipeline_that_is_not_a_str(pipeline):
+    with pytest.raises(PreconditionError, match="pipeline must be a str"):
+        color_one(cycle_graph(5), pipeline)
 
 
 def test_verify_rows_for_csv():
@@ -410,7 +425,7 @@ def test_leaves_assert_their_lemmas(pipeline, checker, g6, monkeypatch, capsys):
 
 
 def test_missing_division_inside_p5k23_is_an_assertion(monkeypatch, capsys):
-    monkeypatch.setattr(invariants, "_first_division", lambda adj, comp_adj, mask: None)
+    monkeypatch.setattr(invariants, "_first_division", lambda adj, comp_adj, mask, w: None)
     with pytest.raises(StructureAssertionError, match="no perfect division"):
         color_one(decode_graph6(WITNESS), "p5-k23")
     assert main(["color", "--pipeline", "p5-k23", "--g6", WITNESS]) == 1
@@ -422,6 +437,39 @@ def test_missing_division_inside_p5k23_is_an_assertion(monkeypatch, capsys):
         color_one(decode_graph6(found[1]), "p5-k23")
     # outside the pipeline, a graph without a division is still bad input
     assert main(["color", "--pipeline", "divisible", "--g6", "JhdLA_gc?N_"]) == 2
+
+
+def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch):
+    """The stream's omega test, the bound check, the exact chromatic number,
+    the pipeline with its leaves and the lemma checkers share one
+    whole-graph clique search per checked graph."""
+    searches: dict[int, tuple[tuple[int, ...], int]] = {}
+    search = invariants.clique_number_mask
+
+    def counting(adj, sub):
+        if sub == (1 << len(adj)) - 1:
+            # the searched rows stay referenced, so no id is reused
+            searches[id(adj)] = (adj, searches.get(id(adj), (adj, 0))[1] + 1)
+        return search(adj, sub)
+
+    for module in (invariants, structure, colorers):
+        monkeypatch.setattr(module, "clique_number_mask", counting)
+    checked = []
+    check = harness._checked
+
+    def recording(entry, g):
+        checked.append(g)
+        return check(entry, g)
+
+    monkeypatch.setattr(harness, "_checked", recording)
+    for target in ("theorem-1.2", "theorem-1.3", "theorem-1.4", "lemma-4.1", "lemma-4.2",
+                   "lemma-5.2", "lemma-6.1", "lemma-6.2"):
+        searches.clear()
+        checked.clear()
+        report = verify(target, n_max=7)
+        assert report.graphs_checked == len(checked) > 0
+        assert {searches.get(id(g.adj), ((), 0))[1] for g in checked} == {1}, target
+    assert all(induced(g, g.vertices()) is g for g in checked)
 
 
 # SHA-256 of the color_one payload, or of the rejection, of every graph on at
