@@ -24,16 +24,14 @@ Every public colourer has one shape: its precondition (``_require_free``; for
 then a core that colours a vertex mask of the host, then ``_certified``, which
 asserts that the colouring covers the host, is proper and stays within the
 bound; the pipelines reach ``_certified`` through ``_finish``.  The
-precondition is the only search for forbidden patterns, and the keyword
-``member=True`` skips it: ``verify`` colours only graphs that are in the class
-by construction (generated members, or file lines that passed the class
-filter).  Connectivity and clique-number preconditions, the lemma assertions
-and ``_certified`` still run, so a non-member passed as a member ends in an
-assertion or in a certified colouring, never in a wrong answer.  Pipelines
-colour their pieces through the cores (``_triangle_free_map``, ``_k1uk3_map``,
-``_wagon_map``), never through the public colourers, so a piece is not
-re-checked against a precondition the decomposition already guarantees, and a
-failed assertion inside a pipeline stays an assertion.
+precondition is the only search of the host for forbidden patterns, and it
+always runs.  It reads the patterns the host is already proved free of
+(``Graph._free_of``), so the class members ``verify`` colours, generated ones
+and file lines that passed the class filter, cost a lookup and no search.
+Pipelines colour their pieces through the cores (``_triangle_free_map``,
+``_k1uk3_map``, ``_wagon_map``), never through the public colourers, so a
+piece is not re-checked against a precondition the decomposition already
+guarantees, and a failed assertion inside a pipeline stays an assertion.
 """
 
 from __future__ import annotations
@@ -67,6 +65,7 @@ from .patterns import _holes, find_induced, is_free, pattern
 from .structure import (
     _antihole_violations,
     _clique_separators,
+    _has_triangle,
     _least_clique_cutset,
     _pattern,
     _pattern_of,
@@ -162,14 +161,13 @@ def _triangle_free_shape(g: Graph, comp: int) -> tuple[str, tuple[int, ...]]:
     return "blown-up-five-hole", _blowup_classes(g, comp)
 
 
-def _in_triangle_free_class(g: Graph, core, member: bool = False):
+def _in_triangle_free_class(g: Graph, core):
     """``core`` on the whole host; a failed structure proof is a bug on a
-    member of the class (always so when ``member``) and a precondition
-    failure on anything else."""
+    member of the class and a precondition failure on anything else."""
     try:
         return core(g, (1 << g.n) - 1)
     except StructureAssertionError:
-        if member or is_free(g, [_P5, _K3]):
+        if is_free(g, [_P5, _K3]):
             raise
         raise PreconditionError("input induces P5 or K3") from None
 
@@ -241,14 +239,12 @@ def _triangle_free_map(g: Graph, mask: int) -> dict[int, int]:
     return cmap
 
 
-def color_sumner(g: Graph, *, member: bool = False) -> Coloring:
+def color_sumner(g: Graph) -> Coloring:
     """Three colours for hosts with no induced P5 or K3.
 
     Any graph whose components are bipartite or five-hole blow-ups is accepted.
-    ``member`` vouches that the host is in the class, so a failed structure
-    proof is an assertion without a freeness search.
     """
-    return _certified(g, _in_triangle_free_class(g, _triangle_free_map, member), 3)
+    return _certified(g, _in_triangle_free_class(g, _triangle_free_map), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +257,7 @@ def _k1uk3_map(g: Graph, mask: int) -> dict[int, int]:
     triangle-free, and its neighbourhood recurses with a smaller clique number."""
     cmap: dict[int, int] = {}
     for comp in components_masks(g.adj, mask):
-        if next(cliques(g.adj, comp, 3), None) is None:
+        if not _has_triangle(g, comp):
             cmap.update(_triangle_free_map(g, comp))
             continue
         v = max(bits_of(comp), key=lambda x: ((g.adj[x] & comp).bit_count(), -x))
@@ -274,11 +270,10 @@ def _k1uk3_map(g: Graph, mask: int) -> dict[int, int]:
     return cmap
 
 
-def color_k1_union_k3_free(g: Graph, *, member: bool = False) -> Coloring:
+def color_k1_union_k3_free(g: Graph) -> Coloring:
     """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5
-    or K1uK3; ``member`` vouches for the class and skips the search."""
-    if not member:
-        _require_free(g, [_P5, _K1UK3])
+    or K1uK3."""
+    _require_free(g, [_P5, _K1UK3])
     return _certified(g, _k1uk3_map(g, (1 << g.n) - 1), bound_k1_union_k3(clique_number(g)))
 
 
@@ -310,11 +305,9 @@ def _wagon_map(g: Graph, mask: int, w: int) -> dict[int, int]:
     return cmap
 
 
-def color_wagon_2k2_free(g: Graph, *, member: bool = False) -> Coloring:
-    """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2;
-    ``member`` vouches for the class and skips the search."""
-    if not member:
-        _require_free(g, [_2K2])
+def color_wagon_2k2_free(g: Graph) -> Coloring:
+    """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2."""
+    _require_free(g, [_2K2])
     w = clique_number(g)
     return _certified(g, _wagon_map(g, (1 << g.n) - 1, w), bound_wagon_2k2(w))
 
@@ -512,16 +505,14 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     return cmap, regions
 
 
-def color_p5_k23(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCertificate]:
+def color_p5_k23(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """Colour a host with no induced P5 or K2,3 within ``2*omega^2 - omega - 3``.
 
     Components and clique cutsets split first; cutset-free pieces go through
     the triangle-free structure, perfect divisibility, or the five-hole
-    decomposition with its clique groups and palette reuse.  ``member``
-    vouches for the class and skips the search.
+    decomposition with its clique groups and palette reuse.
     """
-    if not member:
-        _require_free(g, [_P5, _K23])
+    _require_free(g, [_P5, _K23])
     if clique_number(g) < 2:
         raise PreconditionError("the certified bound needs omega at least two")
     cmap, regions = _components_shared_palette(g, _p5k23_leaf)
@@ -532,19 +523,17 @@ def color_p5_k23(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCert
 # pipeline for hosts with no induced P5 or K1+2K2
 
 
-def color_p5_k1_2k2(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCertificate]:
+def color_p5_k1_2k2(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """Colour a connected host with no induced P5 or K1+2K2 within
     ``(3/2)(omega^2 - omega)``, via a dominating clique or three-path.
 
     Each dominator neighbourhood induces no 2K2, so the bucket colourer
     handles it; leftover vertices in the clique branch fall into independent
-    per-clique-vertex classes.  ``member`` vouches for the class and skips
-    the search.
+    per-clique-vertex classes.
     """
     if not is_connected(g):
         raise PreconditionError("the pipeline needs a connected input; split components first")
-    if not member:
-        _require_free(g, [_P5, _K1_2K2])
+    _require_free(g, [_P5, _K1_2K2])
     w = clique_number(g)
     if w < 2:
         raise PreconditionError("the certified bound needs omega at least two")
@@ -682,9 +671,10 @@ def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], lis
 
 def _p5k1k1k3_antihole(h: Graph,
                        order: tuple[int, ...]) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    _assert_lemmas(_antihole_violations(h, order))
+    split = antihole_neighborhood_split(h, order)
+    _assert_lemmas(_antihole_violations(h, order, split))
     half = (len(order) + 1) // 2
-    s_mask, _, buckets = antihole_neighborhood_split(h, order)
+    s_mask, _, buckets = split
     a_mask = sum(1 << v for v in order)
     chi, _, cmap = _optimal_map(h, a_mask)
     if chi != half:
@@ -708,16 +698,14 @@ def _p5k1k1k3_antihole(h: Graph,
     return cmap, regions
 
 
-def color_p5_k1_k1k3(g: Graph, *, member: bool = False) -> tuple[Coloring, BoundCertificate]:
+def color_p5_k1_k1k3(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """Colour a host with no induced P5 or K1+(K1uK3) within ``3*omega + 11``.
 
     Cutset-free pieces are perfect, carry a five-hole whose neighbourhood
     decomposes into a peelable class, fifteen triangle-free colours, and five
     independent unions, or carry a big odd antihole whose neighbourhood splits
-    into a fully attached peelable part and independent buckets.  ``member``
-    vouches for the class and skips the search.
+    into a fully attached peelable part and independent buckets.
     """
-    if not member:
-        _require_free(g, [_P5, _K1_K1UK3])
+    _require_free(g, [_P5, _K1_K1UK3])
     cmap, regions = _components_shared_palette(g, _p5k1k1k3_leaf)
     return _finish(g, "p5-k1-k1uk3", bound_p5_k1_k1k3, cmap, regions)

@@ -257,10 +257,12 @@ def _check_generation_size(n: int) -> None:
 def representatives(n: int, free_of: Iterable[Pattern | Graph | str] = ()) -> list[Graph]:
     """Canonically labelled representatives on exactly ``n`` vertices, in
     canonical-string order, restricted to the hereditary class avoiding
-    ``free_of`` as induced subgraphs."""
+    ``free_of`` as induced subgraphs; generation proves that, so each graph
+    records ``free_of`` as patterns it is free of."""
     _check_generation_size(n)
     free_graphs = tuple(_as_graph(p) for p in free_of)
-    return [Graph._trusted(n, adj) for adj in _representatives(n, free_graphs)]
+    proved = tuple(pg.adj for pg in free_graphs)
+    return [Graph._trusted(n, adj, free_of=proved) for adj in _representatives(n, free_graphs)]
 
 
 # ---------------------------------------------------------------------------

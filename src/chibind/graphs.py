@@ -94,18 +94,23 @@ class VertexSet:
         return VertexSet(~self.mask & ((1 << self.n) - 1), self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph with dense adjacency rows.
 
     Vertices are ``0..n-1``.  ``adj[v]`` is the neighbour mask of ``v``; the
     matrix is symmetric with a zero diagonal.  The label is a display tag and
-    does not take part in equality.
+    does not take part in equality.  Neither do the facts kept after their one
+    search, which cannot go stale as a graph never changes: ``_omega``, the
+    clique number, and ``_free_of``, the rows of the patterns it is free of.
     """
 
     n: int
     adj: tuple[int, ...]
     label: str | None = field(default=None, compare=False)
+    # declared slots: an undeclared attribute would cost every graph a dictionary
+    _omega: int | None = field(default=None, init=False, compare=False, repr=False)
+    _free_of: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool):
@@ -131,13 +136,13 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...], label: str | None = None) -> Graph:
-        """A graph from rows already known to be valid, such as rows derived
-        from a validated graph; skips the checks of ``__post_init__``."""
+    def _trusted(cls, n: int, adj: tuple[int, ...], label: str | None = None,
+                 free_of: tuple = ()) -> Graph:
+        """A graph on rows known to be valid, such as rows of a validated graph,
+        free of the patterns with rows ``free_of``; skips ``__post_init__``."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        object.__setattr__(g, "label", label)
+        for name, value in zip(cls.__slots__, (n, adj, label, None, free_of)):
+            object.__setattr__(g, name, value)
         return g
 
     def vertices(self) -> VertexSet:

@@ -50,7 +50,6 @@ from .patterns import (
     find_odd_hole,
     find_odd_antihole,
     is_odd_antihole,
-    is_perfect,
     odd_antihole_not_two_cliques,
 )
 from .structure import (
@@ -63,6 +62,7 @@ from .structure import (
     check_p5_hole_lemma,
     decompose_five_hole,
     find_all_five_holes,
+    find_all_odd_antiholes,
     find_clique_cutset,
     find_dominating_clique_or_p3,
     find_five_hole,
@@ -167,8 +167,8 @@ def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: 
     bound, then the colouring of ``pipeline`` (on connected graphs only if
     ``connected_only``) for properness and for a colour count between the
     two.  ``describe`` adds its own columns to the row.  The universe is the
-    colourer's class (or a subclass of it), so the colourer is told the graph
-    is a member and does not search it for the class's patterns again."""
+    colourer's class (or a subclass of it), and its members record the
+    class's patterns, so the colourer's precondition searches nothing."""
     def check(g: Graph) -> CheckOutcome:
         w = clique_number(g)
         bound = bound_fn(w)
@@ -179,7 +179,7 @@ def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: 
         ratio = chi / bound if bound > 0 else None
         row = {"n": g.n, "omega": w, "chi": chi, "bound": bound}
         if not connected_only or is_connected(g):
-            coloring, _ = _colored(g, pipeline, member=True)
+            coloring, _ = _colored(g, pipeline)
             used = coloring.used()
             if not is_proper_coloring(g, coloring):
                 violations.append(f"{pipeline} colouring is improper")
@@ -305,9 +305,10 @@ _register("lemma-6.4", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique c
           _free_stream(("P5", "K1+(K1uK3)"), connected=True),
           lambda g: _has_five_hole(g) and _no_clique_cutset(g),
           _per_hole_check(check_k1uk3_level_lemma))
+# the five-antihole is the five-hole, which the first test excludes
 _register("lemma-6.5", 10, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a big odd antihole",
           _free_stream(("P5", "K1+(K1uK3)")),
-          lambda g: not _has_five_hole(g) and find_odd_antihole(g) is not None,
+          lambda g: not _has_five_hole(g) and bool(find_all_odd_antiholes(g, 7)),
           _check_antiholes)
 # the two-cliques scan is exponential in the antihole length, so the cap stays
 # well under the 64-vertex graph budget
@@ -413,19 +414,17 @@ SUB_COLORERS: dict[str, tuple[Callable, Callable[[int], int]]] = {
     "sumner": (color_sumner, bound_sumner),
     "wagon-2k2": (color_wagon_2k2_free, bound_wagon_2k2),
     "k1-union-k3": (color_k1_union_k3_free, bound_k1_union_k3),
-    # peeling has no class precondition to skip
-    "divisible": (lambda g, member=False: chi_bound_divisible(g)[1], bound_divisible),
+    "divisible": (lambda g: chi_bound_divisible(g)[1], bound_divisible),
 }
 
 
-def _colored(g: Graph, pipeline: str, member: bool) -> tuple[Coloring, BoundCertificate | None]:
+def _colored(g: Graph, pipeline: str) -> tuple[Coloring, BoundCertificate | None]:
     """The colouring of ``g`` by a pipeline, with its certificate, or by a
-    sub-colourer, which has none; ``member`` vouches that ``g`` is in the
-    colourer's class, which skips the freeness search."""
+    sub-colourer, which has none."""
     if pipeline in PIPELINES:
-        return PIPELINES[pipeline](g, member=member)
+        return PIPELINES[pipeline](g)
     if pipeline in SUB_COLORERS:
-        return SUB_COLORERS[pipeline][0](g, member=member), None
+        return SUB_COLORERS[pipeline][0](g), None
     raise KeyError(f"unknown pipeline {pipeline!r}; known: "
                    f"{sorted(PIPELINES) + sorted(SUB_COLORERS)}")
 
@@ -440,7 +439,7 @@ def color_one(g: Graph, pipeline: str) -> dict:
     _require_graph(g)
     if not isinstance(pipeline, str):
         raise PreconditionError(f"pipeline must be a str, not {pipeline!r}")
-    coloring, cert = _colored(g, pipeline, member=False)
+    coloring, cert = _colored(g, pipeline)
     if cert is None:
         w = clique_number(g)
         cert = BoundCertificate(pipeline, w, SUB_COLORERS[pipeline][1](w), coloring.used(), ())
@@ -471,7 +470,7 @@ def analyze_one(g: Graph) -> dict:
         "omega": clique_number(g),
         "alpha": independence_number(g),
         "chi": chi,
-        "perfect": is_perfect(g),
+        "perfect": hole is None and antihole is None,
         "odd_hole": sorted(hole) if hole else None,
         "odd_antihole": sorted(antihole) if antihole else None,
         "homogeneous_set": sorted(homog) if homog else None,

@@ -7,8 +7,9 @@ over the subsets of a vertex set, capped at 16 vertices; it serves
 :func:`chi_bound_divisible`.  Only the divisibility dynamic program of
 :func:`is_perfectly_divisible` builds the subset-indexed ``omega_table`` and
 ``perfection_table``, and it is capped at 13 vertices.  :func:`clique_number`
-keeps omega on the graph after its one search, which every layer then shares;
-a ``Graph`` never changes, so the kept value cannot go stale.
+keeps omega in the graph's declared ``_omega`` field after its one search,
+which every layer then shares; a ``Graph`` never changes, so the kept value
+cannot go stale.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def clique_number_mask(adj: tuple[int, ...], sub: int) -> int:
 
 def clique_number(g: Graph) -> int:
     """The clique number, searched once per graph and kept on it; graphs are immutable."""
-    if "_omega" not in g.__dict__:
+    if g._omega is None:
         object.__setattr__(g, "_omega", clique_number_mask(g.adj, (1 << g.n) - 1))
     return g._omega
 

@@ -298,20 +298,21 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
     search skips every copy that is not the least of its class under the
     pattern's automorphisms; the least copy overall is the least of its
     class, so the witness is the one a plain backtracking search finds.
+    A result of None is kept in ``host._free_of`` and never searched again.
     """
     pg = _as_graph(pat)
     k, n = pg.n, host.n
     if k == 0:
         return Embedding(())
-    if k > n:
+    if pg.adj in host._free_of:
         return None
-    cand = _candidate_masks(host.adj, pg.adj)
-    if cand is None:
-        return None
-    plan = _plan(pg.adj, k, 0, 0)
-    image = [0] * k
-    if _embed(host.adj, plan, [cand[v] for v, _ in plan], image, 0):
-        return Embedding(tuple(image))
+    cand = _candidate_masks(host.adj, pg.adj) if k <= n else None
+    if cand is not None:
+        plan = _plan(pg.adj, k, 0, 0)
+        image = [0] * k
+        if _embed(host.adj, plan, [cand[v] for v, _ in plan], image, 0):
+            return Embedding(tuple(image))
+    object.__setattr__(host, "_free_of", host._free_of + (pg.adj,))
     return None
 
 

@@ -392,12 +392,10 @@ def antihole_neighborhood_split(g: Graph, order: tuple[int, ...]) -> tuple[int, 
     return s_mask, t_mask, tuple(buckets)
 
 
-def _antihole_violations(g: Graph, order: tuple[int, ...]) -> list[str]:
-    """The facts of ``check_antihole_lemma`` around one odd antihole."""
-    try:
-        s, t, buckets = antihole_neighborhood_split(g, order)
-    except StructureAssertionError as exc:
-        return [str(exc)]
+def _antihole_violations(g: Graph, order: tuple[int, ...], split: tuple) -> list[str]:
+    """The facts of ``check_antihole_lemma`` around one odd antihole, read
+    from its neighbourhood split."""
+    s, t, buckets = split
     out = []
     if not is_free(induced(g, VertexSet(s, g.n)), [_K1UK3]):
         out.append("fully attached antihole neighbourhood induces K1uK3")
@@ -414,7 +412,13 @@ def check_antihole_lemma(g: Graph) -> list[str]:
     """Neighbourhood facts around big odd antiholes in five-cycle-free hosts:
     the fully attached part avoids K1uK3, the partial part splits into
     independent buckets, and nothing sits at distance two."""
-    return [v for order in find_all_odd_antiholes(g, 7) for v in _antihole_violations(g, order)]
+    out = []
+    for order in find_all_odd_antiholes(g, 7):
+        try:
+            out += _antihole_violations(g, order, antihole_neighborhood_split(g, order))
+        except StructureAssertionError as exc:
+            out.append(str(exc))
+    return out
 
 
 def find_homogeneous_set(g: Graph) -> VertexSet | None:

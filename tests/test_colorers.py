@@ -92,13 +92,15 @@ def c5_with(n, extra):
     (c5_with(7, [(5, 1), (5, 4), (6, 1), (6, 3), (5, 6)]),
      "blow-up class 0 not anticomplete to distance two"),
 ])
-def test_sumner_structure_proof_failures_are_named(g, text):
-    with pytest.raises(StructureAssertionError) as exc:
-        color_sumner(g, member=True)
-    assert str(exc.value) == text
+def test_sumner_structure_proof_failures_are_named(g, text, monkeypatch):
     with pytest.raises(PreconditionError) as exc:
         color_sumner(g)
     assert str(exc.value) == "input induces P5 or K3"
+    # past a freeness test that passes anything, the failed step is named
+    monkeypatch.setattr(colorers, "is_free", lambda host, pats: True)
+    with pytest.raises(StructureAssertionError) as exc:
+        color_sumner(g)
+    assert str(exc.value) == text
 
 
 def test_k1uk3_colorer_examples():
@@ -384,15 +386,18 @@ def test_outputs_and_rejection_texts_to_seven_are_pinned(pipeline, all_graphs_7)
 @pytest.mark.parametrize("colorer", [
     color_p5_k23, color_p5_k1_2k2, color_p5_k1_k1k3,
     color_wagon_2k2_free, color_k1_union_k3_free, color_sumner])
-def test_a_non_member_passed_as_a_member_is_never_miscoloured(colorer, all_graphs_7):
-    """``member=True`` skips only the freeness search: on every graph with
+def test_a_non_member_passed_as_a_member_is_never_miscoloured(colorer, all_graphs_7,
+                                                            monkeypatch):
+    """Past a freeness precondition that passes anything, on every graph with
     n <= 7, members or not, the colourer returns a proper colouring, fails
     an assertion, or rejects a connectivity or clique-number precondition,
     which it still checks."""
+    monkeypatch.setattr(colorers, "_require_free", lambda host, pats: None)
+    monkeypatch.setattr(colorers, "is_free", lambda host, pats: True)
     outcomes = set()
     for g in all_graphs_7:
         try:
-            out = colorer(g, member=True)
+            out = colorer(g)
         except StructureAssertionError:
             outcomes.add("assertion")
             continue
@@ -428,5 +433,23 @@ def test_pipelines_measure_the_host_clique_number_once(pipeline, free_of, monkey
                if is_free(g, free_of)]
     assert len(members) >= 4
     for g in members:
-        pipeline(g, member=True)
+        pipeline(g)
         assert sum(adj is g.adj for adj in searched) == 1
+
+
+def test_an_antihole_leaf_splits_its_neighbourhood_once(monkeypatch):
+    """The lemma check and the colouring of an antihole leaf read one split."""
+    splits = []
+    split = structure.antihole_neighborhood_split
+
+    def counting(g, order):
+        splits.append(order)
+        return split(g, order)
+
+    # colorers holds no name for the split unless it splits on its own
+    for module in (structure, colorers):
+        monkeypatch.setattr(module, "antihole_neighborhood_split", counting, raising=False)
+    for text in ("GLvnf{", "G@Vnno", "FUzro"):
+        splits.clear()
+        steps = [s["step"] for s in color_one(decode_graph6(text), "p5-k1-k1uk3")["trace"]]
+        assert len(splits) == steps.count("antihole-exact") >= 1, text

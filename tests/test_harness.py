@@ -1,5 +1,6 @@
 """Verification targets, report determinism, and the CLI surface."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chibind import colorers, enumeration, harness, invariants, structure
+from chibind import colorers, enumeration, harness, invariants, patterns, structure
 from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
@@ -520,6 +521,19 @@ def test_suite_script_runs_every_target(tmp_path, monkeypatch):
     assert set(results) == {"first", "second"} and results["first"] == first
 
 
+def test_benchmark_hooks_name_existing_functions():
+    """The benchmark's span recorder wraps functions by name and leaves out
+    the metrics of a missing one, so a rename would silently drop them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name, _, _ in spans.HOOKS:
+        assert callable(getattr(importlib.import_module(f"chibind.{module}"), name, None)), name
+    for entry in TARGETS.values():
+        assert dataclasses.replace(entry, admit=entry.admit, check=entry.check) == entry
+
+
 # the colouring-bound targets and the colourer that each one runs
 BOUND_TARGETS = {
     "theorem-1.2": "p5-k23",
@@ -531,50 +545,92 @@ BOUND_TARGETS = {
 }
 
 
-def test_bound_targets_colour_members_of_their_colourers_classes(monkeypatch):
-    """``verify`` tells the colourers that every graph is a class member; that
-    holds when each pattern a colourer's precondition searches for contains a
-    pattern that the target's universe, generated or read from a file,
-    excludes."""
-    colored = {}
-    colored_by = harness._colored
-    for target in TARGETS:
-        def recording(g, pipeline, member, target=target):
-            colored.setdefault(target, set()).add((pipeline, member))
-            return colored_by(g, pipeline, member)
-        monkeypatch.setattr(harness, "_colored", recording)
-        verify(target, n_max=5)
-    assert colored == {t: {(p, True)} for t, p in BOUND_TARGETS.items()}
-
-    # the five searching colourers go through _require_free; sumner tests
-    # freeness only after a failed structure proof, which K3 provokes
-    searched = {}
-    for pipeline in BOUND_TARGETS.values():
-        searched[pipeline] = found = []
-        monkeypatch.setattr(colorers, "_require_free", lambda g, pats: found.extend(pats))
-        monkeypatch.setattr(colorers, "is_free", lambda g, pats: found.extend(pats))
+def _precondition_patterns(pipeline, monkeypatch):
+    """The patterns a colourer's precondition tests; sumner tests freeness
+    only after a failed structure proof, which K3 provokes."""
+    found = []
+    with monkeypatch.context() as m:
+        m.setattr(colorers, "_require_free", lambda g, pats: found.extend(pats))
+        m.setattr(colorers, "is_free", lambda g, pats: found.extend(pats))
         try:
             color_one(complete_graph(3), pipeline)
         except PreconditionError:
             assert pipeline == "sumner"
+    assert found
+    return [_as_graph(p).adj for p in found]
+
+
+def test_bound_targets_colour_members_of_their_colourers_classes(monkeypatch, tmp_path):
+    """Each bound target colours with one colourer, and every member of its
+    universe, generated or read from a file, records each pattern that the
+    colourer's precondition tests."""
+    colored = {}
+    colored_by = harness._colored
+    for target in TARGETS:
+        def recording(g, pipeline, target=target):
+            colored.setdefault(target, set()).add(pipeline)
+            return colored_by(g, pipeline)
+        monkeypatch.setattr(harness, "_colored", recording)
+        verify(target, n_max=5)
+    monkeypatch.undo()
+    assert colored == {t: {p} for t, p in BOUND_TARGETS.items()}
+
+    path = tmp_path / "all.g6"
+    write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
     for target, pipeline in BOUND_TARGETS.items():
-        universe = TARGETS[target].streams(0)
-        assert TARGETS[target].keeps.__self__.free_of == universe.free_of
-        assert searched[pipeline]
-        for p in searched[pipeline]:
-            assert any(not is_free(_as_graph(p), [q]) for q in universe.free_of), (target, p)
+        entry = TARGETS[target]
+        assert entry.keeps.__self__.free_of == entry.streams(0).free_of
+        needed = _precondition_patterns(pipeline, monkeypatch)
+        members = [g for n in range(1, 7) for g in entry.streams(n)]
+        from_file = list(harness._file_universe(str(path), entry, 6))
+        assert len(from_file) == len(members) > 0
+        for g in members + from_file:
+            assert all(adj in g._free_of for adj in needed), (target, encode_graph6(g))
 
 
-def test_verify_colours_without_a_freeness_search(monkeypatch):
-    def no_search(g, pats):
-        raise AssertionError("a class member was searched for its patterns")
+def test_verify_colours_without_a_freeness_search(monkeypatch, tmp_path):
+    """No induced-subgraph search runs on a checked graph of a bound target,
+    generated or read from a file: its colourer's precondition finds the
+    class's patterns recorded.  A fresh graph is searched."""
+    searched = []
+    current = [None]  # the graph being checked
+    host = [None]  # per find_induced call: its host, if that is the checked graph
+    embed, find = patterns._embed, patterns.find_induced
+    checked = harness._checked
 
-    monkeypatch.setattr(colorers, "_require_free", no_search)
+    def counting_embed(*args, **kwargs):
+        if host[-1] is not None:
+            searched.append(encode_graph6(host[-1]))
+        return embed(*args, **kwargs)
+
+    def finding(g, pat):
+        host.append(g if g is current[0] else None)
+        try:
+            return find(g, pat)
+        finally:
+            host.pop()
+
+    def checking(entry, g):
+        current[0] = g
+        try:
+            return checked(entry, g)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(patterns, "_embed", counting_embed)
+    for module in (patterns, colorers):
+        monkeypatch.setattr(module, "find_induced", finding)
+    monkeypatch.setattr(harness, "_checked", checking)
+    path = tmp_path / "all.g6"
+    write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
     for target in BOUND_TARGETS:
-        report = verify(target, n_max=6)
-        assert report.graphs_checked and report.violations == []
-    with pytest.raises(AssertionError, match="searched"):
-        color_one(cycle_graph(5), "p5-k23")
+        for source in (None, path):
+            report = verify(target, n_max=6, source=source)
+            assert report.graphs_checked and report.violations == []
+    assert searched == []
+    current[0] = g = cycle_graph(5)
+    color_one(g, "p5-k23")
+    assert searched
 
 
 # SHA-256 of the canonical JSON report of each colouring-bound target at

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibind.errors import PreconditionError
+from chibind.enumeration import representatives
 from chibind.graphs import (
+    Graph,
     VertexSet,
     complement,
     complete_graph,
@@ -205,13 +207,27 @@ def test_odd_hole_certificate_is_an_induced_odd_cycle(g):
 
 
 def test_detection_exhaustive_small_hosts():
-    from chibind.enumeration import representatives
-
     small_patterns = [p for p in PATTERN_CATALOG.values() if p.graph.n <= 5]
     for host in representatives(5):
         for pat in small_patterns:
             assert (find_induced(host, pat) is not None) == \
                 induced_copy_exists(host, pat.graph), (host.adj, pat.name)
+
+
+def test_kept_freeness_results_match_a_fresh_search(all_graphs_7):
+    """``find_induced`` keeps exactly its results of None, and a graph with a
+    kept result, or one generation records, gets what a fresh copy gets."""
+    small = [p.graph for p in PATTERN_CATALOG.values() if p.graph.n <= 5]
+    for g in all_graphs_7:
+        host = Graph(g.n, g.adj)
+        for pg in small:
+            found = find_induced(host, pg)
+            assert (pg.adj in host._free_of) == (found is None), (g.adj, pg.adj)
+            assert find_induced(host, pg) == find_induced(g, pg) == found, (g.adj, pg.adj)
+    for names in (("P5", "K2,3"), ("2K2",), ("P5", "K1+(K1uK3)")):
+        for g in (g for n in range(1, 7) for g in representatives(n, names)):
+            assert g._free_of == tuple(pattern(name).graph.adj for name in names)
+            assert is_free(Graph(g.n, g.adj), names)
 
 
 def test_trace_filter_matches_per_child_search(all_graphs_7):
