@@ -325,7 +325,8 @@ def decode_graph6(text: str) -> Graph:
             if bit:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    # symmetric and loop-free by construction, on at most 62 vertices
+    return Graph._trusted(n, tuple(rows))
 
 
 def iter_graph6_file(path: str) -> Iterator[Graph]:

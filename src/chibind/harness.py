@@ -151,6 +151,10 @@ def _no_clique_cutset(g: Graph) -> bool:
     return find_clique_cutset(g) is None
 
 
+def _five_hole_no_cutset(g: Graph) -> bool:
+    return _has_five_hole(g) and _no_clique_cutset(g)
+
+
 # ---------------------------------------------------------------------------
 # per-target checks
 
@@ -285,7 +289,7 @@ _register("lemma-4.1", 10, 10, "no induced P5/K2,3, with a five-hole",
           _free_stream(("P5", "K2,3")), _has_five_hole, _per_hole_check(check_k23_hole_lemma))
 _register("lemma-4.2", 10, 10, "connected, no induced P5/K2,3, no clique cutset, five-hole",
           _free_stream(("P5", "K2,3"), connected=True),
-          lambda g: _has_five_hole(g) and _no_clique_cutset(g),
+          _five_hole_no_cutset,
           _per_hole_check(check_k23_level_lemma))
 _register("lemma-5.1", 9, 10, "connected, no induced P5",
           _free_stream(("P5",), connected=True), _always, _check_dominating)
@@ -299,11 +303,11 @@ _register("lemma-6.2", 10, 10, "no induced P5/K1uK3, at least one edge",
           _bound_check("k1-union-k3", bound_k1_union_k3))
 _register("lemma-6.3", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
           _free_stream(("P5", "K1+(K1uK3)"), connected=True),
-          lambda g: _has_five_hole(g) and _no_clique_cutset(g),
+          _five_hole_no_cutset,
           _per_hole_check(check_k1uk3_hole_lemma))
 _register("lemma-6.4", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
           _free_stream(("P5", "K1+(K1uK3)"), connected=True),
-          lambda g: _has_five_hole(g) and _no_clique_cutset(g),
+          _five_hole_no_cutset,
           _per_hole_check(check_k1uk3_level_lemma))
 # the five-antihole is the five-hole, which the first test excludes
 _register("lemma-6.5", 10, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a big odd antihole",

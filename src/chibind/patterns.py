@@ -11,9 +11,12 @@ conditions from the stabiliser chain of the automorphism group, taken along
 the search order, keep only the copy whose images, read in search order, are
 lexicographically least.  That copy is the least one overall, the one plain
 backtracking meets first, so the witness embeddings do not depend on the
-pruning.  Odd-hole and odd-antihole search provide the perfection test, and
-both searches use a canonical cycle ordering (least start vertex, smaller
-second neighbour first) so certificates are reproducible.
+pruning.  The chain's orbits come from pinned searches of the pattern into
+itself, one per pair of vertices that might share an orbit, so the group,
+which grows as k! for a complete or edgeless pattern, is never listed.
+Odd-hole and odd-antihole search provide the perfection test, and both
+searches use a canonical cycle ordering (least start vertex, smaller second
+neighbour first) so certificates are reproducible.
 """
 
 from __future__ import annotations
@@ -181,27 +184,46 @@ def _connectivity_order(padj: tuple[int, ...], k: int, start: int) -> tuple[int,
     return tuple(order)
 
 
-def _chain(padj: tuple[int, ...], order: tuple[int, ...],
-           group: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+def _chain(padj: tuple[int, ...], order: tuple[int, ...], keep: int) -> tuple[tuple, ...]:
     """The search plan along ``order``: per position, the pattern vertex v
     placed there and one code per later position, bit 0 set when the later
     vertex w is adjacent to v, bit 1 set when w must get a larger host vertex
     than v.
 
-    The conditions walk the stabiliser chain of ``group`` along ``order``:
-    every other member w of the orbit of v under the permutations fixing the
-    vertices placed before v must exceed v.  For every automorphism s, f o s
-    is an embedding when f is one, and the member of the class
-    ``{f o s : s in group}`` whose images, read in search order, are
-    lexicographically least meets every condition (Grochow and Kellis).
+    The conditions are those of the stabiliser chain along ``order`` of the
+    automorphisms that map the vertex set ``keep`` onto itself: w must exceed
+    v when one of them fixes the vertices placed before v and sends v to w,
+    which a pinned search of the pattern into itself decides
+    (:func:`_moves`).  For every automorphism s, f o s is an embedding when
+    f is one, and the member of the class ``{f o s}`` whose images, read in
+    search order, are lexicographically least meets every condition
+    (Grochow and Kellis).
     """
-    above = {}
-    for v in order:
-        for w in {s[v] for s in group} - {v}:
-            above[v, w] = 2
-        group = tuple(s for s in group if s[v] == v)
-    return tuple((v, tuple((padj[v] >> w & 1) | above.get((v, w), 0) for w in order[idx + 1:]))
+    return tuple((v, tuple((padj[v] >> w & 1) | 2 * _moves(padj, order, idx, keep, w)
+                           for w in order[idx + 1:]))
                  for idx, v in enumerate(order))
+
+
+def _moves(padj: tuple[int, ...], order: tuple[int, ...], idx: int, keep: int, w: int) -> bool:
+    """True iff some automorphism of the pattern fixes the vertices before
+    position ``idx`` of ``order``, maps the vertex set ``keep`` onto itself
+    and sends the vertex at ``idx`` to w.
+
+    An induced copy of the pattern in itself is an automorphism, so one
+    search along ``order`` answers it: the earlier vertices are pinned to
+    themselves and the vertex at ``idx`` to w, and every other vertex may go
+    to the vertices of its degree on its side of ``keep``.  The group is
+    never listed.
+    """
+    kind = [(row.bit_count(), keep >> x & 1) for x, row in enumerate(padj)]
+    if kind[order[idx]] != kind[w]:
+        return False
+    same: dict[tuple[int, int], int] = {}
+    for x, key in enumerate(kind):
+        same[key] = same.get(key, 0) | 1 << x
+    plan = tuple((x, tuple(padj[x] >> u & 1 for u in order[i + 1:])) for i, x in enumerate(order))
+    dom = [1 << x for x in order[:idx]] + [1 << w] + [same[kind[x]] for x in order[idx + 1:]]
+    return _embed(padj, plan, dom, [0] * len(padj), 0)
 
 
 def _place_last(image: list[int], vertex: int, dom: int,
@@ -264,18 +286,6 @@ def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
     return False
 
 
-@lru_cache(maxsize=1024)
-def _automorphisms(padj: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """Every automorphism of the pattern, as the tuple of vertex images,
-    listed by one visit-all search of the pattern into itself."""
-    found: list[tuple[int, ...]] = []
-    plan = _chain(padj, _connectivity_order(padj, k, 0), ())
-    cand = _candidate_masks(padj, padj)
-    _embed(padj, plan, [cand[v] for v, _ in plan], [0] * k, 0,
-           lambda image: found.append(tuple(image)))
-    return tuple(found)
-
-
 @lru_cache(maxsize=4096)
 def _plan(padj: tuple[int, ...], k: int, start: int, keep: int) -> tuple[tuple, ...]:
     """The plan of the search that places ``start`` first, with the symmetry
@@ -283,9 +293,9 @@ def _plan(padj: tuple[int, ...], k: int, start: int, keep: int) -> tuple[tuple, 
     itself: all of them for :func:`find_induced`, the stabiliser of a pinned
     position for :func:`has_induced_using`, and for a card of
     :func:`mark_forbidden_traces` those that keep the neighbours of the
-    removed vertex."""
-    group = tuple(s for s in _automorphisms(padj, k) if all(keep >> s[v] & 1 for v in bits_of(keep)))
-    return _chain(padj, _connectivity_order(padj, k, start), group)
+    removed vertex.  Building it takes at most k(k-1)/2 pinned searches of
+    the pattern into itself (:func:`_moves`), once per process."""
+    return _chain(padj, _connectivity_order(padj, k, start), keep)
 
 
 def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
@@ -318,11 +328,12 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
 
 @lru_cache(maxsize=1024)
 def _pin_orbit_reps(padj: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """The least pattern vertex of each automorphism orbit; pinning only these
-    loses nothing because an automorphism moves a pinned copy onto any orbit
+    """The least pattern vertex of each automorphism orbit, p when no
+    automorphism sends it to a smaller vertex; pinning only these loses
+    nothing because an automorphism moves a pinned copy onto any orbit
     mate."""
-    group = _automorphisms(padj, k)
-    return tuple(p for p in range(k) if all(s[p] >= p for s in group))
+    return tuple(p for p in range(k)
+                 if not any(_moves(padj, _connectivity_order(padj, k, p), 0, 0, q) for q in range(p)))
 
 
 def has_induced_using(host_adj: tuple[int, ...], n: int, pg: Graph, vertex: int) -> bool:

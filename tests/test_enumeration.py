@@ -112,23 +112,24 @@ def test_graph6_hand_values():
     assert decode_graph6(">>graph6<<A_") == g
 
 
-def test_graph6_round_trip_small():
-    for n in range(0, 7):
-        for g in representatives(n):
-            assert decode_graph6(encode_graph6(g)) == g
+def test_graph6_round_trip_small(all_graphs_8):
+    # the decoder skips the row checks, so each decoded graph is checked again
+    for g in [Graph(0, ())] + all_graphs_8:
+        back = decode_graph6(encode_graph6(g))
+        assert back == g == Graph(back.n, back.adj)
 
 
 def test_graph6_errors():
-    with pytest.raises(GraphError):
-        decode_graph6("")
-    with pytest.raises(GraphError):
-        decode_graph6("D")  # truncated payload
-    with pytest.raises(GraphError):
-        decode_graph6("~??")  # long form
-    with pytest.raises(GraphError):
-        decode_graph6("A" + chr(20))  # out-of-range byte
-    with pytest.raises(GraphError):
-        decode_graph6("Aé")
+    for text, message in (
+        ("", "empty graph6 string"),
+        ("D", "graph6 payload has 0 bytes, expected 2"),  # truncated payload
+        ("~??", r"long-form graph6 \(more than 62 vertices\) is not supported"),
+        ("=", "graph6 header byte 61 outside the short-form range"),
+        ("A" + chr(20), "graph6 payload byte 20 out of range"),
+        ("Aé", "graph6 input must be ASCII"),
+    ):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            decode_graph6(text)
 
 
 def test_graph6_file_round_trip(tmp_path):

@@ -3,8 +3,11 @@
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -519,6 +522,37 @@ def test_suite_script_runs_every_target(tmp_path, monkeypatch):
     suite.main("second")
     results = json.loads(suite.OUT.read_text())
     assert set(results) == {"first", "second"} and results["first"] == first
+
+
+def _load_alternate():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "alternate.py"
+    spec = importlib.util.spec_from_file_location("alternate", path)
+    alternate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(alternate)
+    return path, alternate
+
+
+def test_alternate_script_runs_both_sides_in_turn():
+    path, _ = _load_alternate()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, str(path), src, src, "4", "lemma-6.2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    sides = [line.split(":")[0].rsplit(" ", 1)[1] for line in lines[:6]]
+    assert sides == ["parent", "change", "change", "parent", "parent", "change"]
+    assert len({line.rsplit(" ", 1)[1] for line in lines[:6]}) == 1
+    assert lines[6].startswith("lemma-6.2 n<=4: parent median ")
+    assert lines[6].endswith("reports identical") and len(lines) == 7
+
+
+def test_alternate_script_fails_when_reports_differ(monkeypatch, capsys):
+    _, alternate = _load_alternate()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = itertools.count()
+    monkeypatch.setattr(alternate, "run", lambda side, target, n: (0.0, str(next(runs))))
+    assert alternate.main([src, src, "4", "lemma-6.2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith("reports DIFFER")
 
 
 def test_benchmark_hooks_name_existing_functions():

@@ -1,26 +1,34 @@
 """Catalog integrity, induced-subgraph detection, and the perfection test."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chibind import patterns
 from chibind.errors import PreconditionError
 from chibind.enumeration import representatives
 from chibind.graphs import (
     Graph,
     VertexSet,
+    bits_of,
     complement,
     complete_graph,
     cycle_graph,
     empty_graph,
+    from_edge_list,
     induced,
     path_graph,
 )
 from chibind.patterns import (
     PATTERN_CATALOG,
-    _automorphisms,
+    _cards,
+    _connectivity_order,
+    _moves,
     _pin_orbit_reps,
+    _plan,
     find_induced,
     find_odd_antihole,
     find_odd_hole,
@@ -280,23 +288,132 @@ def test_has_induced_using_matches_every_pinned_plain_search(all_graphs_7):
                     uses_vertex_plain(host.adj, pg, v), (host.adj, pg.adj, v)
 
 
-def test_automorphisms_match_a_permutation_scan():
-    for name, pat in PATTERN_CATALOG.items():
-        g = pat.graph
-        if g.n > 7:
-            continue
-        scan = {perm for perm in itertools.permutations(range(g.n))
-                if all(g.adj[perm[v]] == sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1)
-                       for v in range(g.n))}
-        group = _automorphisms(g.adj, g.n)
-        assert len(group) == len(scan) and set(group) == scan, name
-    for n in (8, 9):
-        c = cycle_graph(n)
-        group = _automorphisms(c.adj, n)
-        assert len(set(group)) == len(group) == 2 * n
-        for perm in group:
-            assert sorted(perm) == list(range(n))
-            assert all(c.adj[perm[v]] >> perm[(v + 1) % n] & 1 for v in range(n))
+def _permutation_scan(g: Graph) -> list[tuple[int, ...]]:
+    return [perm for perm in itertools.permutations(range(g.n))
+            if all(g.adj[perm[v]] == sum(1 << perm[u] for u in bits_of(g.adj[v])) for v in range(g.n))]
+
+
+def _check_moves(g: Graph, scan: list[tuple[int, ...]], keep: int, starts) -> None:
+    # every stabiliser-chain orbit the planner asks about, against the
+    # scanned automorphisms that map ``keep`` onto itself
+    group = [s for s in scan if all(keep >> s[v] & 1 for v in bits_of(keep))]
+    for start in starts:
+        order = _connectivity_order(g.adj, g.n, start)
+        for idx, v in enumerate(order):
+            stab = [s for s in group if all(s[u] == u for u in order[:idx])]
+            for w in order[idx + 1:]:
+                assert _moves(g.adj, order, idx, keep, w) == any(s[v] == w for s in stab), \
+                    (g.adj, keep, order, idx, w)
+
+
+def test_symmetry_predicate_matches_a_permutation_scan():
+    small = [p.graph for p in PATTERN_CATALOG.values() if p.graph.n <= 7]
+    for g in small + [cycle_graph(8), cycle_graph(9)]:
+        # the whole group and the pointwise stabiliser of each search-order
+        # prefix, from every start, and the stabiliser of a pinned start
+        scan = _permutation_scan(g)
+        _check_moves(g, scan, 0, range(g.n))
+        for start in range(g.n):
+            _check_moves(g, scan, 1 << start, (start,))
+        # the card automorphisms that map the removed vertex's neighbour
+        # positions onto themselves
+        for cadj, _, nbrs in _cards(g.adj, g.n) if g.n > 1 else ():
+            card = Graph(g.n - 1, cadj)
+            _check_moves(card, _permutation_scan(card), sum(1 << i for i in nbrs), (0,))
+
+
+# orbit representatives, cards and plans of the catalog, 3K1 and every graph
+# on five and six vertices, as they were built from the listed automorphism
+# group before the pinned self-searches replaced it
+PLANNER_SHA256 = "ea8e39a7ca1ae26f4bd7f68101552137b4ce325dd784da0d46927d1a484f9f3b"
+
+
+def test_planner_is_pinned():
+    pats = [p.graph for p in PATTERN_CATALOG.values()] + [empty_graph(3)]
+    pats += list(representatives(5)) + list(representatives(6))
+    digest = hashlib.sha256()
+    for g in pats:
+        k, padj = g.n, g.adj
+        row = (_pin_orbit_reps(padj, k), _cards(padj, k) if k > 1 else (),
+               tuple((_plan(padj, k, s, 0), _plan(padj, k, s, 1 << s)) for s in range(k)))
+        digest.update(repr(row).encode())
+    assert len(pats) == 226
+    assert digest.hexdigest() == PLANNER_SHA256
+
+
+def test_complete_and_edgeless_patterns_plan_without_their_group(monkeypatch):
+    # listing the group of K9 took 521,316 searches; the pinned self-searches
+    # take a few hundred
+    for cached in (_plan, _pin_orbit_reps, _cards):
+        cached.cache_clear()
+    calls = 0
+    embed = patterns._embed
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return embed(*args)
+
+    monkeypatch.setattr(patterns, "_embed", counting)
+    assert find_induced(complete_graph(11), complete_graph(9)).map == tuple(range(9))
+    assert find_induced(empty_graph(11), empty_graph(9)).map == tuple(range(9))
+    assert calls < 5000
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _random_pattern(rng: random.Random, k: int) -> Graph:
+    """A random graph on k vertices, in one of three cases out of four built
+    with a symmetry: an involution, a rotation or a set of twins."""
+    shape = rng.randrange(4)
+    pairs = list(itertools.combinations(range(k), 2))
+    if shape == 0:
+        density = rng.choice((0.3, 0.5, 0.7))
+        edges = [e for e in pairs if rng.random() < density]
+    elif shape == 1:
+        # closed under the involution i <-> k-1-i
+        mirror = {e: tuple(sorted((k - 1 - e[0], k - 1 - e[1]))) for e in pairs}
+        chosen = {e for e in pairs if e <= mirror[e] and rng.random() < 0.5}
+        edges = [e for e in pairs if e in chosen or mirror[e] in chosen]
+    elif shape == 2:
+        # a circulant: i ~ j when j - i mod k is in a symmetric step set
+        steps = {d for d in range(1, k // 2 + 1) if rng.random() < 0.5}
+        edges = [(i, j) for i, j in pairs if min(j - i, k - (j - i)) in steps]
+    else:
+        # vertices 0..t-1 are twins: the same neighbours outside, all adjacent or none
+        t = rng.randrange(2, k - 1)
+        inside = rng.random() < 0.5
+        outside = [v for v in range(t, k) if rng.random() < 0.5]
+        edges = [(i, j) for i, j in pairs if j < t and inside]
+        edges += [(i, v) for i in range(t) for v in outside]
+        edges += [(i, j) for i, j in pairs if i >= t and rng.random() < 0.5]
+    return _shuffled(from_edge_list(k, edges), rng)
+
+
+def test_random_symmetric_patterns_give_the_plain_search_witness():
+    rng = random.Random(20)
+    for _ in range(100):
+        pg = _random_pattern(rng, rng.randrange(6, 9))
+        for _ in range(4):
+            # the pattern planted among up to two extra vertices, or a random host
+            n = min(10, pg.n + rng.randrange(3))
+            if rng.random() < 0.75:
+                rows = [0] * n
+                for u, v in itertools.combinations(range(n), 2):
+                    if (pg.adj[u] >> v & 1) if v < pg.n else rng.random() < 0.5:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                host = _shuffled(Graph(n, tuple(rows)), rng)
+            else:
+                host = _shuffled(from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                                                    if rng.random() < 0.5]), rng)
+            emb = find_induced(host, pg)
+            assert (None if emb is None else emb.map) == least_embedding_plain(host, pg), \
+                (host.adj, pg.adj)
 
 
 # the least vertex of each automorphism orbit, as the plain pinned searches
