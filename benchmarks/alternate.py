@@ -1,14 +1,15 @@
 """Time targets on two source trees, alternating which one runs first.
 
-    python3 benchmarks/alternate.py PARENT_SRC CHANGE_SRC N TARGET...
+    python3 benchmarks/alternate.py [--in FILE] PARENT_SRC CHANGE_SRC N TARGET...
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 target gets three rounds; in each round both sides run once, and the side
 that runs first alternates from round to round, so a slow spell of the
 machine does not land on one side only.  Every run is a fresh interpreter
 with that side's ``src`` on ``PYTHONPATH``; it times ``verify(TARGET, N)``,
-cold generation included, in CPU seconds (``time.process_time()``) and
-prints the SHA-256 of ``report.to_json()``.  The script prints every run and
+cold generation included, or ``verify(TARGET, N, source=FILE)`` with
+``--in FILE``, in CPU seconds (``time.process_time()``) and prints the
+SHA-256 of ``report.to_json()``.  The script prints every run and
 each side's median CPU seconds per target, and exits 1 when some target's
 reports differ between the two sides.  Standard library only.
 """
@@ -27,16 +28,17 @@ CHILD = """
 import hashlib, sys, time
 from chibind import verify
 start = time.process_time()
-report = verify(sys.argv[1], int(sys.argv[2]))
+report = verify(sys.argv[1], int(sys.argv[2]), source=sys.argv[3] or None)
 cpu_s = time.process_time() - start
 print(cpu_s, hashlib.sha256(report.to_json().encode()).hexdigest())
 """
 
 
-def run(src: str, target: str, n: int) -> tuple[float, str]:
-    """CPU seconds and report digest of one ``verify(target, n)`` on ``src``."""
+def run(src: str, target: str, n: int, infile: str | None) -> tuple[float, str]:
+    """CPU seconds and report digest of one ``verify(target, n)`` on ``src``,
+    over the graph6 file ``infile`` if given."""
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", CHILD, target, str(n)], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, target, str(n), infile or ""], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{target} on {src} failed:\n{proc.stderr}")
@@ -45,8 +47,11 @@ def run(src: str, target: str, n: int) -> tuple[float, str]:
 
 
 def main(argv: list[str]) -> int:
+    infile = None
+    if argv[:1] == ["--in"] and len(argv) > 1:
+        infile, argv = str(Path(argv[1]).resolve()), argv[2:]
     if len(argv) < 4 or not argv[2].isdigit():
-        raise SystemExit("usage: benchmarks/alternate.py PARENT_SRC CHANGE_SRC N TARGET...")
+        raise SystemExit("usage: benchmarks/alternate.py [--in FILE] PARENT_SRC CHANGE_SRC N TARGET...")
     sides = {"parent": str(Path(argv[0]).resolve()), "change": str(Path(argv[1]).resolve())}
     for src in sides.values():
         if not (Path(src) / "chibind").is_dir():
@@ -58,7 +63,7 @@ def main(argv: list[str]) -> int:
         for rnd in range(ROUNDS):
             order = list(sides) if rnd % 2 == 0 else list(sides)[::-1]
             for side in order:
-                cpu_s, digest = run(sides[side], target, n)
+                cpu_s, digest = run(sides[side], target, n, infile)
                 cpu[side].append(cpu_s)
                 digests[side].add(digest)
                 print(f"{target} n<={n} round {rnd + 1} {side}: {cpu_s:.3f} CPU s, report {digest}")

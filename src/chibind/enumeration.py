@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 from .errors import PreconditionError
 from .graphs import CapacityError, Graph, GraphError, bits_of, is_connected
 from .invariants import clique_number
-from .patterns import Pattern, _as_graph, is_free, mark_forbidden_traces, parse_pattern_list
+from .patterns import Pattern, _as_graph, mark_forbidden_traces, parse_pattern_list
 
 GENERATION_CAP = 10
 
@@ -359,8 +359,7 @@ def write_graph6_file(path: str, graphs: Iterable[Graph]) -> int:
 
 @dataclass(frozen=True)
 class GraphStream:
-    """The generated members on ``n`` vertices of a class; graph6 files are
-    read by ``iter_graph6_file`` and filtered by ``keeps``.
+    """The generated members on ``n`` vertices of a class.
 
     Freeness filters prune during extension; the emitted members are
     identical to post-filtering because the classes are hereditary.
@@ -372,14 +371,10 @@ class GraphStream:
     omega_min: int | None = None
 
     def __iter__(self) -> Iterator[Graph]:
-        return (g for g in representatives(self.n, self.free_of) if self._shape(g))
+        return (g for g in representatives(self.n, self.free_of) if self.shape(g))
 
-    def keeps(self, g: Graph) -> bool:
-        """True iff ``g`` passes every filter of this stream; the shape tests
-        come first, so a disconnected line costs no freeness search."""
-        return self._shape(g) and is_free(g, self.free_of)
-
-    def _shape(self, g: Graph) -> bool:
+    def shape(self, g: Graph) -> bool:
+        """True iff ``g`` passes the stream's tests other than freeness."""
         if self.connected_only and not is_connected(g):
             return False
         return self.omega_min is None or clique_number(g) >= self.omega_min

@@ -49,6 +49,7 @@ from .patterns import (
     _as_graph,
     find_odd_hole,
     find_odd_antihole,
+    is_free,
     is_odd_antihole,
     odd_antihole_not_two_cliques,
 )
@@ -126,7 +127,10 @@ class Target:
     hard_cap: int
     filter_desc: str
     streams: Callable[[int], Iterable[Graph]]
-    keeps: Callable[[Graph], bool]  # the class filter, for graphs read from a file
+    # the class, for graphs read from a file: the stream's tests other than
+    # freeness, and the patterns it is free of
+    shape: Callable[[Graph], bool]
+    free_of: tuple
     admit: Callable[[Graph], bool]
     check: Callable[[Graph], CheckOutcome]
 
@@ -137,10 +141,11 @@ def _sizes(stream_fn: Callable[[int], Iterable[Graph]], n_max: int) -> Iterator[
 
 
 def _free_stream(names: tuple, connected: bool = False, omega_min: int | None = None):
-    """The class's generated members by vertex count, and its filter."""
+    """The class's generated members by vertex count, its shape test and
+    its patterns."""
     members = GraphStream(0, free_of=tuple(_as_graph(p) for p in names),
                           connected_only=connected, omega_min=omega_min)
-    return (lambda n: replace(members, n=n)), members.keeps
+    return (lambda n: replace(members, n=n)), members.shape, members.free_of
 
 
 def _has_five_hole(g: Graph) -> bool:
@@ -263,8 +268,7 @@ TARGETS: dict[str, Target] = {}
 
 def _register(name: str, default_cap: int, hard_cap: int, filter_desc: str,
               universe, admit, check) -> None:
-    streams, keeps = universe
-    TARGETS[name] = Target(name, default_cap, hard_cap, filter_desc, streams, keeps, admit, check)
+    TARGETS[name] = Target(name, default_cap, hard_cap, filter_desc, *universe, admit, check)
 
 
 _register("theorem-1.1", 8, 10, "connected, no induced P5/C5/K2,3",
@@ -317,7 +321,7 @@ _register("lemma-6.5", 10, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with 
 # the two-cliques scan is exponential in the antihole length, so the cap stays
 # well under the 64-vertex graph budget
 _register("observation-2.1", 9, 21, "odd antiholes",
-          (_antihole_stream, _always), is_odd_antihole, _check_two_cliques)
+          (_antihole_stream, _always, ()), is_odd_antihole, _check_two_cliques)
 
 
 def verify(target: str, n_max: int | None = None, source: str | os.PathLike | None = None,
@@ -325,8 +329,10 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
     """Run one verification target over its universe up to ``n_max`` vertices.
 
     ``source`` replaces the generated universe with a graph6 file; class
-    filters and admission predicates still apply.  ``connected`` restricts a
-    universe that is not already connected-only.
+    filters and admission predicates still apply, cheapest first (see
+    ``_admitted``), so a line the target does not admit costs no pattern
+    search.  ``connected`` restricts a universe that is not already
+    connected-only.
     """
     if target not in TARGETS:
         raise KeyError(f"unknown verification target {target!r}; known: {sorted(TARGETS)}")
@@ -344,13 +350,6 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
     if not 1 <= cap <= entry.hard_cap:
         raise PreconditionError(f"{target} supports n_max from 1 to {entry.hard_cap}")
     started = time.monotonic()
-    if source is None:
-        graphs: Iterable[Graph] = _sizes(entry.streams, cap)
-        source_desc = "generated"
-    else:
-        graphs = _file_universe(source, entry, cap)
-        source_desc = source
-
     # only the violations, the best ratio and (for the CSV) the rows are
     # kept; the witness of the best ratio is the least graph6 string by
     # length, then text, as is the order of the rows
@@ -358,9 +357,7 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
     violations = []
     rows = []
     best = None  # (-ratio, len(g6), g6)
-    for g in graphs:
-        if not entry.admit(g) or (connected and not is_connected(g)):
-            continue
+    for g in _admitted(entry, cap, source, connected):
         g6, outcome = _checked(entry, g)
         checked += 1
         violations.extend((g6, detail) for detail in outcome.violations)
@@ -379,7 +376,8 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
     filter_desc = entry.filter_desc + (", connected" if connected else "")
     return VerificationReport(
         target=target,
-        params={"n_max": cap, "filter": filter_desc, "source": source_desc},
+        params={"n_max": cap, "filter": filter_desc,
+                "source": "generated" if source is None else source},
         graphs_checked=checked,
         violations=sorted(violations),
         extremes=extremes,
@@ -398,10 +396,24 @@ def _checked(entry: Target, g: Graph) -> tuple[str, CheckOutcome]:
         raise StructureAssertionError(f"{g6}: {exc}") from exc
 
 
-def _file_universe(path: str, entry: Target, cap: int) -> Iterator[Graph]:
-    """The graphs of a graph6 file within the cap that pass the target's
-    class filter; the cap is applied first, since the filter costs more."""
-    return (g for g in iter_graph6_file(path) if g.n <= cap and entry.keeps(g))
+def _admitted(entry: Target, cap: int, source: str | None, connected: bool) -> Iterator[Graph]:
+    """The graphs that ``verify`` checks, each test run once per graph and
+    the cheapest first.  A line of the graph6 file ``source`` passes the
+    cap, the stream's shape tests, ``connected``, the target's admission,
+    then the class search, which records each pattern it proves absent on
+    the graph; so a line the target does not admit costs no pattern search.
+    Admission needs no class membership, but ``find_clique_cutset`` needs a
+    connected graph, which the shape test of its connected-only targets
+    ensures.  Generated members are in the class already."""
+    if source is None:
+        graphs: Iterable[Graph] = _sizes(entry.streams, cap)
+    else:
+        graphs = (g for g in iter_graph6_file(source) if g.n <= cap and entry.shape(g))
+    for g in graphs:
+        if (connected and not is_connected(g)) or not entry.admit(g):
+            continue
+        if source is None or is_free(g, entry.free_of):
+            yield g
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,78 @@ def test_verify_report_does_not_depend_on_the_file_order(tmp_path):
                                                   json.dumps(str(forward)))
 
 
+def test_file_reports_equal_generated_reports(tmp_path):
+    """Over a file of every graph with n <= 6, each target checks exactly
+    its generated universe: the file's lines pass the cap, the shape tests,
+    admission and the class search in that order, and admission never sees
+    a line that the shape tests drop (lemma-3.1's cutset search needs a
+    connected graph)."""
+    path = tmp_path / "all6.g6"
+    write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
+    for target in TARGETS:
+        from_file = json.loads(verify(target, 6, source=str(path)).to_json())
+        generated = json.loads(verify(target, 6).to_json())
+        assert from_file["params"].pop("source") == str(path)
+        assert generated["params"].pop("source") == "generated"
+        assert from_file == generated, target
+
+
+PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "p5-k1pk1uk3-upto8.g6"
+
+
+@pytest.mark.parametrize("target, source, cap, lines", [
+    ("lemma-6.5", PERFBENCH_DATA, 8, 2777),
+    ("lemma-2.2", None, 5, 52),
+])
+def test_file_lines_pay_the_class_search_only_once_admitted(target, source, cap, lines,
+                                                            monkeypatch, tmp_path):
+    """Admission runs once on each file line within the cap and the shape
+    tests, and the class search runs once on each admitted line only."""
+    if source is None:
+        source = tmp_path / "all6.g6"
+        write_graph6_file(str(source), [g for n in range(1, 7) for g in representatives(n)])
+    admitted, searched = [], []
+    entry, free = TARGETS[target], patterns.is_free
+
+    def admit(g):
+        ok = entry.admit(g)
+        admitted.append((g, ok))
+        return ok
+
+    def searching(g, pats):
+        searched.append(g)
+        return free(g, pats)
+
+    monkeypatch.setitem(TARGETS, target, dataclasses.replace(entry, admit=admit))
+    for module in (patterns, enumeration, harness):
+        if vars(module).get("is_free") is free:
+            monkeypatch.setattr(module, "is_free", searching)
+    report = verify(target, cap, source=str(source))
+    assert len(admitted) == lines
+    assert searched == [g for g, ok in admitted if ok]
+    assert report.graphs_checked <= len(searched)
+    if target == "lemma-6.5":
+        assert report.graphs_checked == len(searched) == 6
+
+
+def test_connected_flag_is_tested_before_admission(monkeypatch, tmp_path):
+    """``connected=True`` drops a disconnected graph before its five-hole
+    search, generated or read from a file."""
+    path = tmp_path / "all6.g6"
+    write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
+    entry, seen = TARGETS["lemma-2.2"], []
+
+    def admit(g):
+        seen.append(g)
+        return entry.admit(g)
+
+    monkeypatch.setitem(TARGETS, "lemma-2.2", dataclasses.replace(entry, admit=admit))
+    for source in (None, path):
+        seen.clear()
+        assert verify("lemma-2.2", 6, source=source, connected=True).graphs_checked
+        assert seen and all(is_connected(g) for g in seen)
+
+
 def test_verify_from_file_keeps_connected_filter(tmp_path):
     path = tmp_path / "all6.g6"
     write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
@@ -358,13 +430,13 @@ def test_verify_from_file_applies_the_cap_before_the_filters(tmp_path, monkeypat
     path = tmp_path / "all7.g6"
     write_graph6_file(str(path), [g for n in range(1, 8) for g in representatives(n)])
     sizes = []
-    is_free = enumeration.is_free
+    is_free = harness.is_free
 
     def counting(g, patterns):
         sizes.append(g.n)
         return is_free(g, patterns)
 
-    monkeypatch.setattr(enumeration, "is_free", counting)
+    monkeypatch.setattr(harness, "is_free", counting)
     from_file = verify("theorem-1.2", n_max=5, source=str(path))
     assert sizes and max(sizes) <= 5
     generated = verify("theorem-1.2", n_max=5)
@@ -546,11 +618,27 @@ def test_alternate_script_runs_both_sides_in_turn():
     assert lines[6].endswith("reports identical") and len(lines) == 7
 
 
+def test_alternate_script_times_a_file_source(tmp_path):
+    """With ``--in FILE`` each run verifies the file's lines, not the
+    generated universe, and both sides report its digest."""
+    path, _ = _load_alternate()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    source = tmp_path / "all5.g6"
+    write_graph6_file(str(source), [g for n in range(1, 6) for g in representatives(n)])
+    proc = subprocess.run([sys.executable, str(path), "--in", str(source), src, src, "4",
+                           "lemma-6.2"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    digest = hashlib.sha256(verify("lemma-6.2", 4, source=str(source)).to_json().encode())
+    assert {line.rsplit(" ", 1)[1] for line in lines[:6]} == {digest.hexdigest()}
+    assert lines[6].endswith("reports identical") and len(lines) == 7
+
+
 def test_alternate_script_fails_when_reports_differ(monkeypatch, capsys):
     _, alternate = _load_alternate()
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = itertools.count()
-    monkeypatch.setattr(alternate, "run", lambda side, target, n: (0.0, str(next(runs))))
+    monkeypatch.setattr(alternate, "run", lambda side, target, n, infile: (0.0, str(next(runs))))
     assert alternate.main([src, src, "4", "lemma-6.2"]) == 1
     assert capsys.readouterr().out.splitlines()[-1].endswith("reports DIFFER")
 
@@ -613,10 +701,10 @@ def test_bound_targets_colour_members_of_their_colourers_classes(monkeypatch, tm
     write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
     for target, pipeline in BOUND_TARGETS.items():
         entry = TARGETS[target]
-        assert entry.keeps.__self__.free_of == entry.streams(0).free_of
+        assert entry.free_of == entry.streams(0).free_of
         needed = _precondition_patterns(pipeline, monkeypatch)
-        members = [g for n in range(1, 7) for g in entry.streams(n)]
-        from_file = list(harness._file_universe(str(path), entry, 6))
+        members = list(harness._admitted(entry, 6, None, False))
+        from_file = list(harness._admitted(entry, 6, str(path), False))
         assert len(from_file) == len(members) > 0
         for g in members + from_file:
             assert all(adj in g._free_of for adj in needed), (target, encode_graph6(g))
