@@ -45,11 +45,15 @@ class PerfectDivision:
 
 
 def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
+    """Every colour is in range and no vertex sees its own colour class."""
     if len(coloring.colors) != g.n:
         return False
     if any(not 0 <= c < max(coloring.k, 1) for c in coloring.colors) and g.n:
         return False
-    return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges())
+    classes: dict[int, int] = {}
+    for v, c in enumerate(coloring.colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(g.adj, coloring.colors))
 
 
 def _greedy_color_bound(adj: tuple[int, ...], cand: int) -> int:
@@ -127,24 +131,28 @@ def omega_table(adj: tuple[int, ...], n: int) -> list[int]:
 
 
 def _solve_k_coloring(g: Graph, k: int) -> Coloring | None:
-    """Deterministic backtracking k-colouring; vertex order is degree-descending."""
-    n = g.n
+    """Deterministic backtracking k-colouring; vertex order is degree-descending.
+
+    Each vertex takes the least colour whose class mask holds none of its
+    neighbours, among the colours used so far and one fresh colour."""
+    n, adj = g.n, g.adj
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     colors = [-1] * n
+    classes = [0] * k
 
     def assign(idx: int, used: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        seen = {colors[u] for u in bits_of(g.adj[v]) if colors[u] >= 0}
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if c in seen:
+        row, bit = adj[v], 1 << v
+        for c in range(min(used + 1, k)):
+            if row & classes[c]:
                 continue
+            classes[c] |= bit
             colors[v] = c
             if assign(idx + 1, max(used, c + 1)):
                 return True
-        colors[v] = -1
+            classes[c] ^= bit
         return False
 
     if assign(0, 0):

@@ -3,9 +3,13 @@
 Every "does G induce P?" question, for every pattern, goes through one
 search, :func:`_embed`.  It places the pattern vertices along a fixed
 connectivity-first order and tries host vertices in ascending order.  It
-keeps one candidate mask ("domain") per unplaced position: placing a vertex
-narrows every later domain to its neighbours or its non-neighbours, and a
-branch stops as soon as a domain empties (forward checking).  Copies that a
+keeps one candidate mask ("domain") per unplaced position, which starts as
+the host vertices whose degree lies in the pattern vertex's degree window:
+placing a vertex narrows every later domain to its neighbours or its
+non-neighbours, and a branch stops as soon as a domain empties (forward
+checking) or the later domains together hold fewer vertices than there are
+later positions.  Both tests drop only branches that hold no copy, so every
+copy the search reports is still met, in the same order.  Copies that a
 pattern automorphism maps onto each other are searched once: symmetry
 conditions from the stabiliser chain of the automorphism group, taken along
 the search order, keep only the copy whose images, read in search order, are
@@ -22,7 +26,8 @@ neighbour first) so certificates are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterator
 
 from .errors import PreconditionError
@@ -141,23 +146,29 @@ def _as_graph(p: Pattern | Graph | str) -> Graph:
 
 
 def _candidate_masks(host_adj: tuple[int, ...], padj: tuple[int, ...]) -> list[int] | None:
-    """Per pattern vertex, the host vertices of at least its degree; None
-    when some pattern vertex has no candidate."""
-    # thresh[d] = vertices of degree at least d
-    maxdeg = max((r.bit_count() for r in padj), default=0)
-    thresh = [0] * (maxdeg + 1)
+    """Per pattern vertex, the host vertices whose degree lies in its window;
+    None when some pattern vertex has no candidate.
+
+    In an induced copy of a k-vertex pattern in an n-vertex host, the image
+    of a pattern vertex of degree d has d neighbours and k - 1 - d
+    non-neighbours inside the copy, so its host degree lies in
+    [d, n - k + d].  Every copy meets the window, so it drops no copy."""
+    n, k = len(host_adj), len(padj)
+    # upto[j] = host vertices of degree below j
+    upto = [0] * (n + 1)
     bit = 1
     for row in host_adj:
-        d = row.bit_count()
-        thresh[d if d < maxdeg else maxdeg] |= bit
+        upto[row.bit_count() + 1] |= bit
         bit <<= 1
-    acc = 0
-    for d in range(maxdeg, -1, -1):
-        acc |= thresh[d]
-        thresh[d] = acc
-    cand = [thresh[r.bit_count()] for r in padj]
-    if not all(cand):
-        return None
+    for j in range(1, n + 1):
+        upto[j] |= upto[j - 1]
+    cand = []
+    for row in padj:
+        d = row.bit_count()
+        window = upto[n - k + d + 1] & ~upto[d]
+        if not window:
+            return None
+        cand.append(window)
     return cand
 
 
@@ -246,8 +257,12 @@ def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
     onwards of ``plan``.  Placing host vertex h ANDs every later domain with
     N(h), or with the non-neighbours of h other than h, and, for a later
     vertex that must exceed this one, with the vertices above h; a branch
-    whose later domain empties is dropped at once (Haralick and Elliott).
-    The last position is read off its domain.  ``image`` is indexed by
+    whose later domain empties is dropped at once (Haralick and Elliott), and
+    so is one whose later domains together hold fewer host vertices than
+    there are later positions, since every position gets its own vertex
+    (each placement removes h from every later domain).  Neither test drops
+    a complete image, so the images are met in the same order.  The last
+    position is read off its domain.  ``image`` is indexed by
     pattern vertex.  Stops at the first complete ``image`` when ``visit`` is
     None; otherwise hands every complete image that meets the symmetry
     conditions to ``visit`` and stops once it returns True.
@@ -271,6 +286,7 @@ def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
                     return True
         return False
     rest = dom[1:]
+    need = len(rest)
     while allowed:
         low = allowed & -allowed
         allowed ^= low
@@ -279,7 +295,7 @@ def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
         above = -(low << 1)
         masks = (off, nbrs, off & above, nbrs & above)
         nxt = [d & masks[c] for d, c in zip(rest, codes)]
-        if 0 not in nxt:
+        if 0 not in nxt and reduce(or_, nxt).bit_count() >= need:
             image[vertex] = low.bit_length() - 1
             if _embed(host_adj, plan, nxt, image, idx + 1, visit):
                 return True

@@ -713,17 +713,20 @@ def test_bound_targets_colour_members_of_their_colourers_classes(monkeypatch, tm
 def test_verify_colours_without_a_freeness_search(monkeypatch, tmp_path):
     """No induced-subgraph search runs on a checked graph of a bound target,
     generated or read from a file: its colourer's precondition finds the
-    class's patterns recorded.  A fresh graph is searched."""
+    class's patterns recorded.  A fresh graph is searched.  The probe is the
+    candidate masks, which every search past the recorded patterns builds;
+    the degree window can settle a search there without an ``_embed`` call
+    (C5 has no vertex of degree 1 for the ends of P5)."""
     searched = []
     current = [None]  # the graph being checked
     host = [None]  # per find_induced call: its host, if that is the checked graph
-    embed, find = patterns._embed, patterns.find_induced
+    masks, find = patterns._candidate_masks, patterns.find_induced
     checked = harness._checked
 
-    def counting_embed(*args, **kwargs):
+    def counting_masks(*args, **kwargs):
         if host[-1] is not None:
             searched.append(encode_graph6(host[-1]))
-        return embed(*args, **kwargs)
+        return masks(*args, **kwargs)
 
     def finding(g, pat):
         host.append(g if g is current[0] else None)
@@ -739,7 +742,7 @@ def test_verify_colours_without_a_freeness_search(monkeypatch, tmp_path):
         finally:
             current[0] = None
 
-    monkeypatch.setattr(patterns, "_embed", counting_embed)
+    monkeypatch.setattr(patterns, "_candidate_masks", counting_masks)
     for module in (patterns, colorers):
         monkeypatch.setattr(module, "find_induced", finding)
     monkeypatch.setattr(harness, "_checked", checking)

@@ -43,6 +43,7 @@ from oracles import (
     omega_table_brute,
     perfectly_divisible_definitional,
 )
+from test_structure import _grown_pipeline_members
 
 
 @st.composite
@@ -111,6 +112,20 @@ def test_chromatic_colorings_are_pinned(all_graphs_7):
         chi, col = chromatic_number(g)
         digest.update(json.dumps([chi, list(col.colors)]).encode() + b"\n")
     assert digest.hexdigest() == CHROMATIC_UP_TO_SEVEN
+
+
+# SHA-256 of chromatic_number over the seeded grown members of the two
+# pipeline classes (14 to 30 vertices), where the backtracking branches; made
+# while the k-colouring still collected neighbour colours into a set
+CHROMATIC_GROWN = "8a8cca0bd11caeed23e7866ecaffefd5f97f7feccd05f2186d69e716207e6292"
+
+
+def test_chromatic_colorings_of_grown_members_are_pinned():
+    digest = hashlib.sha256()
+    for g in _grown_pipeline_members():
+        chi, col = chromatic_number(g)
+        digest.update(json.dumps([chi, list(col.colors)]).encode() + b"\n")
+    assert digest.hexdigest() == CHROMATIC_GROWN
 
 
 def test_chromatic_empty_graph():

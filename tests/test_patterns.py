@@ -3,13 +3,14 @@
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibind import patterns
 from chibind.errors import PreconditionError
-from chibind.enumeration import representatives
+from chibind.enumeration import iter_graph6_file, representatives
 from chibind.graphs import (
     Graph,
     VertexSet,
@@ -17,9 +18,11 @@ from chibind.graphs import (
     complement,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     from_edge_list,
     induced,
+    join,
     path_graph,
 )
 from chibind.patterns import (
@@ -286,6 +289,48 @@ def test_has_induced_using_matches_every_pinned_plain_search(all_graphs_7):
             for v in range(host.n):
                 assert has_induced_using(host.adj, host.n, pg, v) == \
                     uses_vertex_plain(host.adj, pg, v), (host.adj, pg.adj, v)
+
+
+def test_the_degree_window_keeps_the_plain_search_witness():
+    # the window of degree d tops out at n - k + d: a universal host vertex
+    # may play only a universal pattern vertex, and beside an isolated vertex
+    # a vertex universal in h only one of degree k - 2 or more
+    small = [p.graph for p in PATTERN_CATALOG.values() if p.graph.n <= 6]
+    k1 = complete_graph(1)
+    for h in (g for n in range(7) for g in representatives(n)):
+        for host in (join(k1, h), disjoint_union(k1, h)):
+            for pg in small:
+                emb = find_induced(host, pg)
+                assert (None if emb is None else emb.map) == least_embedding_plain(host, pg), \
+                    (host.adj, pg.adj)
+                assert has_induced_using(host.adj, host.n, pg, 0) == \
+                    uses_vertex_plain(host.adj, pg, 0), (host.adj, pg.adj)
+
+
+# _embed frames that prove the tracked (P5, K1+(K1uK3))-free members with
+# n <= 7 free of both patterns; the search took 11,612 before the degree
+# window and the distinct-vertex count
+PROOF_FRAMES_UP_TO_SEVEN = 3838
+
+
+def test_the_freeness_proofs_keep_their_pruning(monkeypatch):
+    cache = Path(__file__).parent / "_cache"
+    members = [g for n in range(1, 8) for g in iter_graph6_file(str(cache / f"v1-P5-K1pK1uK3-{n}.g6"))]
+    pats = [pattern("P5").graph, pattern("K1+(K1uK3)").graph]
+    for pg in pats:
+        _plan(pg.adj, pg.n, 0, 0)
+    frames = 0
+    embed = patterns._embed
+
+    def counting(*args):
+        nonlocal frames
+        frames += 1
+        return embed(*args)
+
+    monkeypatch.setattr(patterns, "_embed", counting)
+    assert len(members) == 650
+    assert all(is_free(g, pats) for g in members)
+    assert frames == PROOF_FRAMES_UP_TO_SEVEN
 
 
 def _permutation_scan(g: Graph) -> list[tuple[int, ...]]:
