@@ -20,6 +20,7 @@ same search yields the automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
@@ -315,18 +316,27 @@ def decode_graph6(text: str) -> Graph:
         if not 63 <= b <= 126:
             raise GraphError(f"graph6 payload byte {b} out of range")
         bits = bits << 6 | (b - 63)
-    total = need * 6
+    # the padding bits are ignored
+    bits >>= need * 6 - n * (n - 1) // 2
+    pairs = _graph6_pairs(n)
     rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = bits >> (total - 1 - pos) & 1
-            pos += 1
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        i, j = pairs[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     # symmetric and loop-free by construction, on at most 62 vertices
     return Graph._trusted(n, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair ``(i, j)`` of every pair bit of an ``n``-vertex graph6
+    payload read as one integer without its padding, indexed from the least
+    significant bit: the payload lists the pairs by column ``j``, then row
+    ``i``, most significant first."""
+    return tuple(reversed([(i, j) for j in range(1, n) for i in range(j)]))
 
 
 def iter_graph6_file(path: str) -> Iterator[Graph]:

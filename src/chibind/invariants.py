@@ -105,18 +105,37 @@ def independence_number(g: Graph) -> int:
 
 def cliques(adj: tuple[int, ...], sub: int, size: int) -> Iterator[int]:
     """Every clique of exactly ``size`` vertices inside ``sub``, as a mask, in
-    ascending lexicographic order of the sorted members."""
+    ascending lexicographic order of the sorted members; callers rely on
+    that order (the first clique found is the least one).
 
-    def grow(cand: int, chosen: int, need: int) -> Iterator[int]:
-        if not need:
-            yield chosen
-            return
-        for v in bits_of(cand):
-            nxt = cand & adj[v] & ~((2 << v) - 1)
-            if nxt.bit_count() >= need - 1:
-                yield from grow(nxt, chosen | (1 << v), need - 1)
-
-    return grow(sub, 0, size)
+    One flat depth-first loop in one generator frame: ``cand[d]`` holds the
+    untried choices for member ``d``, the common neighbours of the members
+    before it that lie above them, and a branch stops when it holds fewer
+    than the members still to place."""
+    if not size:
+        yield 0
+        return
+    top = size - 1
+    cand = [0] * size
+    base = [0] * size  # base[d]: the members before member d
+    cand[0] = sub
+    d = 0
+    while d >= 0:
+        m = cand[d]
+        if not m:
+            d -= 1
+            continue
+        low = m & -m
+        m ^= low
+        cand[d] = m
+        if d == top:
+            yield base[d] | low
+            continue
+        m &= adj[low.bit_length() - 1]
+        if m.bit_count() >= top - d:
+            d += 1
+            cand[d] = m
+            base[d] = base[d - 1] | low
 
 
 def omega_table(adj: tuple[int, ...], n: int) -> list[int]:

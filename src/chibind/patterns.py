@@ -18,9 +18,13 @@ backtracking meets first, so the witness embeddings do not depend on the
 pruning.  The chain's orbits come from pinned searches of the pattern into
 itself, one per pair of vertices that might share an orbit, so the group,
 which grows as k! for a complete or edgeless pattern, is never listed.
-Odd-hole and odd-antihole search provide the perfection test, and both
-searches use a canonical cycle ordering (least start vertex, smaller second
-neighbour first) so certificates are reproducible.
+Odd-hole and odd-antihole search provide the perfection test.  Both go
+through :func:`_holes`, which lists the induced cycles of one length inside
+a vertex mask in one flat depth-first loop, a single generator frame per
+query.  Each cycle is written canonically (least start vertex, smaller
+second neighbour first), and the cycles come in ascending lexicographic
+order, so the first one is the least: the five-hole witnesses, the
+pipelines' leaves and the pinned reports rely on that order.
 """
 
 from __future__ import annotations
@@ -446,41 +450,67 @@ def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:
 
 
 def _holes(adj: tuple[int, ...], sub: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Every induced cycle of exactly ``length`` vertices inside ``sub``.
+    """Every induced cycle of exactly ``length >= 3`` vertices inside ``sub``.
 
     Canonical ordering: each cycle starts at its least vertex and runs toward
     the smaller of the two neighbours; tuples are produced in ascending
-    lexicographic order, so the first one is the least.
+    lexicographic order, so the first one is the least.  Callers rely on
+    that order: the first hole found is the least one.
+
+    One flat depth-first loop in one generator frame: ``cand[d]`` holds the
+    untried choices for ``path[d]``, and ``rest[d]`` the vertices that
+    ``path[d+1:]`` may still use: vertices of ``sub`` above ``path[0]``, off
+    ``path[:d]`` and not adjacent to ``path[1 .. d-1]``.  A branch stops when
+    fewer of them are left than there are open positions, or when none of
+    them can close the cycle: the closing vertex is a neighbour of
+    ``path[0]`` above ``path[1]`` (which fixes the traversal direction), and
+    the usable vertices only get fewer with depth.  Neither test drops a
+    hole, so the search meets every hole, in the same order.
     """
-    if length > sub.bit_count():
-        return
+    top = length - 1
     path = [0] * length
-
-    def grow(depth: int, avail: int) -> Iterator[tuple[int, ...]]:
-        # avail: vertices of sub above path[0] that are off the path and not
-        # adjacent to path[1 .. depth-2]; prune when too few are left
-        if avail.bit_count() < length - depth:
+    cand = [0] * length
+    rest = [0] * length
+    starts = sub
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        if starts.bit_count() < top:
             return
-        last = path[depth - 1]
-        if depth == length - 1:
-            # closing vertex: adjacent to both ends, independent of the middle,
-            # and larger than path[1] to fix the traversal direction
-            allowed = adj[last] & adj[path[0]] & avail & ~((2 << path[1]) - 1)
-            for v in bits_of(allowed):
-                path[depth] = v
-                yield tuple(path)
-            return
-        allowed = adj[last] & avail
-        if depth >= 2:
-            allowed &= ~adj[path[0]]
-            avail &= ~adj[last]
-        for v in bits_of(allowed):
-            path[depth] = v
-            yield from grow(depth + 1, avail & ~(1 << v))
-
-    for s in bits_of(sub):
-        path[0] = s
-        yield from grow(1, sub & ~((2 << s) - 1))
+        path[0] = s = low.bit_length() - 1
+        row0 = adj[s]
+        cand[1] = row0 & starts
+        rest[1] = starts
+        d = 1
+        while d:
+            m = cand[d]
+            if not m:
+                d -= 1
+                continue
+            low = m & -m
+            cand[d] = m ^ low
+            path[d] = v = low.bit_length() - 1
+            if d == 1:
+                close = row0 & ~((low << 1) - 1)
+            avail = rest[d] & ~low
+            if avail.bit_count() < top - d:
+                continue
+            row = adj[v]
+            if d + 1 == top:
+                # the closing vertex: adjacent to both ends, not to the middle
+                m = row & close & avail
+                while m:
+                    low = m & -m
+                    m ^= low
+                    path[top] = low.bit_length() - 1
+                    yield tuple(path)
+                continue
+            below = avail & ~row
+            if not below & close:
+                continue
+            d += 1
+            cand[d] = row & avail & ~row0
+            rest[d] = below
 
 
 def has_odd_hole_mask(adj: tuple[int, ...], sub: int) -> bool:

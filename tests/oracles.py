@@ -10,12 +10,15 @@ frozenset class keys.  These stay deliberately naive.
 from __future__ import annotations
 
 import itertools
+import random
 
 from chibind.errors import PreconditionError
 from chibind.graphs import (
     Graph,
+    GraphError,
     VertexSet,
     bits_of,
+    complement,
     components_masks,
     distances_from,
     from_edge_list,
@@ -269,6 +272,67 @@ def induced_cycles_brute(adj: tuple[int, ...], n: int, length: int) -> list[tupl
         if len(order) == length:
             out.append(tuple(order))
     return out
+
+
+def decode_graph6_plain(text: str) -> Graph:
+    """graph6 decoding that reads every pair bit of the payload in turn."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphError("empty graph6 string")
+    if not s.isascii():
+        raise GraphError("graph6 input must be ASCII")
+    first = ord(s[0])
+    if first == 126:
+        raise GraphError("long-form graph6 (more than 62 vertices) is not supported")
+    n = first - 63
+    if not 0 <= n <= 62:
+        raise GraphError(f"graph6 header byte {first} outside the short-form range")
+    payload = s[1:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(payload) != need:
+        raise GraphError(f"graph6 payload has {len(payload)} bytes, expected {need}")
+    bits = 0
+    for ch in payload:
+        b = ord(ch)
+        if not 63 <= b <= 126:
+            raise GraphError(f"graph6 payload byte {b} out of range")
+        bits = bits << 6 | (b - 63)
+    total = need * 6
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            bit = bits >> (total - 1 - pos) & 1
+            pos += 1
+            if bit:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
+
+
+def seeded_random_graphs(seed: int, sizes: range, per_size: int) -> list[Graph]:
+    """``per_size`` random graphs on each of ``sizes`` vertices, with edge
+    densities 0.3, 0.5 and 0.7 in turn; the same list for the same seed."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        pairs = list(itertools.combinations(range(n), 2))
+        for i in range(per_size):
+            density = (0.3, 0.5, 0.7)[i % 3]
+            out.append(from_edge_list(n, [e for e in pairs if rng.random() < density]))
+    return out
+
+
+def views_and_sub_masks(graphs: list[Graph], seed: int):
+    """``(adj, n, subs)`` for both adjacency views of every graph (the graph
+    and its complement), where ``subs`` holds the full vertex mask and two
+    seeded random sub masks."""
+    rng = random.Random(seed)
+    for g in graphs:
+        for adj in (g.adj, complement(g).adj):
+            yield adj, g.n, ((1 << g.n) - 1, rng.getrandbits(g.n), rng.getrandbits(g.n))
 
 
 def five_hole_decomposition_plain(

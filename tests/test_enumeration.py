@@ -31,7 +31,12 @@ from chibind.enumeration import (
     write_graph6_file,
 )
 from chibind.patterns import is_free, pattern
-from oracles import graph_from_pair_mask, labeled_rejection_counts
+from oracles import (
+    decode_graph6_plain,
+    graph_from_pair_mask,
+    labeled_rejection_counts,
+    seeded_random_graphs,
+)
 
 
 def test_counts_match_labeled_rejection_oracle():
@@ -117,6 +122,18 @@ def test_graph6_round_trip_small(all_graphs_8):
     for g in [Graph(0, ())] + all_graphs_8:
         back = decode_graph6(encode_graph6(g))
         assert back == g == Graph(back.n, back.adj)
+
+
+def test_graph6_decoding_matches_the_pair_by_pair_oracle(all_graphs_7):
+    graphs = [Graph(0, ())] + all_graphs_7 + seeded_random_graphs(31, range(8, 63), 2)
+    for g in graphs:
+        text = encode_graph6(g)
+        assert decode_graph6(text) == decode_graph6_plain(text) == g
+    # a set padding bit is ignored: C5 has 10 pair bits in two bytes
+    text = encode_graph6(cycle_graph(5))
+    padded = text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1))
+    assert padded != text
+    assert decode_graph6(padded) == decode_graph6_plain(padded) == cycle_graph(5)
 
 
 def test_graph6_errors():

@@ -42,6 +42,8 @@ from oracles import (
     is_perfect_definitional,
     omega_table_brute,
     perfectly_divisible_definitional,
+    seeded_random_graphs,
+    views_and_sub_masks,
 )
 from test_structure import _grown_pipeline_members
 
@@ -85,10 +87,14 @@ def test_maximum_clique_is_least():
 
 
 def test_cliques_match_subset_scan(all_graphs_7):
-    for g in all_graphs_7:
-        full = (1 << g.n) - 1
-        for size in range(g.n + 2):
-            assert list(cliques(g.adj, full, size)) == cliques_brute(g.adj, g.n, size)
+    # exactly the cliques inside sub, in ascending lexicographic order of
+    # their members, on full and sub masks of both adjacency views
+    graphs = list(all_graphs_7) + seeded_random_graphs(29, range(9, 15), 5)
+    for adj, n, subs in views_and_sub_masks(graphs, 7):
+        for size in range(n + 2):
+            brute = cliques_brute(adj, n, size)
+            for sub in subs:
+                assert list(cliques(adj, sub, size)) == [m for m in brute if m & sub == m]
 
 
 def test_chromatic_examples():

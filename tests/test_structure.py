@@ -25,7 +25,7 @@ from chibind.graphs import (
     empty_graph,
 )
 from chibind.invariants import clique_number
-from chibind.patterns import has_induced_using, is_free, pattern
+from chibind.patterns import _holes, has_induced_using, is_free, pattern
 from chibind.structure import (
     _least_clique_cutset,
     antihole_neighborhood_split,
@@ -57,6 +57,8 @@ from oracles import (
     homogeneous_sets_brute,
     induced_cycles_brute,
     minimal_cutsets_brute,
+    seeded_random_graphs,
+    views_and_sub_masks,
 )
 
 
@@ -112,8 +114,17 @@ def test_find_five_hole_is_least_of_all_holes(all_graphs_7):
 
 
 def test_hole_searches_match_subset_scans(all_graphs_8):
+    # the order contract of every caller: exactly the induced cycles inside
+    # sub, each written canonically, in ascending lexicographic order
+    graphs = [g for g in all_graphs_8 if g.n <= 7] + seeded_random_graphs(23, range(9, 15), 5)
+    for adj, n, subs in views_and_sub_masks(graphs, 5):
+        for length in range(3, n + 1):
+            brute = sorted(induced_cycles_brute(adj, n, length))
+            for sub in subs:
+                inside = [t for t in brute if all(sub >> v & 1 for v in t)]
+                assert list(_holes(adj, sub, length)) == inside
     for g in all_graphs_8:
-        assert set(find_all_five_holes(g)) == set(induced_cycles_brute(g.adj, g.n, 5))
+        assert find_all_five_holes(g) == sorted(induced_cycles_brute(g.adj, g.n, 5))
         comp = complement(g)
         brute = [t for length in range(5, g.n + 1, 2)
                  for t in induced_cycles_brute(comp.adj, g.n, length)]
