@@ -20,7 +20,7 @@ from .enumeration import (
 )
 from .errors import PreconditionError, StructureAssertionError
 from .graphs import Graph, GraphError, from_edge_list
-from .harness import PIPELINES, SUB_COLORERS, analyze_one, color_one, verify
+from .harness import COLORERS, analyze_one, color_one, verify
 
 
 def _parse_edges(text: str, n: int | None) -> Graph:
@@ -112,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_color = sub.add_parser("color", help="colour one graph through a pipeline")
-    p_color.add_argument("--pipeline", required=True,
-                         choices=sorted(PIPELINES) + sorted(SUB_COLORERS))
+    p_color.add_argument("--pipeline", required=True, choices=sorted(COLORERS))
     p_color.add_argument("--g6", default=None)
     p_color.add_argument("--edges", default=None, help='edge list like "0-1,1-2"')
     p_color.add_argument("--n", type=int, default=None, help="vertex count for --edges")

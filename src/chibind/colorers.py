@@ -1,4 +1,4 @@
-"""Constructive colouring pipelines with bound certificates.
+"""Constructive colourers, each returning its bound certificate.
 
 Each pipeline follows the structural decomposition that proves its bound:
 palette slices are allocated per decomposition piece, and reuse steps assign
@@ -19,15 +19,15 @@ coloured triangle-free at omega two, else around its five-hole, else by
 perfect divisibility; a ``p5-k1-k1uk3`` leaf around its five-hole, else
 around its first big odd antihole.
 
-Every public colourer has one shape: its precondition (``_require_free``; for
-``color_sumner``, a failed structure proof on an input outside the class),
-then a core that colours a vertex mask of the host, then ``_certified``, which
-asserts that the colouring covers the host, is proper and stays within the
-bound; the pipelines reach ``_certified`` through ``_finish``.  The
-precondition is the only search of the host for forbidden patterns, and it
-always runs.  It reads the patterns the host is already proved free of
-(``Graph._free_of``), so the class members ``verify`` colours, generated ones
-and file lines that passed the class filter, cost a lookup and no search.
+Every public colourer has one shape: its precondition (``_require_free``,
+or a failed proof on an input outside the class), then a core that colours
+a vertex mask of the host, then ``_finish``, which asserts that the
+colouring covers the host, is proper and stays within the bound, and
+returns it with its ``BoundCertificate``.  The precondition is the only
+search of the host for forbidden patterns, and it always runs.  It reads
+the patterns the host is already proved free of (``Graph._free_of``), so
+the class members ``verify`` colours, generated ones and file lines that
+passed the class filter, cost a lookup and no search.
 Pipelines colour their pieces through the cores (``_triangle_free_map``,
 ``_k1uk3_map``, ``_wagon_map``), never through the public colourers, so a
 piece is not re-checked against a precondition the decomposition already
@@ -56,6 +56,7 @@ from .invariants import (
     _optimal_map,
     _peeled_map,
     _perfect_map,
+    chi_bound_divisible,
     clique_number,
     clique_number_mask,
     cliques,
@@ -239,12 +240,12 @@ def _triangle_free_map(g: Graph, mask: int) -> dict[int, int]:
     return cmap
 
 
-def color_sumner(g: Graph) -> Coloring:
+def color_sumner(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """Three colours for hosts with no induced P5 or K3.
 
     Any graph whose components are bipartite or five-hole blow-ups is accepted.
     """
-    return _certified(g, _in_triangle_free_class(g, _triangle_free_map), 3)
+    return _finish(g, "sumner", bound_sumner, _in_triangle_free_class(g, _triangle_free_map), [])
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +271,11 @@ def _k1uk3_map(g: Graph, mask: int) -> dict[int, int]:
     return cmap
 
 
-def color_k1_union_k3_free(g: Graph) -> Coloring:
+def color_k1_union_k3_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5
     or K1uK3."""
     _require_free(g, [_P5, _K1UK3])
-    return _certified(g, _k1uk3_map(g, (1 << g.n) - 1), bound_k1_union_k3(clique_number(g)))
+    return _finish(g, "k1-union-k3", bound_k1_union_k3, _k1uk3_map(g, (1 << g.n) - 1), [])
 
 
 # ---------------------------------------------------------------------------
@@ -305,30 +306,22 @@ def _wagon_map(g: Graph, mask: int, w: int) -> dict[int, int]:
     return cmap
 
 
-def color_wagon_2k2_free(g: Graph) -> Coloring:
+def color_wagon_2k2_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2."""
     _require_free(g, [_2K2])
-    w = clique_number(g)
-    return _certified(g, _wagon_map(g, (1 << g.n) - 1, w), bound_wagon_2k2(w))
+    cmap = _wagon_map(g, (1 << g.n) - 1, clique_number(g))
+    return _finish(g, "wagon-2k2", bound_wagon_2k2, cmap, [])
+
+
+def color_divisible(g: Graph) -> tuple[Coloring, BoundCertificate]:
+    """At most ``comb(omega+1, 2)`` colours by peeling perfect divisions, for
+    hosts on at most 16 vertices where every round finds one."""
+    _, coloring = chi_bound_divisible(g)
+    return _finish(g, "divisible", bound_divisible, dict(enumerate(coloring.colors)), [])
 
 
 # ---------------------------------------------------------------------------
 # shared pipeline plumbing
-
-
-def _certified(g: Graph, cmap: dict[int, int], bound: int) -> Coloring:
-    """The colouring of a colour map, asserted to cover the host, to be proper
-    and to stay within ``bound``."""
-    if len(cmap) != g.n:
-        raise StructureAssertionError("colour map does not cover every vertex")
-    colors = tuple(cmap[v] for v in range(g.n))
-    coloring = Coloring(colors, max(colors) + 1 if colors else 0)
-    if not is_proper_coloring(g, coloring):
-        raise StructureAssertionError("pipeline produced an improper colouring")
-    used = coloring.used()
-    if used > bound:
-        raise StructureAssertionError(f"pipeline used {used} colours above its bound {bound}")
-    return coloring
 
 
 def _merge_at_cutset(cut_vertices: list[int], d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
@@ -377,16 +370,24 @@ def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple
 
 def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
             regions: list[tuple[str, int]]) -> tuple[Coloring, BoundCertificate]:
-    """Certify a pipeline's colouring of ``g``."""
+    """Certify a colour map of ``g``: it covers the host, is proper and stays within the bound."""
     w = clique_number(g)
     bound = bound_fn(w)
-    coloring = _certified(g, cmap, bound)
+    if len(cmap) != g.n:
+        raise StructureAssertionError("colour map does not cover every vertex")
+    colors = tuple(cmap[v] for v in range(g.n))
+    coloring = Coloring(colors, max(colors) + 1 if colors else 0)
+    if not is_proper_coloring(g, coloring):
+        raise StructureAssertionError("pipeline produced an improper colouring")
+    used = coloring.used()
+    if used > bound:
+        raise StructureAssertionError(f"pipeline used {used} colours above its bound {bound}")
     trace = []
     for name, mask in regions:
         colors = {coloring.colors[v] for v in bits_of(mask)}
         slc = (min(colors), max(colors) + 1) if colors else (0, 0)
         trace.append(TraceStep(name, VertexSet(mask, g.n), slc))
-    return coloring, BoundCertificate(pid, w, bound, coloring.used(), tuple(trace))
+    return coloring, BoundCertificate(pid, w, bound, used, tuple(trace))
 
 
 def _components_shared_palette(g: Graph, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:

@@ -216,7 +216,8 @@ def _bind(g: Graph, s: VertexSet) -> int:
 
 
 def induced(g: Graph, s: VertexSet) -> Graph:
-    """Induced subgraph on ``s``, relabelled by ascending original index (``g`` if ``s`` is all)."""
+    """Induced subgraph on ``s``, relabelled by ascending original index (``g`` if ``s`` is all);
+    it keeps the patterns ``g`` is proved free of, as freeness is hereditary."""
     mask = _bind(g, s)
     if mask == (1 << g.n) - 1:
         return g
@@ -228,7 +229,7 @@ def induced(g: Graph, s: VertexSet) -> Graph:
         for u in bits_of(g.adj[v] & mask):
             row |= 1 << pos[u]
         rows.append(row)
-    return Graph._trusted(len(old), tuple(rows), g.label)
+    return Graph._trusted(len(old), tuple(rows), g.label, g._free_of)
 
 
 def complement(g: Graph) -> Graph:

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 from .colorers import (
-    BoundCertificate,
-    bound_divisible,
     bound_k1_union_k3,
     bound_p5_k1_2k2,
     bound_p5_k1_k1k3,
@@ -25,6 +23,7 @@ from .colorers import (
     bound_sumner,
     bound_wagon_2k2,
     classify_triangle_free,
+    color_divisible,
     color_k1_union_k3_free,
     color_p5_k1_2k2,
     color_p5_k1_k1k3,
@@ -36,8 +35,6 @@ from .errors import PreconditionError, SearchExhaustedError, StructureAssertionE
 from .enumeration import GraphStream, encode_graph6, iter_graph6_file
 from .graphs import Graph, bits_of, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
 from .invariants import (
-    Coloring,
-    chi_bound_divisible,
     chromatic_number,
     clique_number,
     find_perfect_division,
@@ -170,6 +167,19 @@ def _check_divisible(g: Graph) -> CheckOutcome:
                         row={"divisible": ok})
 
 
+# every colourer by name, each returning its colouring and certificate; read at
+# call time, so a rewritten entry reaches every caller
+COLORERS: dict[str, Callable] = {
+    "p5-k23": color_p5_k23,
+    "p5-k1-2k2": color_p5_k1_2k2,
+    "p5-k1-k1uk3": color_p5_k1_k1k3,
+    "sumner": color_sumner,
+    "wagon-2k2": color_wagon_2k2_free,
+    "k1-union-k3": color_k1_union_k3_free,
+    "divisible": color_divisible,
+}
+
+
 def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: bool = False,
                  describe: Callable[[Graph], dict] | None = None) -> Callable[[Graph], CheckOutcome]:
     """Check of a colouring bound: the exact chromatic number against the
@@ -188,7 +198,7 @@ def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: 
         ratio = chi / bound if bound > 0 else None
         row = {"n": g.n, "omega": w, "chi": chi, "bound": bound}
         if not connected_only or is_connected(g):
-            coloring, _ = _colored(g, pipeline)
+            coloring, _ = COLORERS[pipeline](g)
             used = coloring.used()
             if not is_proper_coloring(g, coloring):
                 violations.append(f"{pipeline} colouring is improper")
@@ -420,31 +430,6 @@ def _admitted(entry: Target, cap: int, source: str | None, connected: bool) -> I
 # single-graph entry points
 
 
-PIPELINES: dict[str, Callable] = {
-    "p5-k23": color_p5_k23,
-    "p5-k1-2k2": color_p5_k1_2k2,
-    "p5-k1-k1uk3": color_p5_k1_k1k3,
-}
-
-SUB_COLORERS: dict[str, tuple[Callable, Callable[[int], int]]] = {
-    "sumner": (color_sumner, bound_sumner),
-    "wagon-2k2": (color_wagon_2k2_free, bound_wagon_2k2),
-    "k1-union-k3": (color_k1_union_k3_free, bound_k1_union_k3),
-    "divisible": (lambda g: chi_bound_divisible(g)[1], bound_divisible),
-}
-
-
-def _colored(g: Graph, pipeline: str) -> tuple[Coloring, BoundCertificate | None]:
-    """The colouring of ``g`` by a pipeline, with its certificate, or by a
-    sub-colourer, which has none."""
-    if pipeline in PIPELINES:
-        return PIPELINES[pipeline](g)
-    if pipeline in SUB_COLORERS:
-        return SUB_COLORERS[pipeline][0](g), None
-    raise KeyError(f"unknown pipeline {pipeline!r}; known: "
-                   f"{sorted(PIPELINES) + sorted(SUB_COLORERS)}")
-
-
 def _require_graph(g: Graph) -> None:
     if not isinstance(g, Graph):
         raise PreconditionError(f"expected a Graph, not {g!r}")
@@ -455,10 +440,9 @@ def color_one(g: Graph, pipeline: str) -> dict:
     _require_graph(g)
     if not isinstance(pipeline, str):
         raise PreconditionError(f"pipeline must be a str, not {pipeline!r}")
-    coloring, cert = _colored(g, pipeline)
-    if cert is None:
-        w = clique_number(g)
-        cert = BoundCertificate(pipeline, w, SUB_COLORERS[pipeline][1](w), coloring.used(), ())
+    if pipeline not in COLORERS:
+        raise KeyError(f"unknown pipeline {pipeline!r}; known: {sorted(COLORERS)}")
+    coloring, cert = COLORERS[pipeline](g)
     return {
         "pipeline": pipeline,
         "n": g.n,

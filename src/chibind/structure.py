@@ -70,6 +70,7 @@ def _pattern_of(row: int, hole: tuple[int, ...]) -> int:
 
 
 _K1UK3 = pattern("K1uK3")
+_K1_K1UK3 = pattern("K1+(K1uK3)")
 
 # the pattern pairs {i,i+1,i+3} and {i,i+1,i+2,i+4} of a bad pair
 _BAD_PAIRS = frozenset(frozenset((_pattern(i, i + 1, i + 3), _pattern(i, i + 1, i + 2, i + 4)))
@@ -154,7 +155,8 @@ def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
         for x in bits_of(near):
             if g.adj[x] & level2:
                 out.append(f"vertex {x} in a distance-two or consecutive-triple class sees level two")
-    if is_connected(g) and len(dec.levels) > 3:
+    # the hole's component is the hole and its levels
+    if len(dec.levels) > 3 and sum(dec.levels, sum(1 << v for v in dec.hole)) == (1 << g.n) - 1:
         out.append("connected host has vertices past level three")
     level3 = dec.level(3)
     if level3:
@@ -290,9 +292,11 @@ def _has_triangle(g: Graph, mask: int) -> bool:
 def check_k1uk3_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Class facts of hosts free of P5 and of the join of a vertex to K1+K3."""
     out = []
+    # a K1uK3 in N(v) and v make a K1+(K1uK3)
+    in_class = is_free(g, [_K1_K1UK3])
     for i in range(1, 6):
         vi = dec.hole_vertex(i)
-        if not is_free(induced(g, g.neighbors(vi)), [_K1UK3]):
+        if not in_class and not is_free(induced(g, g.neighbors(vi)), [_K1UK3]):
             out.append(f"neighbourhood of hole vertex v{i} induces K1uK3")
         if _has_triangle(g, dec.neighbor_class(i, i + 2)):
             out.append(f"class {{{i},{i + 2}}} induces a triangle")
@@ -397,7 +401,8 @@ def _antihole_violations(g: Graph, order: tuple[int, ...], split: tuple) -> list
     from its neighbourhood split."""
     s, t, buckets = split
     out = []
-    if not is_free(induced(g, VertexSet(s, g.n)), [_K1UK3]):
+    # a K1uK3 in S and an antihole vertex, complete to S, make a K1+(K1uK3)
+    if not is_free(g, [_K1_K1UK3]) and not is_free(induced(g, VertexSet(s, g.n)), [_K1UK3]):
         out.append("fully attached antihole neighbourhood induces K1uK3")
     for i, bucket in enumerate(buckets, start=1):
         if not is_independent_mask(g.adj, bucket):

@@ -5,9 +5,9 @@ exit 0 or 2 and raise nothing out of ``main``."""
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chibind.cli import main
-from chibind.harness import PIPELINES, SUB_COLORERS, TARGETS
+from chibind.harness import COLORERS, TARGETS
 
-COMMANDS = [["color", "--pipeline", p] for p in sorted(PIPELINES) + sorted(SUB_COLORERS)]
+COMMANDS = [["color", "--pipeline", p] for p in sorted(COLORERS)]
 COMMANDS.append(["analyze"])
 
 GRAPH6_CHARS = "".join(chr(c) for c in range(63, 127))

@@ -45,14 +45,14 @@ def doubled_c5():
 
 
 def test_sumner_examples():
-    assert color_sumner(cycle_graph(5)).used() == 3
-    assert color_sumner(cycle_graph(6)).used() == 2
+    assert color_sumner(cycle_graph(5))[0].used() == 3
+    assert color_sumner(cycle_graph(6))[0].used() == 2
     g = doubled_c5()
-    col = color_sumner(g)
+    col, _ = color_sumner(g)
     assert col.used() == 3 and is_proper_coloring(g, col)
     assert chromatic_number(g)[0] == 3
-    assert color_sumner(empty_graph(4)).used() == 1
-    assert color_sumner(empty_graph(0)).k == 0
+    assert color_sumner(empty_graph(4))[0].used() == 1
+    assert color_sumner(empty_graph(0))[0].k == 0
 
 
 def test_sumner_structure_proofs():
@@ -66,9 +66,9 @@ def test_sumner_structure_proofs():
 
 def test_sumner_two_colors_iff_bipartite():
     for g in (path_graph(5), cycle_graph(6), empty_graph(3)):
-        assert color_sumner(g).used() <= 2
+        assert color_sumner(g)[0].used() <= 2
     for g in (cycle_graph(5), doubled_c5()):
-        assert color_sumner(g).used() == 3
+        assert color_sumner(g)[0].used() == 3
 
 
 def test_sumner_rejects_triangles():
@@ -104,15 +104,15 @@ def test_sumner_structure_proof_failures_are_named(g, text, monkeypatch):
 
 
 def test_k1uk3_colorer_examples():
-    col = color_k1_union_k3_free(complete_graph(3))
+    col, _ = color_k1_union_k3_free(complete_graph(3))
     assert col.used() == 3  # bound 3*3-3 = 6
-    col = color_k1_union_k3_free(complete_graph(2))
+    col, _ = color_k1_union_k3_free(complete_graph(2))
     assert col.used() == 2  # bound 3
-    col = color_k1_union_k3_free(empty_graph(3))
+    col, _ = color_k1_union_k3_free(empty_graph(3))
     assert col.used() == 1
     g = join(complete_graph(1), cycle_graph(5))
     if is_free(g, ["P5", "K1uK3"]):
-        col = color_k1_union_k3_free(g)
+        col, _ = color_k1_union_k3_free(g)
         assert is_proper_coloring(g, col)
         assert col.used() <= 3 * clique_number(g) - 3
 
@@ -123,13 +123,13 @@ def test_k1uk3_rejects_outside_class():
 
 
 def test_wagon_examples():
-    col = color_wagon_2k2_free(cycle_graph(5))
+    col, _ = color_wagon_2k2_free(cycle_graph(5))
     assert col.used() <= 3 and is_proper_coloring(cycle_graph(5), col)
     k23 = pattern("K2,3").graph
-    col = color_wagon_2k2_free(k23)
+    col, _ = color_wagon_2k2_free(k23)
     assert col.used() <= 3 and is_proper_coloring(k23, col)
-    assert color_wagon_2k2_free(empty_graph(0)).k == 0
-    assert color_wagon_2k2_free(empty_graph(4)).used() == 1
+    assert color_wagon_2k2_free(empty_graph(0))[0].k == 0
+    assert color_wagon_2k2_free(empty_graph(4))[0].used() == 1
     with pytest.raises(PreconditionError):
         color_wagon_2k2_free(pattern("2K2").graph)
 
@@ -139,7 +139,7 @@ def test_wagon_exhaustive_small(two_k2_free_8):
         if g.n > 6:
             continue
         w = clique_number(g)
-        col = color_wagon_2k2_free(g)
+        col, _ = color_wagon_2k2_free(g)
         assert is_proper_coloring(g, col)
         assert col.used() <= (w * w + w) // 2
 
@@ -309,7 +309,7 @@ def test_k1uk3_exhaustive_to_seven(p5_k1uk3_free_9):
     for g in p5_k1uk3_free_9:
         if g.n > 7 or g.edge_count() == 0:
             continue
-        col = color_k1_union_k3_free(g)
+        col, _ = color_k1_union_k3_free(g)
         assert is_proper_coloring(g, col)
         assert col.used() <= 3 * clique_number(g) - 3
 
@@ -318,7 +318,7 @@ def test_sumner_exhaustive_to_seven(p5_k3_free_9):
     for g in p5_k3_free_9:
         if g.n > 7:
             continue
-        col = color_sumner(g)
+        col, _ = color_sumner(g)
         assert is_proper_coloring(g, col)
         assert col.used() <= 3
         bipartite = all(kind == "bipartite" for kind, _ in classify_triangle_free(g))
@@ -356,6 +356,22 @@ def test_branch_witnesses_past_seven_are_pinned(g6, pipeline):
     assert payload["n"] == n
     assert [s["step"] for s in payload["trace"]] == steps
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
+# the least class members, by vertex count then graph6 text, whose traces hold
+# a branch that the pins at n <= 7 cover only inside their digests
+NAMED_BRANCH_WITNESSES = [
+    ("DLo", "p5-k23", "triangle-free"),
+    ("FLvn_", "p5-k23", "divisible"),
+    ("A_", "p5-k1-2k2", "dominating-vertex"),
+    ("E@UW", "p5-k1-2k2", "independent-leftover"),
+    ("DLo", "p5-k1-2k2", "dominator-neighborhood-3"),
+]
+
+
+@pytest.mark.parametrize("g6, pipeline, step", NAMED_BRANCH_WITNESSES)
+def test_named_branches_are_hit(g6, pipeline, step):
+    assert step in [s["step"] for s in color_one(decode_graph6(g6), pipeline)["trace"]]
 
 
 # SHA-256 over every graph with n <= 7 of the sorted-key JSON payload, or the
@@ -397,7 +413,7 @@ def test_a_non_member_passed_as_a_member_is_never_miscoloured(colorer, all_graph
     outcomes = set()
     for g in all_graphs_7:
         try:
-            out = colorer(g)
+            coloring, _ = colorer(g)
         except StructureAssertionError:
             outcomes.add("assertion")
             continue
@@ -405,7 +421,6 @@ def test_a_non_member_passed_as_a_member_is_never_miscoloured(colorer, all_graph
             assert not str(exc).startswith("input induces"), exc
             outcomes.add("precondition")
             continue
-        coloring = out[0] if isinstance(out, tuple) else out
         assert is_proper_coloring(g, coloring)
         outcomes.add("coloured")
     assert {"coloured", "assertion"} <= outcomes

@@ -24,8 +24,8 @@ from chibind.graphs import (
     induced,
     is_connected,
 )
-from chibind.harness import PIPELINES, SUB_COLORERS, TARGETS, analyze_one, color_one, verify
-from chibind.invariants import cliques
+from chibind.harness import COLORERS, TARGETS, analyze_one, color_one, verify
+from chibind.invariants import Coloring, clique_number, cliques
 from chibind.patterns import _as_graph, is_free, pattern
 
 
@@ -515,6 +515,34 @@ def test_missing_division_inside_p5k23_is_an_assertion(monkeypatch, capsys):
     assert main(["color", "--pipeline", "divisible", "--g6", "JhdLA_gc?N_"]) == 2
 
 
+def test_a_faulty_divisible_colouring_is_an_assertion(monkeypatch, capsys):
+    """The divisible colourer is certified like every other one: an improper
+    colouring from the peeling fails ``_finish``, and the CLI exits 1."""
+    monkeypatch.setattr(colorers, "chi_bound_divisible", lambda g: (1, Coloring((0,) * g.n, 1)))
+    c5 = cycle_graph(5)
+    with pytest.raises(StructureAssertionError, match="improper"):
+        color_one(c5, "divisible")
+    assert main(["color", "--pipeline", "divisible", "--g6", encode_graph6(c5)]) == 1
+    assert "(bug)" in capsys.readouterr().err
+
+
+def test_every_colourer_returns_its_certificate(all_graphs_7):
+    """On every graph with n <= 5 each colourer rejects the graph or returns
+    its colouring with a certificate of the graph's clique number and of the
+    colours used."""
+    for name, colorer in COLORERS.items():
+        for g in all_graphs_7:
+            if g.n > 5:
+                continue
+            try:
+                coloring, cert = colorer(g)
+            except PreconditionError:
+                continue
+            assert cert.theorem == name
+            assert (cert.omega, cert.colors_used) == (clique_number(g), coloring.used()), name
+            assert cert.colors_used <= cert.bound_value
+
+
 def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch):
     """The stream's omega test, the bound check, the exact chromatic number,
     the pipeline with its leaves and the lemma checkers share one
@@ -563,7 +591,7 @@ COLORINGS_UP_TO_SEVEN = {
 
 @pytest.mark.parametrize("pipeline", sorted(COLORINGS_UP_TO_SEVEN))
 def test_colorings_are_pinned(pipeline, all_graphs_7):
-    assert set(COLORINGS_UP_TO_SEVEN) == set(PIPELINES) | set(SUB_COLORERS)
+    assert set(COLORINGS_UP_TO_SEVEN) == set(COLORERS)
     digest = hashlib.sha256()
     for g in all_graphs_7:
         try:
@@ -687,14 +715,14 @@ def test_bound_targets_colour_members_of_their_colourers_classes(monkeypatch, tm
     universe, generated or read from a file, records each pattern that the
     colourer's precondition tests."""
     colored = {}
-    colored_by = harness._colored
     for target in TARGETS:
-        def recording(g, pipeline, target=target):
-            colored.setdefault(target, set()).add(pipeline)
-            return colored_by(g, pipeline)
-        monkeypatch.setattr(harness, "_colored", recording)
+        for pipeline, colorer in COLORERS.items():
+            def recording(g, pipeline=pipeline, colorer=colorer, target=target):
+                colored.setdefault(target, set()).add(pipeline)
+                return colorer(g)
+            monkeypatch.setitem(COLORERS, pipeline, recording)
         verify(target, n_max=5)
-    monkeypatch.undo()
+        monkeypatch.undo()
     assert colored == {t: {p} for t, p in BOUND_TARGETS.items()}
 
     path = tmp_path / "all.g6"

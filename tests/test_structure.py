@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chibind import colorers
+from chibind import colorers, patterns
 from chibind.errors import PreconditionError, SearchExhaustedError
 from chibind.graphs import (
     Graph,
@@ -25,7 +25,8 @@ from chibind.graphs import (
     empty_graph,
 )
 from chibind.invariants import clique_number
-from chibind.patterns import _holes, has_induced_using, is_free, pattern
+from chibind.harness import verify
+from chibind.patterns import _as_graph, _holes, has_induced_using, is_free, pattern
 from chibind.structure import (
     _least_clique_cutset,
     antihole_neighborhood_split,
@@ -223,6 +224,8 @@ P5_HOLE_LEMMA_HOSTS = (
      ["level-two vertex 6 is neither complete nor anticomplete to a level-three component",
       "level-two vertex 9 is neither complete nor anticomplete to a level-three component"]),
     (APEX + [(6, 5), (9, 5), (7, 6), (8, 9)], []),
+    # a fourth level in the hole's component and an edge in another
+    (APEX + [(6, 5), (7, 6), (8, 7), (10, 9)], []),
 )
 
 
@@ -530,6 +533,33 @@ def test_k1uk3_checker_fires_outside_class():
     g = from_edge_list(8, base + extra)
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
     assert any("triangle" in v for v in check_k1uk3_hole_lemma(g, dec))
+
+
+def test_k1uk3_facts_are_read_from_the_class_record(monkeypatch):
+    """A K1uK3 inside N(v), or inside the part of an antihole's neighbourhood
+    that is complete to it, makes a K1+(K1uK3) with one more vertex.  So on
+    the members ``verify`` checks and on the leaves the pipeline colours, no
+    K1uK3 search runs past the patterns a graph records; outside the class
+    the neighbourhood is still searched."""
+    k1uk3 = pattern("K1uK3").graph.adj
+    searched = []
+    find = patterns.find_induced
+
+    def finding(host, pat):
+        if _as_graph(pat).adj == k1uk3 and k1uk3 not in host._free_of:
+            searched.append(host)
+        return find(host, pat)
+
+    monkeypatch.setattr(patterns, "find_induced", finding)
+    for target, n in (("theorem-1.4", 7), ("lemma-6.3", 8)):
+        assert verify(target, n).violations == []
+    assert searched == []
+    # a triangle seen by v1 alone, beside the hole neighbour v2
+    g = c5_plus([0], [0], [0])
+    g = from_edge_list(8, list(g.edges()) + [(5, 6), (6, 7), (5, 7)])
+    dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
+    assert "neighbourhood of hole vertex v1 induces K1uK3" in check_k1uk3_hole_lemma(g, dec)
+    assert searched
 
 
 def test_antihole_checker_fires_on_distance_two():
