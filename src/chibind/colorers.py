@@ -17,7 +17,10 @@ Perfect Graph Theorem (Chudnovsky, Robertson, Seymour and Thomas, Ann. Math.
 coloured with omega colours, which is asserted.  Else a ``p5-k23`` leaf is
 coloured triangle-free at omega two, else around its five-hole, else by
 perfect divisibility; a ``p5-k1-k1uk3`` leaf around its five-hole, else
-around its first big odd antihole.
+around its first big odd antihole.  A cutset-free piece that is a clique
+(most of them, in the exhaustive sweeps) is not searched at all: it is
+coloured in place with the map either leaf would give it, one colour per
+vertex in vertex order.
 
 Every public colourer has one shape: its precondition (``_require_free``,
 or a failed proof on an input outside the class), then a core that colours
@@ -47,6 +50,7 @@ from .graphs import (
     bits_of,
     components_masks,
     induced,
+    is_clique_mask,
     is_connected,
     is_independent_mask,
     neighborhood_mask,
@@ -64,6 +68,8 @@ from .invariants import (
 )
 from .patterns import _holes, find_induced, is_free, pattern
 from .structure import (
+    _ALL_FIVE,
+    _K1UK3_PATTERNS,
     _antihole_violations,
     _clique_separators,
     _has_triangle,
@@ -347,7 +353,15 @@ def _color_with_cutsets(g: Graph, mask: int, seps: list[int],
     """Split ``G[mask]`` recursively at its least clique cutset, merging
     palettes on the shared clique.  A piece's clique minimal separators are
     those of its component (Tarjan, Discrete Math. 1985), so the first of the
-    component's list ``seps`` inside ``mask`` that separates it is the cut."""
+    component's list ``seps`` inside ``mask`` that separates it is the cut.
+
+    A piece that is a clique is coloured in place, its i-th vertex with
+    colour i: it has no clique cutset, no five-hole and no odd antihole, so
+    either leaf would colour it perfect-exact, and the k-colouring, which
+    takes vertices by degree and then index, gives the same map.  ``_finish``
+    still certifies the whole colouring."""
+    if is_clique_mask(g.adj, mask):
+        return {v: i for i, v in enumerate(bits_of(mask))}, [("perfect-exact", mask)]
     found = _least_clique_cutset(g.adj, mask, seps)
     if found is None:
         return _leaf_on_copy(g, mask, leaf)
@@ -442,6 +456,15 @@ def _assert_lemmas(*violations: list[str]) -> None:
 # pipeline for hosts with no induced P5 or K2,3
 
 
+# the four perfectly divisible pieces of a p5-k23 hole leaf, by class pattern
+_K23_PIECES = (
+    ("triple-classes-a", (_pattern(1, 2, 3), _pattern(2, 3, 4))),
+    ("triple-classes-b", (_pattern(3, 4, 5), _pattern(4, 5, 1))),
+    ("triple-classes-c", (_pattern(5, 1, 2),)),
+    ("all-five-class", (_ALL_FIVE,)),
+)
+
+
 def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     """A cutset-free leaf with no induced P5, hence no odd hole on seven or
     more vertices, is perfect iff it has no five-hole and no big odd antihole."""
@@ -462,13 +485,8 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
     piece_budget = comb(w - 1, 2)
-    pieces = (
-        ("triple-classes-a", dec.neighbor_class(1, 2, 3) | dec.neighbor_class(2, 3, 4)),
-        ("triple-classes-b", dec.neighbor_class(3, 4, 5) | dec.neighbor_class(4, 5, 1)),
-        ("triple-classes-c", dec.neighbor_class(5, 1, 2)),
-        ("all-five-class", dec.neighbor_class(1, 2, 3, 4, 5)),
-    )
-    for idx, (name, vs) in enumerate(pieces):
+    for idx, (name, pats) in enumerate(_K23_PIECES):
+        vs = sum(dec.classes[p] for p in pats)
         base = idx * piece_budget
         piece = _divisible_map(h, vs, clique_number_mask(h.adj, vs))
         if len(set(piece.values())) > piece_budget:
@@ -630,24 +648,23 @@ def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], lis
                    check_k1uk3_level_lemma(h, dec))
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
-    allfive = dec.neighbor_class(1, 2, 3, 4, 5)
+    classes = dec.classes
+    allfive = classes[_ALL_FIVE]
     inner = _k1uk3_map(h, allfive)
     cmap.update(inner)
     base = max(inner.values()) + 1 if inner else 0
     regions.append(("all-five-class", allfive))
     # five triangle-free distance-two classes, three colours each
-    for i in range(1, 6):
-        cls = dec.neighbor_class(i, i + 2)
+    for i, (far, _) in enumerate(_K1UK3_PATTERNS, start=1):
+        cls = classes[far]
         block = base + 3 * (i - 1)
         for v, c in _triangle_free_map(h, cls).items():
             cmap[v] = block + c
         regions.append((f"distance-two-class-{i}", cls))
     slice15 = list(range(base, base + 15))
     # independent unions of the remaining hole-neighbour classes
-    for i in range(1, 6):
-        union = (dec.neighbor_class(i, i + 1, i + 2)
-                 | dec.neighbor_class(i, i + 1, i + 3)
-                 | dec.neighbor_class(i, i + 1, i + 2, i + 3))
+    for i, (_, triples) in enumerate(_K1UK3_PATTERNS, start=1):
+        union = sum(classes[p] for p in triples)
         for v in bits_of(union):
             cmap[v] = base + 15 + (i - 1)
         regions.append((f"independent-union-{i}", union))

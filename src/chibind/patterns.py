@@ -329,6 +329,12 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
     pattern's automorphisms; the least copy overall is the least of its
     class, so the witness is the one a plain backtracking search finds.
     A result of None is kept in ``host._free_of`` and never searched again.
+
+    A pattern whose clique number is at least three is not searched in a
+    host of smaller clique number, which cannot hold a copy.  Both clique
+    numbers are the ones kept on the graphs, so the host's is the one its
+    checks read; patterns of clique number two or less, such as P5, C5,
+    K2,3, 2K2 and 3K1, never ask for the host's.
     """
     pg = _as_graph(pat)
     k, n = pg.n, host.n
@@ -336,7 +342,13 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
         return Embedding(())
     if pg.adj in host._free_of:
         return None
-    cand = _candidate_masks(host.adj, pg.adj) if k <= n else None
+    # invariants imports this module, so its clique number is imported here
+    from .invariants import clique_number
+
+    w = clique_number(pg)
+    cand = None
+    if k <= n and (w < 3 or w <= clique_number(host)):
+        cand = _candidate_masks(host.adj, pg.adj)
     if cand is not None:
         plan = _plan(pg.adj, k, 0, 0)
         image = [0] * k

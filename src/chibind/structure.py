@@ -75,6 +75,23 @@ _K1_K1UK3 = pattern("K1+(K1uK3)")
 # the pattern pairs {i,i+1,i+3} and {i,i+1,i+2,i+4} of a bad pair
 _BAD_PAIRS = frozenset(frozenset((_pattern(i, i + 1, i + 3), _pattern(i, i + 1, i + 2, i + 4)))
                        for i in range(1, 6))
+_ALL_FIVE = _pattern(1, 2, 3, 4, 5)
+# per hole position i: the patterns {i}, {i,i+1}, {i,i+2} and {i,i+1,i+2}
+_P5_LEMMA_PATTERNS = tuple((_pattern(i), _pattern(i, i + 1), _pattern(i, i + 2),
+                            _pattern(i, i + 1, i + 2)) for i in range(1, 6))
+# per hole position i: the pattern {i,i+2} and the patterns {i,i+1,i+2},
+# {i,i+1,i+3} and {i..i+3} of lemma 6.3's independent union
+_K1UK3_PATTERNS = tuple((_pattern(i, i + 2), (_pattern(i, i + 1, i + 2), _pattern(i, i + 1, i + 3),
+                                              _pattern(i, i + 1, i + 2, i + 3)))
+                        for i in range(1, 6))
+# the patterns of the five clique groups; group i avoids hole vertex v_i
+_CLIQUE_GROUP_PATTERNS = tuple(tuple(_pattern(*t) for t in group) for group in (
+    ((2, 5), (2, 3, 5), (2, 4, 5), (2, 3, 4, 5)),
+    ((1, 3), (1, 3, 4), (1, 3, 5), (1, 3, 4, 5)),
+    ((2, 4), (1, 2, 4, 5)),
+    ((3, 5), (1, 2, 3, 5)),
+    ((1, 4), (1, 2, 4), (1, 2, 3, 4)),
+))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +162,14 @@ def decompose_five_hole(g: Graph, hole: tuple[int, ...]) -> FiveHoleDecompositio
 def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Structure facts of P5-free hosts around a five-hole; empty when correct."""
     out = []
+    classes = dec.classes
     level2 = dec.level(2)
-    for i in range(1, 6):
-        if dec.neighbor_class(i):
+    for i, (single, pair, far, triple) in enumerate(_P5_LEMMA_PATTERNS, start=1):
+        if classes[single]:
             out.append(f"singleton class {{{i}}} is nonempty")
-        if dec.neighbor_class(i, i + 1):
+        if classes[pair]:
             out.append(f"adjacent-pair class {{{i},{i + 1}}} is nonempty")
-        near = dec.neighbor_class(i, i + 2) | dec.neighbor_class(i, i + 1, i + 2)
+        near = classes[far] | classes[triple]
         for x in bits_of(near):
             if g.adj[x] & level2:
                 out.append(f"vertex {x} in a distance-two or consecutive-triple class sees level two")
@@ -161,7 +179,7 @@ def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     level3 = dec.level(3)
     if level3:
         # the vertices at distance two from x are N(N(x)) less N[x]
-        for x in bits_of(dec.level(1) & ~dec.neighbor_class(1, 2, 3, 4, 5)):
+        for x in bits_of(dec.level(1) & ~classes[_ALL_FIVE]):
             if neighborhood_mask(g.adj, g.adj[x]) & ~(1 << x) & level3:
                 out.append(f"vertex {x} reaches level three at distance two but misses a hole vertex")
     level3_comps = components_masks(g.adj, level3)
@@ -176,15 +194,8 @@ def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
 def five_cliques_partition(g: Graph, dec: FiveHoleDecomposition) -> tuple[int, ...]:
     """The five clique groups covering the classes outside the all-five class
     and the consecutive triples; group ``i`` avoids hole vertex ``v_i``."""
-    nc = dec.neighbor_class
-    groups = (
-        nc(2, 5) | nc(2, 3, 5) | nc(2, 4, 5) | nc(2, 3, 4, 5),
-        nc(1, 3) | nc(1, 3, 4) | nc(1, 3, 5) | nc(1, 3, 4, 5),
-        nc(2, 4) | nc(1, 2, 4, 5),
-        nc(3, 5) | nc(1, 2, 3, 5),
-        nc(1, 4) | nc(1, 2, 4) | nc(1, 2, 3, 4),
-    )
-    return groups
+    classes = dec.classes
+    return tuple(sum(classes[p] for p in group) for group in _CLIQUE_GROUP_PATTERNS)
 
 
 def is_bad_pair(g: Graph, dec: FiveHoleDecomposition, u: int, v: int) -> bool:
@@ -294,15 +305,14 @@ def check_k1uk3_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     out = []
     # a K1uK3 in N(v) and v make a K1+(K1uK3)
     in_class = is_free(g, [_K1_K1UK3])
-    for i in range(1, 6):
+    classes = dec.classes
+    for i, (far, triples) in enumerate(_K1UK3_PATTERNS, start=1):
         vi = dec.hole_vertex(i)
         if not in_class and not is_free(induced(g, g.neighbors(vi)), [_K1UK3]):
             out.append(f"neighbourhood of hole vertex v{i} induces K1uK3")
-        if _has_triangle(g, dec.neighbor_class(i, i + 2)):
+        if _has_triangle(g, classes[far]):
             out.append(f"class {{{i},{i + 2}}} induces a triangle")
-        union = (dec.neighbor_class(i, i + 1, i + 2)
-                 | dec.neighbor_class(i, i + 1, i + 3)
-                 | dec.neighbor_class(i, i + 1, i + 2, i + 3))
+        union = sum(classes[p] for p in triples)
         if not is_independent_mask(g.adj, union):
             out.append(f"triple and quadruple classes starting at {i} are not independent")
     for _, first in _level2_attachments(g, dec):

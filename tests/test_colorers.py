@@ -27,6 +27,7 @@ from chibind.graphs import (
     disjoint_union,
     empty_graph,
     from_edge_list,
+    is_clique_mask,
     is_connected,
     join,
     path_graph,
@@ -397,6 +398,34 @@ def test_outputs_and_rejection_texts_to_seven_are_pinned(pipeline, all_graphs_7)
         h.update(out.encode() + b"\n")
     assert rejected >= 400
     assert h.hexdigest() == OUTPUTS_TO_SEVEN[pipeline]
+
+
+def test_clique_atoms_are_coloured_as_either_leaf_colours_them(monkeypatch, all_graphs_8):
+    # every cutset-free piece that is a clique, of every graph with n <= 8,
+    # coloured in place and by each leaf on its induced copy
+    split = colorers._color_with_cutsets
+    atoms = []
+
+    def recording(g, mask, seps, leaf):
+        if is_clique_mask(g.adj, mask):
+            atoms.append((g, mask))
+        return split(g, mask, seps, leaf)
+
+    def stub_leaf(h):
+        return {v: v for v in range(h.n)}, []
+
+    monkeypatch.setattr(colorers, "_color_with_cutsets", recording)
+    compared = 0
+    for g in all_graphs_8:
+        atoms.clear()
+        colorers._components_shared_palette(g, stub_leaf)
+        for host, mask in atoms:
+            in_place = split(host, mask, [], stub_leaf)
+            assert in_place[1] == [("perfect-exact", mask)]
+            for leaf in (colorers._p5k23_leaf, colorers._p5k1k1k3_leaf):
+                assert colorers._leaf_on_copy(host, mask, leaf) == in_place, (g.adj, mask)
+            compared += 1
+    assert compared == 26406
 
 
 @pytest.mark.parametrize("colorer", [

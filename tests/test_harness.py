@@ -27,6 +27,7 @@ from chibind.graphs import (
 from chibind.harness import COLORERS, TARGETS, analyze_one, color_one, verify
 from chibind.invariants import Coloring, clique_number, cliques
 from chibind.patterns import _as_graph, is_free, pattern
+from test_structure import _grown_pipeline_members
 
 
 def test_target_registry_is_complete():
@@ -543,7 +544,7 @@ def test_every_colourer_returns_its_certificate(all_graphs_7):
             assert cert.colors_used <= cert.bound_value
 
 
-def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch):
+def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch, tmp_path):
     """The stream's omega test, the bound check, the exact chromatic number,
     the pipeline with its leaves and the lemma checkers share one
     whole-graph clique search per checked graph."""
@@ -566,13 +567,19 @@ def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch):
         return check(entry, g)
 
     monkeypatch.setattr(harness, "_checked", recording)
-    for target in ("theorem-1.2", "theorem-1.3", "theorem-1.4", "lemma-4.1", "lemma-4.2",
-                   "lemma-5.2", "lemma-6.1", "lemma-6.2"):
+    # the file's lines pass the class search first, which reads the clique
+    # number of a line before it searches K1+(K1uK3)
+    cache = Path(__file__).parent / "_cache"
+    source = tmp_path / "members.g6"
+    source.write_bytes(b"".join((cache / f"v1-P5-K1pK1uK3-{n}.g6").read_bytes() for n in range(1, 8)))
+    runs = [(target, None) for target in ("theorem-1.2", "theorem-1.3", "theorem-1.4", "lemma-4.1",
+                                         "lemma-4.2", "lemma-5.2", "lemma-6.1", "lemma-6.2")]
+    for target, path in runs + [("theorem-1.4", str(source))]:
         searches.clear()
         checked.clear()
-        report = verify(target, n_max=7)
+        report = verify(target, n_max=7, source=path)
         assert report.graphs_checked == len(checked) > 0
-        assert {searches.get(id(g.adj), ((), 0))[1] for g in checked} == {1}, target
+        assert {searches.get(id(g.adj), ((), 0))[1] for g in checked} == {1}, (target, path)
     assert all(induced(g, g.vertices()) is g for g in checked)
 
 
@@ -600,6 +607,26 @@ def test_colorings_are_pinned(pipeline, all_graphs_7):
             line = f"rejected: {exc}"
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == COLORINGS_UP_TO_SEVEN[pipeline]
+
+
+# the same digest over the complete graphs K1..K20 and the grown members of
+# tests/test_structure.py, past the exhaustive sweeps' reach
+COLORINGS_PAST_REACH = {
+    "p5-k1-k1uk3": "5be62f2fa352826db9bd164af574a5f7e4cc8a39d71c40ec3c1c4edf19af6458",
+    "p5-k23": "6cd6a4ad044654ac6bb883190186e69211c43d852e64dd1c13bd88893f4ba8be",
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(COLORINGS_PAST_REACH))
+def test_colorings_past_exhaustive_reach_are_pinned(pipeline):
+    digest = hashlib.sha256()
+    for g in [complete_graph(k) for k in range(1, 21)] + _grown_pipeline_members():
+        try:
+            line = json.dumps(color_one(g, pipeline), sort_keys=True)
+        except PreconditionError as exc:
+            line = f"rejected: {exc}"
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == COLORINGS_PAST_REACH[pipeline]
 
 
 def test_suite_script_runs_every_target(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from chibind.graphs import (
     join,
     path_graph,
 )
+from chibind.invariants import clique_number, clique_number_mask
 from chibind.patterns import (
     PATTERN_CATALOG,
     _cards,
@@ -309,8 +310,9 @@ def test_the_degree_window_keeps_the_plain_search_witness():
 
 # _embed frames that prove the tracked (P5, K1+(K1uK3))-free members with
 # n <= 7 free of both patterns; the search took 11,612 before the degree
-# window and the distinct-vertex count
-PROOF_FRAMES_UP_TO_SEVEN = 3838
+# window and the distinct-vertex count, and 3,838 before members of clique
+# number three or less skipped the K1+(K1uK3) search
+PROOF_FRAMES_UP_TO_SEVEN = 2469
 
 
 def test_the_freeness_proofs_keep_their_pruning(monkeypatch):
@@ -403,6 +405,59 @@ def test_complete_and_edgeless_patterns_plan_without_their_group(monkeypatch):
     assert find_induced(complete_graph(11), complete_graph(9)).map == tuple(range(9))
     assert find_induced(empty_graph(11), empty_graph(9)).map == tuple(range(9))
     assert calls < 5000
+
+
+def _host_of_clique_number(rng: random.Random, n: int, w: int, planted: Graph | None) -> Graph:
+    """A random host on ``n`` vertices of clique number ``w``, drawn until one
+    fits, with ``planted`` induced on some of its vertices when given."""
+    full = (1 << n) - 1
+    while True:
+        density = rng.uniform(0.1, 0.9)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        if planted is not None:
+            edges = [(u, v) for u, v in edges if v >= planted.n] + list(planted.edges())
+        host = _shuffled(from_edge_list(n, edges), rng)
+        if clique_number_mask(host.adj, full) == w:
+            return host
+
+
+def test_the_clique_number_filter_keeps_the_plain_search_witness(monkeypatch):
+    # a pattern of clique number w >= 3 is searched in hosts of clique number
+    # w, with a copy planted in every other one, and not in hosts of clique
+    # number w - 1, where no _embed frame runs
+    rng = random.Random(25)
+    frames = 0
+    embed = patterns._embed
+
+    def counting(*args):
+        nonlocal frames
+        frames += 1
+        return embed(*args)
+
+    monkeypatch.setattr(patterns, "_embed", counting)
+    found = skipped = 0
+    for pat in PATTERN_CATALOG.values():
+        pg = pat.graph
+        w = clique_number(pg)
+        if w < 3:
+            continue
+        for n in range(9, 13):
+            for host_w, planted in ((w - 1, None), (w, None), (w, pg)):
+                host = _host_of_clique_number(rng, n, host_w, planted)
+                frames = 0
+                emb = find_induced(host, pg)
+                assert (None if emb is None else emb.map) == least_embedding_plain(host, pg), \
+                    (host.adj, pat.name)
+                found += emb is not None
+                if host_w < w:
+                    assert frames == 0 and pg.adj in host._free_of, (host.adj, pat.name)
+                    skipped += 1
+    assert skipped == 4 * 17 and found >= 100, found
+    # a pattern of clique number two or less never asks for the host's
+    for name in ("P5", "C5", "K2,3", "2K2"):
+        host = _host_of_clique_number(rng, 10, 4, None)
+        find_induced(host, pattern(name))
+        assert host._omega is None, name
 
 
 def _shuffled(g: Graph, rng: random.Random) -> Graph:
