@@ -496,7 +496,7 @@ def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
         regions.append((name, vs))
     s_base = 4 * piece_budget
     block = w - 1
-    for i, grp in enumerate(five_cliques_partition(h, dec)):
+    for i, grp in enumerate(five_cliques_partition(dec)):
         for offset, v in enumerate(bits_of(grp)):
             cmap[v] = s_base + i * block + offset
         regions.append((f"clique-group-{i + 1}", grp))
@@ -557,51 +557,38 @@ def color_p5_k1_2k2(g: Graph) -> tuple[Coloring, BoundCertificate]:
     if w < 2:
         raise PreconditionError("the certified bound needs omega at least two")
     kind, dom = find_dominating_clique_or_p3(g)
+    members = sorted(dom)
+    # every vertex of a three-path owns a bucketed neighbourhood; of a clique,
+    # the first two do, the rest take independent leftover classes, and a lone
+    # dominating vertex takes a colour of its own
+    owners, rest = (_order_p3(g, members), []) if kind == "p3" else (members[:2], members[2:])
     cmap: dict[int, int] = {}
     regions: list[tuple[str, int]] = []
     offset = 0
-    if kind == "p3":
-        path = _order_p3(g, sorted(dom))
-        owners = [g.adj[v] for v in path]
-        assigned = 0
-        for i, v_i in enumerate(path):
-            mine = owners[i] & ~assigned
-            assigned |= mine
-            offset = _wagon_piece(g, g.adj[v_i], mine, offset, w, cmap)
-            regions.append((f"dominator-neighborhood-{i + 1}", mine))
-        if assigned != (1 << g.n) - 1:
-            raise StructureAssertionError("dominating three-path failed to cover the graph")
-    else:
-        clique = sorted(dom)
-        if len(clique) == 1:
-            u = clique[0]
-            offset = _wagon_piece(g, g.adj[u], g.adj[u], offset, w, cmap)
-            regions.append(("dominator-neighborhood-1", g.adj[u]))
-            cmap[u] = offset
-            offset += 1
-            regions.append(("dominating-vertex", 1 << u))
-        else:
-            u1, u2 = clique[0], clique[1]
-            first = g.adj[u1]
-            second = g.adj[u2] & ~first
-            offset = _wagon_piece(g, g.adj[u1], first, offset, w, cmap)
-            regions.append(("dominator-neighborhood-1", first))
-            offset = _wagon_piece(g, g.adj[u2], second, offset, w, cmap)
-            regions.append(("dominator-neighborhood-2", second))
-            rest = (1 << g.n) - 1 & ~first & ~second
-            for v_j in clique[2:]:
-                mine = g.adj[v_j] & rest
-                if not mine:
-                    continue
-                if not is_independent_mask(g.adj, mine):
-                    raise StructureAssertionError("a leftover class is not independent")
-                for v in bits_of(mine):
-                    cmap[v] = offset
-                regions.append(("independent-leftover", mine))
-                offset += 1
-                rest &= ~mine
-            if rest:
-                raise StructureAssertionError("the dominating clique failed to cover the graph")
+    assigned = 0
+    for i, u in enumerate(owners, start=1):
+        mine = g.adj[u] & ~assigned
+        assigned |= mine
+        offset = _wagon_piece(g, g.adj[u], mine, offset, w, cmap)
+        regions.append((f"dominator-neighborhood-{i}", mine))
+    if len(owners) == 1:
+        cmap[owners[0]] = offset
+        assigned |= 1 << owners[0]
+        regions.append(("dominating-vertex", 1 << owners[0]))
+    for u in rest:
+        mine = g.adj[u] & ~assigned
+        if not mine:
+            continue
+        if not is_independent_mask(g.adj, mine):
+            raise StructureAssertionError("a leftover class is not independent")
+        for v in bits_of(mine):
+            cmap[v] = offset
+        regions.append(("independent-leftover", mine))
+        offset += 1
+        assigned |= mine
+    if assigned != (1 << g.n) - 1:
+        raise StructureAssertionError("dominating three-path failed to cover the graph" if kind == "p3"
+                                      else "the dominating clique failed to cover the graph")
     return _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, cmap, regions)
 
 

@@ -113,10 +113,7 @@ class Graph:
     _free_of: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise GraphError(f"vertex count must be an int, not {self.n!r}")
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise CapacityError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_order(self.n)
         try:
             object.__setattr__(self, "adj", tuple(self.adj))
         except TypeError:
@@ -177,8 +174,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()}{tag})"
 
 
+def _check_order(n: int) -> None:
+    """Reject a vertex count that no graph may have, before anything is
+    built for it."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise GraphError(f"vertex count must be an int, not {n!r}")
+    if not 0 <= n <= MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
     """Build a graph from an edge list; duplicate pairs collapse."""
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -191,22 +198,24 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], label: str | None =
 
 
 def empty_graph(n: int, label: str | None = None) -> Graph:
+    _check_order(n)
     return Graph(n, (0,) * n, label)
 
 
 def complete_graph(n: int, label: str | None = None) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)), label)
 
 
 def path_graph(n: int, label: str | None = None) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)], label)
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)), label)
 
 
 def cycle_graph(n: int, label: str | None = None) -> Graph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)], label)
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)), label)
 
 
 def _bind(g: Graph, s: VertexSet) -> int:

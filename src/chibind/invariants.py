@@ -298,9 +298,9 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
     return k, Coloring(colors, k)
 
 
-def _optimal_map(g: Graph, mask: int) -> tuple[int, dict[int, int]]:
-    """The chromatic number of ``G[mask]``, its clique number and an optimal
-    colouring of it keyed by host vertex."""
+def _optimal_map(g: Graph, mask: int) -> tuple[int, int, dict[int, int]]:
+    """``(chi, omega, cmap)``: the chromatic number of ``G[mask]``, its clique
+    number and an optimal colouring of it keyed by host vertex."""
     part = induced(g, VertexSet(mask, g.n))
     chi, coloring = chromatic_number(part)
     return chi, clique_number(part), dict(zip(bits_of(mask), coloring.colors))

@@ -7,7 +7,6 @@ neighbours by the exact set of hole vertices each one sees, as a 5-bit
 pattern index: bit ``i-1`` of pattern ``p`` stands for ``v_i``, so
 ``classes[0b00101]`` holds the vertices that see exactly ``v_1`` and ``v_3``,
 and ``classes[0]``, the vertices that see no hole vertex, stays empty.
-``neighbor_class(1, 3)`` reads the same entry from 1-based, cyclic positions.
 The levels are the masks of the vertices at distance one, two, ... from the
 hole.
 
@@ -92,6 +91,17 @@ _CLIQUE_GROUP_PATTERNS = tuple(tuple(_pattern(*t) for t in group) for group in (
     ((3, 5), (1, 2, 3, 5)),
     ((1, 4), (1, 2, 4), (1, 2, 3, 4)),
 ))
+# per hole position i: the consecutive triple {i,i+1,i+2}
+_TRIPLE_PATTERNS = tuple(_pattern(i, i + 1, i + 2) for i in range(1, 6))
+# per hole position i: the pattern {i,i+2} and the pattern {i+1} of lemma
+# 4.1's forced edge
+_FORCED_EDGE_PATTERNS = tuple((_pattern(i, i + 2), _pattern(i + 1)) for i in range(1, 6))
+# lemma 4.1's clique classes {i,i+2}, {i,i+1,i+3} and {i..i+3}, by position i
+_K23_CLIQUE_PATTERNS = tuple(item for i in range(1, 6) for item in (
+    (f"{{{i},{i + 2}}}", _pattern(i, i + 2)),
+    (f"{{{i},{i + 1},{i + 3}}}", _pattern(i, i + 1, i + 3)),
+    (f"{{{i}..{i + 3}}}", _pattern(i, i + 1, i + 2, i + 3)),
+))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +115,6 @@ class FiveHoleDecomposition:
     hole: tuple[int, int, int, int, int]
     classes: tuple[int, ...]
     levels: tuple[int, ...]
-
-    def hole_vertex(self, i: int) -> int:
-        """1-based, cyclic: index 6 means index 1."""
-        return self.hole[(i - 1) % 5]
-
-    def neighbor_class(self, *indices: int) -> int:
-        """The class of the 1-based, cyclic hole positions ``indices``."""
-        return self.classes[_pattern(*indices)]
 
     def level(self, i: int) -> int:
         return self.levels[i - 1] if 1 <= i <= len(self.levels) else 0
@@ -191,7 +193,7 @@ def check_p5_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     return out
 
 
-def five_cliques_partition(g: Graph, dec: FiveHoleDecomposition) -> tuple[int, ...]:
+def five_cliques_partition(dec: FiveHoleDecomposition) -> tuple[int, ...]:
     """The five clique groups covering the classes outside the all-five class
     and the consecutive triples; group ``i`` avoids hole vertex ``v_i``."""
     classes = dec.classes
@@ -213,55 +215,45 @@ def is_bad_pair(g: Graph, dec: FiveHoleDecomposition, u: int, v: int) -> bool:
 def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     """Structure facts of hosts with no induced P5 or K2,3 around a five-hole."""
     out = []
+    hole, classes = dec.hole, dec.classes
     level1 = dec.level(1)
     level2 = dec.level(2)
-    hv = dec.hole_vertex
+    # the non-adjacent pairs of hole neighbours, each with its pattern
+    seen = [(x, _pattern_of(g.adj[x], hole)) for x in bits_of(level1)]
+    pairs = [(u, pu, v, pv) for (u, pu), (v, pv) in itertools.combinations(seen, 2)
+             if not g.adj[u] >> v & 1]
     # (a) two common second neighbours on the hole with the middle missed force an edge
-    for u, v in itertools.combinations(bits_of(level1), 2):
-        if g.has_edge(u, v):
-            continue
-        for i in range(1, 6):
-            a, b, c = hv(i), hv(i + 1), hv(i + 2)
-            if (g.has_edge(u, a) and g.has_edge(v, a) and g.has_edge(u, c)
-                    and g.has_edge(v, c) and not g.has_edge(u, b) and not g.has_edge(v, b)):
+    for u, pu, v, pv in pairs:
+        for i, (far, mid) in enumerate(_FORCED_EDGE_PATTERNS, start=1):
+            if pu & pv & far == far and not (pu | pv) & mid:
                 out.append(f"forced edge missing between {u} and {v} around hole position {i}")
     # (b) clique classes
-    for i in range(1, 6):
-        for key_desc, vs in (
-            (f"{{{i},{i + 2}}}", dec.neighbor_class(i, i + 2)),
-            (f"{{{i},{i + 1},{i + 3}}}", dec.neighbor_class(i, i + 1, i + 3)),
-            (f"{{{i}..{i + 3}}}", dec.neighbor_class(i, i + 1, i + 2, i + 3)),
-        ):
-            if not is_clique_mask(g.adj, vs):
-                out.append(f"class {key_desc} is not a clique")
+    for desc, p in _K23_CLIQUE_PATTERNS:
+        if not is_clique_mask(g.adj, classes[p]):
+            out.append(f"class {desc} is not a clique")
     # (c) small independence and completeness between consecutive triples
     comp_adj = complement(g).adj
-    allfive = dec.neighbor_class(1, 2, 3, 4, 5)
+    allfive = classes[_ALL_FIVE]
     if clique_number_mask(comp_adj, allfive) > 2:
         out.append("all-five class has three pairwise non-adjacent vertices")
-    for i in range(1, 6):
-        triple = dec.neighbor_class(i, i + 1, i + 2)
+    triples = [classes[p] for p in _TRIPLE_PATTERNS]
+    for i, triple in enumerate(triples, start=1):
         if clique_number_mask(comp_adj, triple) > 2:
             out.append(f"consecutive triple class at {i} has three pairwise non-adjacent vertices")
-        nxt = dec.neighbor_class(i + 1, i + 2, i + 3)
+        nxt = triples[i % 5]
         for x in bits_of(triple):
             if g.adj[x] & nxt != nxt:
                 out.append(f"class at {i} is not complete to the next consecutive triple")
                 break
     # (d) only bad pairs share level-two neighbours
-    for u, v in itertools.combinations(bits_of(level1), 2):
-        if g.has_edge(u, v) or is_bad_pair(g, dec, u, v):
-            continue
-        if g.adj[u] & g.adj[v] & level2:
+    for u, pu, v, pv in pairs:
+        if g.adj[u] & g.adj[v] & level2 and frozenset((pu, pv)) not in _BAD_PAIRS:
             out.append(f"non-adjacent non-bad pair {u},{v} shares a level-two neighbour")
     # (e) the five-clique partition
-    groups = five_cliques_partition(g, dec)
     w = clique_number(g)
-    expected = level1 & ~allfive
-    for i in range(1, 6):
-        expected &= ~dec.neighbor_class(i, i + 1, i + 2)
+    expected = level1 & ~allfive & ~sum(triples)
     union = 0
-    for i, grp in enumerate(groups, start=1):
+    for i, grp in enumerate(five_cliques_partition(dec), start=1):
         if union & grp:
             out.append(f"clique group {i} overlaps an earlier group")
         union |= grp
@@ -269,7 +261,7 @@ def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
             out.append(f"clique group {i} is not a clique")
         if grp.bit_count() > max(w - 1, 0):
             out.append(f"clique group {i} exceeds size omega-1")
-        if g.adj[hv(i)] & grp:
+        if g.adj[hole[i - 1]] & grp:
             out.append(f"hole vertex v{i} has a neighbour in its own clique group")
     if union != expected:
         out.append("clique groups do not partition the leftover hole neighbourhood")
@@ -285,7 +277,7 @@ def check_k23_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     if dec.level(3):
         out.append("level three is nonempty")
     w = clique_number(g)
-    allfive = dec.neighbor_class(1, 2, 3, 4, 5)
+    allfive = dec.classes[_ALL_FIVE]
     for comp in components_masks(g.adj, dec.level(2)):
         if clique_number_mask(comp_adj, comp) > 2:
             out.append("a level-two component has three pairwise non-adjacent vertices")
@@ -307,7 +299,7 @@ def check_k1uk3_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     in_class = is_free(g, [_K1_K1UK3])
     classes = dec.classes
     for i, (far, triples) in enumerate(_K1UK3_PATTERNS, start=1):
-        vi = dec.hole_vertex(i)
+        vi = dec.hole[i - 1]
         if not in_class and not is_free(induced(g, g.neighbors(vi)), [_K1UK3]):
             out.append(f"neighbourhood of hole vertex v{i} induces K1uK3")
         if _has_triangle(g, classes[far]):

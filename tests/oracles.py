@@ -4,7 +4,8 @@ Everything here recomputes facts by a different route than the package:
 labeled enumeration with explicit isomorphism rejection, subset dynamic
 programming over independent sets for chromatic numbers, the definitional
 perfection check, plain subset scans, and the five-hole decomposition with
-frozenset class keys.  These stay deliberately naive.
+frozenset class keys, which also reads a decomposition's class by its hole
+positions.  These stay deliberately naive.
 """
 
 from __future__ import annotations
@@ -376,6 +377,16 @@ def five_hole_decomposition_plain(
             key = frozenset(combo)
             class_sets[key] = VertexSet(classes.get(key, 0), n)
     return class_sets, tuple(VertexSet(m, n) for m in level_masks), VertexSet(unreachable, n)
+
+
+def neighbor_class(dec, *positions: int) -> int:
+    """The class of a five-hole decomposition whose vertices see exactly the
+    hole vertices at the 1-based, cyclic ``positions``: the one entry of
+    ``dec.classes`` whose index, decoded bit by bit, names that position set."""
+    want = frozenset((i - 1) % 5 + 1 for i in positions)
+    (mask,) = [m for p, m in enumerate(dec.classes)
+               if frozenset(k + 1 for k in range(5) if p >> k & 1) == want]
+    return mask
 
 
 def cliques_brute(adj: tuple[int, ...], n: int, size: int) -> list[int]:

@@ -59,3 +59,10 @@ def test_cli_gen_exits_zero_or_two(capsys, n, connected, free):
     code = main(["gen", f"--n={n}", f"--free={free}"] + ["--connected"] * connected)
     capsys.readouterr()
     assert code in (0, 2), (n, connected, free)
+
+
+def test_cli_rejects_a_huge_vertex_count(capsys):
+    # rows for 2**62 vertices cannot be allocated, so the count is checked first
+    for command in COMMANDS:
+        assert main(command + ["--edges=0-1", f"--n={2 ** 62}"]) == 2, command
+        assert "outside 0..64" in capsys.readouterr().err

@@ -59,6 +59,15 @@ def test_from_edge_list_errors():
         empty_graph(65)
 
 
+@pytest.mark.parametrize("build", [empty_graph, complete_graph, path_graph, cycle_graph,
+                                   lambda n: from_edge_list(n, [(0, 1)])],
+                         ids=["empty", "complete", "path", "cycle", "edge-list"])
+def test_constructors_reject_a_huge_order_before_building(build):
+    # rows for 2**62 vertices cannot be allocated, so only an early check passes
+    with pytest.raises(CapacityError, match="outside 0..64"):
+        build(2 ** 62)
+
+
 def test_graph_validation_rejects_asymmetry():
     with pytest.raises(GraphError):
         Graph(2, (2, 0))

@@ -1,12 +1,13 @@
 """Five-hole decomposition, cutsets, homogeneous sets, and the lemma checkers."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chibind import colorers, patterns
+from chibind import colorers, patterns, structure
 from chibind.errors import PreconditionError, SearchExhaustedError
 from chibind.graphs import (
     Graph,
@@ -28,6 +29,7 @@ from chibind.invariants import clique_number
 from chibind.harness import verify
 from chibind.patterns import _as_graph, _holes, has_induced_using, is_free, pattern
 from chibind.structure import (
+    FiveHoleDecomposition,
     _least_clique_cutset,
     antihole_neighborhood_split,
     check_antihole_lemma,
@@ -58,6 +60,7 @@ from oracles import (
     homogeneous_sets_brute,
     induced_cycles_brute,
     minimal_cutsets_brute,
+    neighbor_class,
     seeded_random_graphs,
     views_and_sub_masks,
 )
@@ -153,13 +156,13 @@ def test_clique_searches_match_subset_scans(all_graphs_8):
 def test_decompose_classes():
     g = c5_plus([0, 2])  # one vertex adjacent to v1 and v3 in 1-based terms
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
-    assert dec.neighbor_class(1, 3) == 1 << 5
+    assert neighbor_class(dec, 1, 3) == 1 << 5
     # pattern index: bit i-1 stands for v_i
     assert dec.classes[0b00101] == 1 << 5
-    assert not dec.neighbor_class(1, 2)
+    assert not neighbor_class(dec, 1, 2)
     apex = c5_plus(range(5))
     dec = decompose_five_hole(apex, (0, 1, 2, 3, 4))
-    assert dec.neighbor_class(1, 2, 3, 4, 5) == dec.classes[0b11111] == 1 << 5
+    assert neighbor_class(dec, 1, 2, 3, 4, 5) == dec.classes[0b11111] == 1 << 5
     c5 = cycle_graph(5)
     dec = decompose_five_hole(c5, (0, 1, 2, 3, 4))
     assert dec.levels == () and dec.classes == (0,) * 32 and dec.level(1) == 0
@@ -240,9 +243,54 @@ def test_class_key_canonicalisation():
     g = c5_plus([0, 2])
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
     # {k, k+2} and {l, l+3} with l = k+2 name the same literal set
-    assert dec.neighbor_class(1, 3) == dec.neighbor_class(3, 6) == 1 << 5
-    assert dec.neighbor_class(1, 3, 4) == dec.neighbor_class(3, 4, 6)
-    assert dec.neighbor_class(1, 3) == dec.neighbor_class(1, 1, 3, 8)
+    assert neighbor_class(dec, 1, 3) == neighbor_class(dec, 3, 6) == 1 << 5
+    assert neighbor_class(dec, 1, 3, 4) == neighbor_class(dec, 3, 4, 6)
+    assert neighbor_class(dec, 1, 3) == neighbor_class(dec, 1, 1, 3, 8)
+
+
+def test_pattern_tables_name_the_oracle_classes():
+    """Every module table of pattern indices holds the classes its comment
+    names by hole position, read through the oracle on a record whose class
+    at each index is that index."""
+    dec = FiveHoleDecomposition((0, 1, 2, 3, 4), tuple(range(32)), ())
+
+    def cls(*positions):
+        return neighbor_class(dec, *positions)
+
+    per_position = range(1, 6)
+    assert structure._ALL_FIVE == cls(1, 2, 3, 4, 5)
+    assert structure._BAD_PAIRS == {frozenset((cls(i, i + 1, i + 3), cls(i, i + 1, i + 2, i + 4)))
+                                    for i in per_position}
+    assert structure._P5_LEMMA_PATTERNS == tuple(
+        (cls(i), cls(i, i + 1), cls(i, i + 2), cls(i, i + 1, i + 2)) for i in per_position)
+    assert structure._K1UK3_PATTERNS == tuple(
+        (cls(i, i + 2), (cls(i, i + 1, i + 2), cls(i, i + 1, i + 3), cls(i, i + 1, i + 2, i + 3)))
+        for i in per_position)
+    assert structure._CLIQUE_GROUP_PATTERNS == (
+        (cls(2, 5), cls(2, 3, 5), cls(2, 4, 5), cls(2, 3, 4, 5)),
+        (cls(1, 3), cls(1, 3, 4), cls(1, 3, 5), cls(1, 3, 4, 5)),
+        (cls(2, 4), cls(1, 2, 4, 5)),
+        (cls(3, 5), cls(1, 2, 3, 5)),
+        (cls(1, 4), cls(1, 2, 4), cls(1, 2, 3, 4)),
+    )
+    # group i avoids hole vertex v_i
+    for i, group in enumerate(structure._CLIQUE_GROUP_PATTERNS, start=1):
+        assert all(cls(i) & p == 0 for p in group)
+    assert structure._TRIPLE_PATTERNS == tuple(cls(i, i + 1, i + 2) for i in per_position)
+    assert structure._FORCED_EDGE_PATTERNS == tuple((cls(i, i + 2), cls(i + 1)) for i in per_position)
+    assert structure._K23_CLIQUE_PATTERNS == tuple(item for i in per_position for item in (
+        (f"{{{i},{i + 2}}}", cls(i, i + 2)),
+        (f"{{{i},{i + 1},{i + 3}}}", cls(i, i + 1, i + 3)),
+        (f"{{{i}..{i + 3}}}", cls(i, i + 1, i + 2, i + 3)),
+    ))
+    # blow-up class j sees the two hole neighbours of hole[j]
+    assert colorers._BLOWUP_PATTERNS == tuple(cls(j, j + 2) for j in range(5))
+    assert colorers._K23_PIECES == (
+        ("triple-classes-a", (cls(1, 2, 3), cls(2, 3, 4))),
+        ("triple-classes-b", (cls(3, 4, 5), cls(4, 5, 1))),
+        ("triple-classes-c", (cls(5, 1, 2),)),
+        ("all-five-class", (cls(1, 2, 3, 4, 5),)),
+    )
 
 
 def test_decomposition_partitions_vertices():
@@ -277,7 +325,7 @@ def test_check_k23_hole_lemma_small():
     assert is_free(g, ["P5", "K2,3"])
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
     assert check_k23_hole_lemma(g, dec) == []
-    groups = five_cliques_partition(g, dec)
+    groups = five_cliques_partition(dec)
     assert groups[1] == 1 << 5
     assert sum(grp.bit_count() for grp in groups) == 1
     assert check_k23_level_lemma(g, dec) == []
@@ -519,6 +567,51 @@ def test_k23_checker_fires_outside_class():
     assert not g.has_edge(5, 6)
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
     assert any("not a clique" in v for v in check_k23_hole_lemma(g, dec))
+
+
+def _hole_hosts(seed, count):
+    """Seeded hosts around the five-hole 0..4 on 7 to 12 vertices.  Each
+    further vertex sees no hole vertex (twice as likely), all five, a
+    consecutive triple, a distance-two pair or a random set of them, and each
+    earlier further vertex with the host's one density."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        density = rng.choice((0.2, 0.35, 0.5))
+        n = rng.randint(7, 12)
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        for x in range(5, n):
+            sees = rng.choice((0, 0, 31, rng.choice((7, 14, 28, 25, 19)),
+                               rng.choice((5, 10, 20, 9, 18)), rng.getrandbits(5)))
+            edges += [(i, x) for i in range(5) if sees >> i & 1]
+            edges += [(y, x) for y in range(5, x) if rng.random() < density]
+        yield from_edge_list(n, edges)
+
+
+@pytest.mark.parametrize("hosts, decompositions, lines, digest", [
+    (lambda: seeded_random_graphs(26, range(6, 13), 90), 1115, 2322,
+     "46ae65eb766e3c8814c4cfdf3f98b7b83d0d1ff70bd4d65045c5b9c983f39317"),
+    (lambda: _hole_hosts(26, 600), 2325, 4285,
+     "5bef44ccc6a1d85a2100de030b4e193a83a250ad43ead15df8524aa792f1b703"),
+], ids=["random", "around-a-hole"])
+def test_k23_checker_violations_are_pinned(hosts, decompositions, lines, digest):
+    """Both p5-k23 checkers' violation texts, in order, on every five-hole of
+    seeded hosts that induce P5 or K2,3.  Every text fires here but three:
+    the level-two independence one, and the overlapping group and the hole
+    vertex seeing its own group, which the group patterns rule out.  So a
+    rewrite of a checker must keep its texts and their order."""
+    h = hashlib.sha256()
+    seen = said = 0
+    for g in hosts():
+        if is_free(g, ["P5", "K2,3"]):
+            continue
+        for hole in find_all_five_holes(g):
+            dec = decompose_five_hole(g, hole)
+            seen += 1
+            for text in check_k23_hole_lemma(g, dec) + check_k23_level_lemma(g, dec):
+                h.update(text.encode() + b"\n")
+                said += 1
+            h.update(b"\n")
+    assert (seen, said, h.hexdigest()) == (decompositions, lines, digest)
 
 
 def test_cutset_checker_fires_outside_class():
