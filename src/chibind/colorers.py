@@ -8,7 +8,8 @@ lemmas its colouring relies on once, by calling the checkers of
 five-hole of ``p5-k23``; 2.2, 6.3 and 6.4 around one of ``p5-k1-k1uk3``; 6.5
 around its big odd antihole), and raises ``StructureAssertionError`` with the
 violations they report; only palette, budget and reuse checks stay inline.
-A certificate records the pieces, the palette, and the bound.
+A certificate records the pieces, the colours and the bound; it builds its
+palette trace from them only when the trace is read.
 
 A leaf searches its least five-hole once, then its big odd antiholes (seven
 or more vertices) at most once.  With neither it is perfect, by the Strong
@@ -40,6 +41,7 @@ guarantees, and a failed assertion inside a pipeline stays an assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -63,8 +65,8 @@ from .invariants import (
     chi_bound_divisible,
     clique_number,
     clique_number_mask,
-    cliques,
     is_proper_coloring,
+    least_maximum_clique,
 )
 from .patterns import _holes, find_induced, is_free, pattern
 from .structure import (
@@ -108,11 +110,26 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class BoundCertificate:
+    """The bound a colouring was certified against, with the pipeline's
+    regions, each a step name and a vertex mask of the host, and the colours
+    of the host's vertices, from which the trace is built when it is read."""
+
     theorem: str
     omega: int
     bound_value: int
     colors_used: int
-    pipeline_trace: tuple[TraceStep, ...]
+    regions: tuple[tuple[str, int], ...]
+    colors: tuple[int, ...]
+
+    @cached_property
+    def pipeline_trace(self) -> tuple[TraceStep, ...]:
+        """One step per region: its vertices and the slice of colours they use."""
+        trace = []
+        for name, mask in self.regions:
+            seen = {self.colors[v] for v in bits_of(mask)}
+            slc = (min(seen), max(seen) + 1) if seen else (0, 0)
+            trace.append(TraceStep(name, VertexSet(mask, len(self.colors)), slc))
+        return tuple(trace)
 
 
 def _require_free(g: Graph, pats) -> None:
@@ -288,15 +305,16 @@ def color_k1_union_k3_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
 # bucket colourer for hosts with no induced 2K2
 
 
-def _wagon_map(g: Graph, mask: int, w: int) -> dict[int, int]:
-    """At most ``(w^2+w)/2`` colours for ``G[mask]``, whose clique number is ``w``.
+def _wagon_map(g: Graph, mask: int, top: int) -> dict[int, int]:
+    """At most ``(w^2+w)/2`` colours for ``G[mask]``, whose least maximum
+    clique ``top`` has ``w`` vertices.
 
-    Buckets: one per vertex of the least maximum clique (that vertex plus
-    everything missing exactly it) and one per clique pair (everything missing
-    both).  Each bucket is independent, which is asserted.
+    Buckets: one per vertex of that clique (the vertex plus everything
+    missing exactly it) and one per clique pair (everything missing both).
+    Each bucket is independent, which is asserted.
     """
-    top = next(cliques(g.adj, mask, w))
     clique = list(bits_of(top))
+    w = len(clique)
     buckets = [1 << v for v in clique] + [0] * comb(w, 2)
     pair_index = {pair: w + k for k, pair in enumerate(combinations(range(w), 2))}
     for v in bits_of(mask & ~top):
@@ -315,7 +333,8 @@ def _wagon_map(g: Graph, mask: int, w: int) -> dict[int, int]:
 def color_wagon_2k2_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2."""
     _require_free(g, [_2K2])
-    cmap = _wagon_map(g, (1 << g.n) - 1, clique_number(g))
+    full = (1 << g.n) - 1
+    cmap = _wagon_map(g, full, least_maximum_clique(g.adj, full))
     return _finish(g, "wagon-2k2", bound_wagon_2k2, cmap, [])
 
 
@@ -384,7 +403,8 @@ def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple
 
 def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
             regions: list[tuple[str, int]]) -> tuple[Coloring, BoundCertificate]:
-    """Certify a colour map of ``g``: it covers the host, is proper and stays within the bound."""
+    """Certify a colour map of ``g``: it covers the host, is proper and stays
+    within the bound.  The certificate builds its trace from ``regions`` when read."""
     w = clique_number(g)
     bound = bound_fn(w)
     if len(cmap) != g.n:
@@ -396,12 +416,7 @@ def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
     used = coloring.used()
     if used > bound:
         raise StructureAssertionError(f"pipeline used {used} colours above its bound {bound}")
-    trace = []
-    for name, mask in regions:
-        colors = {coloring.colors[v] for v in bits_of(mask)}
-        slc = (min(colors), max(colors) + 1) if colors else (0, 0)
-        trace.append(TraceStep(name, VertexSet(mask, g.n), slc))
-    return coloring, BoundCertificate(pid, w, bound, used, tuple(trace))
+    return coloring, BoundCertificate(pid, w, bound, used, tuple(regions), colors)
 
 
 def _components_shared_palette(g: Graph, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
@@ -602,10 +617,10 @@ def _wagon_piece(g: Graph, piece_mask: int, owned: int, offset: int, w: int,
                  cmap: dict[int, int]) -> int:
     """Bucket-colour one dominator neighbourhood, which induces no 2K2, and
     keep the owned vertices on fresh colours from ``offset`` on."""
-    piece_w = clique_number_mask(g.adj, piece_mask)
-    if piece_w > w - 1:
+    top = least_maximum_clique(g.adj, piece_mask)
+    if top.bit_count() > w - 1:
         raise StructureAssertionError("a dominator neighbourhood reaches the full clique number")
-    local = _wagon_map(g, piece_mask, piece_w)
+    local = _wagon_map(g, piece_mask, top)
     used = sorted({local[v] for v in bits_of(owned)})
     compact = {c: offset + k for k, c in enumerate(used)}
     for v in bits_of(owned):

@@ -102,7 +102,8 @@ class Graph:
     matrix is symmetric with a zero diagonal.  The label is a display tag and
     does not take part in equality.  Neither do the facts kept after their one
     search, which cannot go stale as a graph never changes: ``_omega``, the
-    clique number, and ``_free_of``, the rows of the patterns it is free of.
+    clique number, ``_chi``, the chromatic number with its optimal colouring,
+    and ``_free_of``, the rows of the patterns it is free of.
     """
 
     n: int
@@ -110,6 +111,7 @@ class Graph:
     label: str | None = field(default=None, compare=False)
     # declared slots: an undeclared attribute would cost every graph a dictionary
     _omega: int | None = field(default=None, init=False, compare=False, repr=False)
+    _chi: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _free_of: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -138,8 +140,12 @@ class Graph:
         """A graph on rows known to be valid, such as rows of a validated graph,
         free of the patterns with rows ``free_of``; skips ``__post_init__``."""
         g = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (n, adj, label, None, free_of)):
-            object.__setattr__(g, name, value)
+        _set_n(g, n)
+        _set_adj(g, adj)
+        _set_label(g, label)
+        _set_omega(g, None)
+        _set_chi(g, None)
+        _set_free_of(g, free_of)
         return g
 
     def vertices(self) -> VertexSet:
@@ -172,6 +178,16 @@ class Graph:
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"Graph(n={self.n}, m={self.edge_count()}{tag})"
+
+
+# the setters of the slots, for ``Graph._trusted``: a frozen graph refuses
+# plain assignment, and ``object.__setattr__`` would look each slot up by name
+_set_n = Graph.n.__set__
+_set_adj = Graph.adj.__set__
+_set_label = Graph.label.__set__
+_set_omega = Graph._omega.__set__
+_set_chi = Graph._chi.__set__
+_set_free_of = Graph._free_of.__set__
 
 
 def _check_order(n: int) -> None:

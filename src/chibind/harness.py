@@ -362,21 +362,27 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
     started = time.monotonic()
     # only the violations, the best ratio and (for the CSV) the rows are
     # kept; the witness of the best ratio is the least graph6 string by
-    # length, then text, as is the order of the rows
+    # length, then text, as is the order of the rows.  A graph's text is
+    # encoded only for what is kept: a violation, a row, or a ratio that
+    # ties or beats the best so far
     checked = 0
     violations = []
     rows = []
     best = None  # (-ratio, len(g6), g6)
     for g in _admitted(entry, cap, source, connected):
-        g6, outcome = _checked(entry, g)
+        outcome = _checked(entry, g)
         checked += 1
+        ratio = outcome.ratio
+        contends = ratio is not None and (best is None or -ratio <= best[0])
+        if not (outcome.violations or keep_rows or contends):
+            continue
+        g6 = encode_graph6(g)
         violations.extend((g6, detail) for detail in outcome.violations)
         if keep_rows:
-            rows.append({"g6": g6, **outcome.row,
-                         "ratio": outcome.ratio if outcome.ratio is not None else "",
+            rows.append({"g6": g6, **outcome.row, "ratio": ratio if ratio is not None else "",
                          "violations": len(outcome.violations)})
-        if outcome.ratio is not None:
-            key = (-outcome.ratio, len(g6), g6)
+        if contends:
+            key = (-ratio, len(g6), g6)
             if best is None or key < best:
                 best = key
     rows.sort(key=lambda row: (len(row["g6"]), row["g6"]))
@@ -396,14 +402,13 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
     )
 
 
-def _checked(entry: Target, g: Graph) -> tuple[str, CheckOutcome]:
-    """The graph6 witness and the check outcome; a failed structural
-    assertion is re-raised with the witness in front."""
-    g6 = encode_graph6(g)
+def _checked(entry: Target, g: Graph) -> CheckOutcome:
+    """The check outcome; a failed structural assertion is re-raised with
+    the graph6 witness in front."""
     try:
-        return g6, entry.check(g)
+        return entry.check(g)
     except StructureAssertionError as exc:
-        raise StructureAssertionError(f"{g6}: {exc}") from exc
+        raise StructureAssertionError(f"{encode_graph6(g)}: {exc}") from exc
 
 
 def _admitted(entry: Target, cap: int, source: str | None, connected: bool) -> Iterator[Graph]:

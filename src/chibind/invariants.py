@@ -8,8 +8,10 @@ over the subsets of a vertex set, capped at 16 vertices; it serves
 :func:`is_perfectly_divisible` builds the subset-indexed ``omega_table`` and
 ``perfection_table``, and it is capped at 13 vertices.  :func:`clique_number`
 keeps omega in the graph's declared ``_omega`` field after its one search,
-which every layer then shares; a ``Graph`` never changes, so the kept value
-cannot go stale.
+and :func:`chromatic_number` keeps chi with its optimal colouring in
+``_chi``; every layer then shares them, and a perfect pipeline leaf that is
+the whole checked graph reuses the harness's exact chi.  A ``Graph`` never
+changes, so the kept values cannot go stale.
 """
 
 from __future__ import annotations
@@ -68,28 +70,40 @@ def _greedy_color_bound(adj: tuple[int, ...], cand: int) -> int:
     return len(classes)
 
 
-def clique_number_mask(adj: tuple[int, ...], sub: int) -> int:
-    """Maximum clique size inside ``sub`` by branch and bound."""
-    best = 0
+def least_maximum_clique(adj: tuple[int, ...], sub: int) -> int:
+    """The least maximum clique inside ``sub``, as a mask, by branch and bound.
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
+    The search adds members in ascending order, so it meets cliques in the
+    order of :func:`cliques`, and it keeps a clique only when it is larger
+    than every clique met before; so the clique kept at the end is the
+    first of the largest size, the least one."""
+    best = 0
+    best_mask = 0
+
+    def expand(cand: int, size: int, base: int) -> None:
+        nonlocal best, best_mask
         if size > best:
             best = size
+            best_mask = base
         while cand:
             if size + cand.bit_count() <= best:
                 return
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            nxt = cand & adj[v]
+            low = cand & -cand
+            cand ^= low
+            nxt = cand & adj[low.bit_length() - 1]
             if size + 1 + nxt.bit_count() > best:
                 # kept: without it cocktail-party graphs K2,...,2 cost ~6x per 4 vertices
                 if nxt and size + 1 + _greedy_color_bound(adj, nxt) <= best:
                     continue
-                expand(nxt, size + 1)
+                expand(nxt, size + 1, base | low)
 
-    expand(sub, 0)
-    return best
+    expand(sub, 0, 0)
+    return best_mask
+
+
+def clique_number_mask(adj: tuple[int, ...], sub: int) -> int:
+    """Maximum clique size inside ``sub``."""
+    return least_maximum_clique(adj, sub).bit_count()
 
 
 def clique_number(g: Graph) -> int:
@@ -180,12 +194,17 @@ def _solve_k_coloring(g: Graph, k: int) -> Coloring | None:
 
 
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
-    """Exact chromatic number with a deterministic optimal colouring."""
-    for k in range(clique_number(g), g.n + 1):
-        coloring = _solve_k_coloring(g, k)
-        if coloring is not None:
-            return k, coloring
-    raise StructureAssertionError("chromatic search lost its own optimum")
+    """Exact chromatic number with a deterministic optimal colouring, searched
+    once per graph and kept on it; graphs are immutable."""
+    if g._chi is None:
+        for k in range(clique_number(g), g.n + 1):
+            coloring = _solve_k_coloring(g, k)
+            if coloring is not None:
+                object.__setattr__(g, "_chi", (k, coloring))
+                break
+        else:
+            raise StructureAssertionError("chromatic search lost its own optimum")
+    return g._chi
 
 
 def perfection_table(adj: tuple[int, ...], comp_adj: tuple[int, ...], n: int) -> list[bool]:
@@ -300,7 +319,9 @@ def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
 
 def _optimal_map(g: Graph, mask: int) -> tuple[int, int, dict[int, int]]:
     """``(chi, omega, cmap)``: the chromatic number of ``G[mask]``, its clique
-    number and an optimal colouring of it keyed by host vertex."""
+    number and an optimal colouring of it keyed by host vertex.  With
+    ``mask`` the whole graph, ``induced`` gives ``g`` itself back, and so
+    its kept chi."""
     part = induced(g, VertexSet(mask, g.n))
     chi, coloring = chromatic_number(part)
     return chi, clique_number(part), dict(zip(bits_of(mask), coloring.colors))

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -569,18 +570,63 @@ def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch, tmp
     monkeypatch.setattr(harness, "_checked", recording)
     # the file's lines pass the class search first, which reads the clique
     # number of a line before it searches K1+(K1uK3)
-    cache = Path(__file__).parent / "_cache"
-    source = tmp_path / "members.g6"
-    source.write_bytes(b"".join((cache / f"v1-P5-K1pK1uK3-{n}.g6").read_bytes() for n in range(1, 8)))
     runs = [(target, None) for target in ("theorem-1.2", "theorem-1.3", "theorem-1.4", "lemma-4.1",
                                          "lemma-4.2", "lemma-5.2", "lemma-6.1", "lemma-6.2")]
-    for target, path in runs + [("theorem-1.4", str(source))]:
+    for target, path in runs + [("theorem-1.4", str(_members_file(tmp_path)))]:
         searches.clear()
         checked.clear()
         report = verify(target, n_max=7, source=path)
         assert report.graphs_checked == len(checked) > 0
         assert {searches.get(id(g.adj), ((), 0))[1] for g in checked} == {1}, (target, path)
     assert all(induced(g, g.vertices()) is g for g in checked)
+
+
+def test_each_checked_graph_has_each_colouring_searched_once(monkeypatch, tmp_path):
+    """The bound check's exact chromatic number is kept on the graph, so a
+    pipeline leaf that is the whole checked graph runs no k-colouring search
+    of its own."""
+    calls: list = []  # (graph, k); holding the graphs keeps their ids apart
+    solve = invariants._solve_k_coloring
+
+    def counting(g, k):
+        calls.append((g, k))
+        return solve(g, k)
+
+    monkeypatch.setattr(invariants, "_solve_k_coloring", counting)
+    checked = []
+    check = harness._checked
+
+    def recording(entry, g):
+        checked.append(g)
+        return check(entry, g)
+
+    monkeypatch.setattr(harness, "_checked", recording)
+    runs = [(target, None) for target in BOUND_TARGETS]
+    for target, path in runs + [("theorem-1.4", str(_members_file(tmp_path)))]:
+        calls.clear()
+        checked.clear()
+        report = verify(target, n_max=7, source=path)
+        assert report.graphs_checked == len(checked) > 0
+        ids = {id(g) for g in checked}
+        searches = Counter((id(g), k) for g, k in calls if id(g) in ids)
+        assert searches and max(searches.values()) == 1, (target, path)
+
+
+def test_verify_encodes_only_what_the_report_keeps(monkeypatch):
+    encoded = []
+
+    def counting(g):
+        encoded.append(g)
+        return encode_graph6(g)
+
+    monkeypatch.setattr(harness, "encode_graph6", counting)
+    report = verify("theorem-1.4", 7)
+    assert report.violations == [] and 0 < len(encoded) < report.graphs_checked
+    assert report.extremes["witness"] in {encode_graph6(g) for g in encoded}
+    encoded.clear()
+    rows = verify("theorem-1.4", 7, keep_rows=True)
+    assert len(encoded) == rows.graphs_checked == report.graphs_checked
+    assert rows.to_json() == report.to_json()
 
 
 # SHA-256 of the color_one payload, or of the rejection, of every graph on at
@@ -855,3 +901,56 @@ def test_five_hole_reports_are_pinned(target):
     digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                     for text in (report.to_json(), report.to_csv()))
     assert report.violations == [] and digests == FIVE_HOLE_REPORTS_UP_TO_EIGHT[target]
+
+
+# SHA-256 of the CSV report, every row kept, of each colouring-bound target at
+# n <= 7, and of theorem-1.4's over its class members at n <= 7 read from a
+# graph6 file, whose JSON report is the generated one but for its source
+BOUND_ROWS_UP_TO_SEVEN = {
+    "lemma-5.2": "052f9282393af02684c5da552809b6c26e29c440de3b795798c44864f4a36983",
+    "lemma-6.1": "2c430b70f2cdf78c7db7cf74fde77f184f702479525e62c0489cc9074e96ead8",
+    "lemma-6.2": "221caca719d2f04f01d2ee1430888f557b4136d06b4556a3fddadbedb00ec15b",
+    "theorem-1.2": "e91d3873d730a142fbcaa9c12144c90704442956bbc2e0b5ec4ddddce26e38dc",
+    "theorem-1.3": "dc33b1717b4b01439faa14a76753e9eb5ebd24a17283eba712792464749a3d25",
+    "theorem-1.4": "d66cb29e1e0c0102ceb9574ae88ad2921461fb85ef1146d4b8fb46e27b1abbc4",
+    "theorem-1.4 --in": "d66cb29e1e0c0102ceb9574ae88ad2921461fb85ef1146d4b8fb46e27b1abbc4",
+}
+
+
+def _members_file(tmp_path: Path) -> Path:
+    """The P5,K1+(K1uK3)-free graphs with at most seven vertices, one graph6
+    line each, in canonical order."""
+    cache = Path(__file__).parent / "_cache"
+    path = tmp_path / "members.g6"
+    path.write_bytes(b"".join((cache / f"v1-P5-K1pK1uK3-{n}.g6").read_bytes() for n in range(1, 8)))
+    return path
+
+
+@pytest.mark.parametrize("run", sorted(BOUND_ROWS_UP_TO_SEVEN))
+def test_bound_rows_are_pinned(run, tmp_path):
+    """Without rows only a contending ratio's graph is encoded; keeping every
+    row must not change the JSON report."""
+    target, _, flag = run.partition(" ")
+    source = str(_members_file(tmp_path)) if flag else None
+    plain = verify(target, 7, source=source)
+    rows = verify(target, 7, source=source, keep_rows=True)
+    assert rows.violations == [] and rows.to_json() == plain.to_json()
+    assert hashlib.sha256(rows.to_csv().encode()).hexdigest() == BOUND_ROWS_UP_TO_SEVEN[run]
+    if flag:
+        generated = json.loads(verify(target, 7).to_json())
+        generated["params"]["source"] = source
+        assert json.loads(plain.to_json()) == generated
+
+
+@pytest.mark.parametrize("target", ["theorem-1.4", "lemma-6.1", "lemma-6.2"])
+def test_witness_does_not_depend_on_line_order(target, tmp_path):
+    """Read last line first, the best ratio's first graph is not its least
+    text, so every later graph that ties with it must still be encoded."""
+    generated = verify(target, 7)
+    entry = TARGETS[target]
+    members = [g for n in range(1, 8) for g in entry.streams(n)]
+    path = tmp_path / "reversed.g6"
+    write_graph6_file(str(path), reversed(members))
+    report = verify(target, 7, source=str(path))
+    assert report.graphs_checked == generated.graphs_checked
+    assert report.extremes == generated.extremes

@@ -29,6 +29,8 @@ from chibind.invariants import (
     independence_number,
     is_perfectly_divisible,
     is_proper_coloring,
+    least_maximum_clique,
+    omega_table,
     perfection_table,
 )
 from chibind.patterns import is_free, is_perfect, pattern
@@ -84,6 +86,34 @@ def test_clique_number_mask_matches_subset_table(all_graphs_7):
 def test_maximum_clique_is_least():
     g = from_edge_list(5, [(1, 2), (2, 3), (1, 3), (0, 4)])
     assert next(cliques(g.adj, (1 << g.n) - 1, clique_number(g))) == 0b1110
+    assert least_maximum_clique(g.adj, (1 << g.n) - 1) == 0b1110
+
+
+def test_least_maximum_clique_is_the_first_clique_of_the_clique_number(all_graphs_7):
+    # the clique number of every vertex mask comes from the subset table
+    for g in all_graphs_7:
+        table = omega_table(g.adj, g.n)
+        for sub in range(1 << g.n):
+            assert least_maximum_clique(g.adj, sub) == next(cliques(g.adj, sub, table[sub]))
+
+
+def test_chromatic_number_is_searched_once_and_kept(monkeypatch):
+    calls = []
+    solve = invariants._solve_k_coloring
+
+    def counting(g, k):
+        calls.append(k)
+        return solve(g, k)
+
+    monkeypatch.setattr(invariants, "_solve_k_coloring", counting)
+    g = petersen()
+    first = chromatic_number(g)
+    assert calls == [2, 3] and g._chi is first
+    assert chromatic_number(g) is first and calls == [2, 3]
+    # the kept value takes no part in equality, and a fresh equal graph searches anew
+    twin = from_edge_list(g.n, g.edges())
+    assert twin == g and twin._chi is None
+    assert chromatic_number(twin) == first and calls == [2, 3, 2, 3]
 
 
 def test_cliques_match_subset_scan(all_graphs_7):
