@@ -33,21 +33,20 @@ N_MAX = 10
 OUT = Path(__file__).resolve().parents[1] / "BENCH_suite.json"
 
 
-def classes() -> dict[str, tuple[tuple | None, list[str]]]:
-    """Per class name, its forbidden graphs (None when the targets generate
+def classes() -> dict[str, tuple[tuple, list[str]]]:
+    """Per class name, its forbidden graphs (empty when the targets generate
     nothing) and its targets, in registry order."""
-    groups: dict[str, tuple[tuple | None, list[str]]] = {}
+    groups: dict[str, tuple[tuple, list[str]]] = {}
     for name, entry in harness.TARGETS.items():
-        free_of = getattr(entry.streams(0), "free_of", None)
-        key = "none" if free_of is None else ",".join(g.label for g in free_of)
-        groups.setdefault(key, (free_of, []))[1].append(name)
+        key = ",".join(g.label for g in entry.free_of) or "none"
+        groups.setdefault(key, (entry.free_of, []))[1].append(name)
     return groups
 
 
-def time_class(name: str, free_of: tuple | None, targets: list[str], out: dict) -> dict:
+def time_class(name: str, free_of: tuple, targets: list[str], out: dict) -> dict:
     enumeration._GEN_CACHE.clear()
     seconds, cpu_seconds, counts = {}, {}, {}
-    if free_of is not None:
+    if free_of:
         for n in range(1, N_MAX + 1):
             start, cpu_start = time.perf_counter(), time.process_time()
             counts[n] = len(representatives(n, free_of))

@@ -54,13 +54,10 @@ from .colorers import (
     color_wagon_2k2_free,
 )
 from .enumeration import (
-    GraphStream,
     canonical_form,
     canonical_key,
     decode_graph6,
     encode_graph6,
-    filter_stream,
-    generate,
     representatives,
 )
 from .harness import analyze_one, color_one, verify

@@ -11,16 +11,11 @@ import argparse
 import json
 import sys
 
-from .enumeration import (
-    decode_graph6,
-    encode_graph6,
-    filter_stream,
-    generate,
-    parse_free_argument,
-)
+from .enumeration import decode_graph6, encode_graph6, representatives
 from .errors import PreconditionError, StructureAssertionError
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import Graph, GraphError, from_edge_list, is_connected
 from .harness import COLORERS, analyze_one, color_one, verify
+from .patterns import parse_pattern_list
 
 
 def _parse_edges(text: str, n: int | None) -> Graph:
@@ -82,11 +77,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    stream = generate(args.n, connected_only=args.connected)
-    if args.free:
-        stream = filter_stream(stream, free_of=parse_free_argument(args.free))
+    members = representatives(args.n, parse_pattern_list(args.free) if args.free else ())
     count = 0
-    for g in stream:
+    for g in members:
+        if args.connected and not is_connected(g):
+            continue
         print(encode_graph6(g))
         count += 1
     print(f"# {count} graphs", file=sys.stderr)

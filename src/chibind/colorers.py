@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from typing import Callable
 
 from .errors import PreconditionError, StructureAssertionError
 from .graphs import (
@@ -141,32 +142,16 @@ def _require_free(g: Graph, pats) -> None:
                 f"input induces {p.name} at vertices {list(emb.map)}")
 
 
-def bound_p5_k23(w: int) -> int:
-    return 2 * w * w - w - 3
-
-
-def bound_p5_k1_2k2(w: int) -> int:
-    return 3 * (w * w - w) // 2
-
-
-def bound_p5_k1_k1k3(w: int) -> int:
-    return 3 * w + 11
-
-
-def bound_wagon_2k2(w: int) -> int:
-    return (w * w + w) // 2
-
-
-def bound_k1_union_k3(w: int) -> int:
-    return max(3 * w - 3, 1)
-
-
-def bound_sumner(w: int) -> int:
-    return 3
-
-
-def bound_divisible(w: int) -> int:
-    return comb(w + 1, 2)
+# the bound each colourer is certified against, as a function of omega
+BOUNDS: dict[str, Callable[[int], int]] = {
+    "p5-k23": lambda w: 2 * w * w - w - 3,
+    "p5-k1-2k2": lambda w: 3 * (w * w - w) // 2,
+    "p5-k1-k1uk3": lambda w: 3 * w + 11,
+    "sumner": lambda w: 3,
+    "wagon-2k2": lambda w: (w * w + w) // 2,
+    "k1-union-k3": lambda w: max(3 * w - 3, 1),
+    "divisible": lambda w: comb(w + 1, 2),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +253,7 @@ def color_sumner(g: Graph) -> tuple[Coloring, BoundCertificate]:
 
     Any graph whose components are bipartite or five-hole blow-ups is accepted.
     """
-    return _finish(g, "sumner", bound_sumner, _in_triangle_free_class(g, _triangle_free_map), [])
+    return _finish(g, "sumner", _in_triangle_free_class(g, _triangle_free_map), [])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +283,7 @@ def color_k1_union_k3_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5
     or K1uK3."""
     _require_free(g, [_P5, _K1UK3])
-    return _finish(g, "k1-union-k3", bound_k1_union_k3, _k1uk3_map(g, (1 << g.n) - 1), [])
+    return _finish(g, "k1-union-k3", _k1uk3_map(g, (1 << g.n) - 1), [])
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +320,14 @@ def color_wagon_2k2_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
     _require_free(g, [_2K2])
     full = (1 << g.n) - 1
     cmap = _wagon_map(g, full, least_maximum_clique(g.adj, full))
-    return _finish(g, "wagon-2k2", bound_wagon_2k2, cmap, [])
+    return _finish(g, "wagon-2k2", cmap, [])
 
 
 def color_divisible(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``comb(omega+1, 2)`` colours by peeling perfect divisions, for
     hosts on at most 16 vertices where every round finds one."""
     _, coloring = chi_bound_divisible(g)
-    return _finish(g, "divisible", bound_divisible, dict(enumerate(coloring.colors)), [])
+    return _finish(g, "divisible", dict(enumerate(coloring.colors)), [])
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +386,13 @@ def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple
     return {verts[v]: c for v, c in d_local.items()}, regions
 
 
-def _finish(g: Graph, pid: str, bound_fn, cmap: dict[int, int],
+def _finish(g: Graph, pid: str, cmap: dict[int, int],
             regions: list[tuple[str, int]]) -> tuple[Coloring, BoundCertificate]:
     """Certify a colour map of ``g``: it covers the host, is proper and stays
-    within the bound.  The certificate builds its trace from ``regions`` when read."""
+    within the bound of ``pid``.  The certificate builds its trace from
+    ``regions`` when read."""
     w = clique_number(g)
-    bound = bound_fn(w)
+    bound = BOUNDS[pid](w)
     if len(cmap) != g.n:
         raise StructureAssertionError("colour map does not cover every vertex")
     colors = tuple(cmap[v] for v in range(g.n))
@@ -550,7 +536,7 @@ def color_p5_k23(g: Graph) -> tuple[Coloring, BoundCertificate]:
     if clique_number(g) < 2:
         raise PreconditionError("the certified bound needs omega at least two")
     cmap, regions = _components_shared_palette(g, _p5k23_leaf)
-    return _finish(g, "p5-k23", bound_p5_k23, cmap, regions)
+    return _finish(g, "p5-k23", cmap, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +590,7 @@ def color_p5_k1_2k2(g: Graph) -> tuple[Coloring, BoundCertificate]:
     if assigned != (1 << g.n) - 1:
         raise StructureAssertionError("dominating three-path failed to cover the graph" if kind == "p3"
                                       else "the dominating clique failed to cover the graph")
-    return _finish(g, "p5-k1-2k2", bound_p5_k1_2k2, cmap, regions)
+    return _finish(g, "p5-k1-2k2", cmap, regions)
 
 
 def _order_p3(g: Graph, triple: list[int]) -> list[int]:
@@ -728,4 +714,4 @@ def color_p5_k1_k1k3(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """
     _require_free(g, [_P5, _K1_K1UK3])
     cmap, regions = _components_shared_palette(g, _p5k1k1k3_leaf)
-    return _finish(g, "p5-k1-k1uk3", bound_p5_k1_k1k3, cmap, regions)
+    return _finish(g, "p5-k1-k1uk3", cmap, regions)

@@ -19,14 +19,12 @@ same search yields the automorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
-from .graphs import CapacityError, Graph, GraphError, bits_of, is_connected
-from .invariants import clique_number
-from .patterns import Pattern, _as_graph, mark_forbidden_traces, parse_pattern_list
+from .graphs import CapacityError, Graph, GraphError, bits_of
+from .patterns import Pattern, _as_graph, mark_forbidden_traces
 
 GENERATION_CAP = 10
 
@@ -362,53 +360,3 @@ def write_graph6_file(path: str, graphs: Iterable[Graph]) -> int:
             count += 1
     return count
 
-
-# ---------------------------------------------------------------------------
-# streams
-
-
-@dataclass(frozen=True)
-class GraphStream:
-    """The generated members on ``n`` vertices of a class.
-
-    Freeness filters prune during extension; the emitted members are
-    identical to post-filtering because the classes are hereditary.
-    """
-
-    n: int
-    free_of: tuple = ()
-    connected_only: bool = False
-    omega_min: int | None = None
-
-    def __iter__(self) -> Iterator[Graph]:
-        return (g for g in representatives(self.n, self.free_of) if self.shape(g))
-
-    def shape(self, g: Graph) -> bool:
-        """True iff ``g`` passes the stream's tests other than freeness."""
-        if self.connected_only and not is_connected(g):
-            return False
-        return self.omega_min is None or clique_number(g) >= self.omega_min
-
-
-def generate(n: int, connected_only: bool = False) -> GraphStream:
-    """One representative per isomorphism class on exactly ``n`` vertices."""
-    _check_generation_size(n)
-    return GraphStream(n, connected_only=connected_only)
-
-
-def filter_stream(stream: GraphStream, free_of: Iterable[Pattern | Graph | str] = (),
-                  connected: bool | None = None, omega_min: int | None = None) -> GraphStream:
-    """Narrow a stream; unknown pattern names fail immediately."""
-    resolved = tuple(_as_graph(p) for p in free_of)
-    merged = stream.free_of + resolved
-    return replace(
-        stream,
-        free_of=merged,
-        connected_only=stream.connected_only if connected is None else connected,
-        omega_min=omega_min if omega_min is not None else stream.omega_min,
-    )
-
-
-def parse_free_argument(text: str) -> tuple[Graph, ...]:
-    """CLI helper: resolve a comma-separated pattern list to graphs."""
-    return tuple(p.graph for p in parse_pattern_list(text))

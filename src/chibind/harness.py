@@ -12,16 +12,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .colorers import (
-    bound_k1_union_k3,
-    bound_p5_k1_2k2,
-    bound_p5_k1_k1k3,
-    bound_p5_k23,
-    bound_sumner,
-    bound_wagon_2k2,
+    BOUNDS,
     classify_triangle_free,
     color_divisible,
     color_k1_union_k3_free,
@@ -32,7 +27,7 @@ from .colorers import (
     color_wagon_2k2_free,
 )
 from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
-from .enumeration import GraphStream, encode_graph6, iter_graph6_file
+from .enumeration import encode_graph6, iter_graph6_file, representatives
 from .graphs import Graph, bits_of, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
 from .invariants import (
     chromatic_number,
@@ -124,25 +119,27 @@ class Target:
     hard_cap: int
     filter_desc: str
     streams: Callable[[int], Iterable[Graph]]
-    # the class, for graphs read from a file: the stream's tests other than
-    # freeness, and the patterns it is free of
+    # the class: its tests other than freeness, and the patterns it is free
+    # of, which generation proves and a file line is searched for
     shape: Callable[[Graph], bool]
     free_of: tuple
     admit: Callable[[Graph], bool]
     check: Callable[[Graph], CheckOutcome]
 
 
-def _sizes(stream_fn: Callable[[int], Iterable[Graph]], n_max: int) -> Iterator[Graph]:
-    for n in range(1, n_max + 1):
-        yield from stream_fn(n)
-
-
-def _free_stream(names: tuple, connected: bool = False, omega_min: int | None = None):
+def _free_stream(names: tuple, connected: bool = False, omega_min: int = 0):
     """The class's generated members by vertex count, its shape test and
     its patterns."""
-    members = GraphStream(0, free_of=tuple(_as_graph(p) for p in names),
-                          connected_only=connected, omega_min=omega_min)
-    return (lambda n: replace(members, n=n)), members.shape, members.free_of
+    free_of = tuple(_as_graph(p) for p in names)
+
+    def shape(g: Graph) -> bool:
+        # omega is searched only when the class bounds it
+        return ((not connected or is_connected(g))
+                and (not omega_min or clique_number(g) >= omega_min))
+
+    # representatives is read from the module when called, so rebinding
+    # that name (to trace generation, say) reaches every sweep
+    return (lambda n: representatives(n, free_of)), shape, free_of
 
 
 def _has_five_hole(g: Graph) -> bool:
@@ -180,17 +177,17 @@ COLORERS: dict[str, Callable] = {
 }
 
 
-def _bound_check(pipeline: str, bound_fn: Callable[[int], int], connected_only: bool = False,
+def _bound_check(pipeline: str, connected_only: bool = False,
                  describe: Callable[[Graph], dict] | None = None) -> Callable[[Graph], CheckOutcome]:
     """Check of a colouring bound: the exact chromatic number against the
-    bound, then the colouring of ``pipeline`` (on connected graphs only if
+    bound of ``pipeline``, then its colouring (on connected graphs only if
     ``connected_only``) for properness and for a colour count between the
     two.  ``describe`` adds its own columns to the row.  The universe is the
     colourer's class (or a subclass of it), and its members record the
     class's patterns, so the colourer's precondition searches nothing."""
     def check(g: Graph) -> CheckOutcome:
         w = clique_number(g)
-        bound = bound_fn(w)
+        bound = BOUNDS[pipeline](w)
         chi, _ = chromatic_number(g)
         violations = []
         if chi > bound:
@@ -285,13 +282,13 @@ _register("theorem-1.1", 8, 10, "connected, no induced P5/C5/K2,3",
           _free_stream(("P5", "C5", "K2,3"), connected=True), _always, _check_divisible)
 _register("theorem-1.2", 9, 10, "no induced P5/K2,3, omega >= 2",
           _free_stream(("P5", "K2,3"), omega_min=2), _always,
-          _bound_check("p5-k23", bound_p5_k23, connected_only=True))
+          _bound_check("p5-k23", connected_only=True))
 _register("theorem-1.3", 9, 10, "connected, no induced P5/K1+2K2, omega >= 2",
           _free_stream(("P5", "K1+2K2"), connected=True, omega_min=2), _always,
-          _bound_check("p5-k1-2k2", bound_p5_k1_2k2, connected_only=True))
+          _bound_check("p5-k1-2k2", connected_only=True))
 _register("theorem-1.4", 10, 10, "no induced P5/K1+(K1uK3)",
           _free_stream(("P5", "K1+(K1uK3)")), _always,
-          _bound_check("p5-k1-k1uk3", bound_p5_k1_k1k3, connected_only=True))
+          _bound_check("p5-k1-k1uk3", connected_only=True))
 _register("lemma-2.2", 9, 10, "no induced P5, with a five-hole",
           _free_stream(("P5",)), _has_five_hole, _per_hole_check(check_p5_hole_lemma))
 _register("lemma-2.4", 10, 10, "independence number at most two",
@@ -308,13 +305,13 @@ _register("lemma-4.2", 10, 10, "connected, no induced P5/K2,3, no clique cutset,
 _register("lemma-5.1", 9, 10, "connected, no induced P5",
           _free_stream(("P5",), connected=True), _always, _check_dominating)
 _register("lemma-5.2", 8, 10, "no induced 2K2",
-          _free_stream(("2K2",)), _always, _bound_check("wagon-2k2", bound_wagon_2k2))
+          _free_stream(("2K2",)), _always, _bound_check("wagon-2k2"))
 _register("lemma-6.1", 10, 10, "no induced P5/K3",
           _free_stream(("P5", "K3")), _always,
-          _bound_check("sumner", bound_sumner, describe=_shapes))
+          _bound_check("sumner", describe=_shapes))
 _register("lemma-6.2", 10, 10, "no induced P5/K1uK3, at least one edge",
           _free_stream(("P5", "K1uK3")), lambda g: g.edge_count() >= 1,
-          _bound_check("k1-union-k3", bound_k1_union_k3))
+          _bound_check("k1-union-k3"))
 _register("lemma-6.3", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
           _free_stream(("P5", "K1+(K1uK3)"), connected=True),
           _five_hole_no_cutset,
@@ -338,10 +335,11 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
            keep_rows: bool = False, connected: bool = False) -> VerificationReport:
     """Run one verification target over its universe up to ``n_max`` vertices.
 
-    ``source`` replaces the generated universe with a graph6 file; class
-    filters and admission predicates still apply, cheapest first (see
-    ``_admitted``), so a line the target does not admit costs no pattern
-    search.  ``connected`` restricts a universe that is not already
+    ``source`` replaces the generated universe with a graph6 file.  Both
+    sources go through one filter chain (see ``_admitted``): the class's
+    shape test, ``connected``, the target's admission and, for a file line
+    only, the class search, so a line the target does not admit costs no
+    pattern search.  ``connected`` restricts a universe that is not already
     connected-only.
     """
     if target not in TARGETS:
@@ -413,19 +411,21 @@ def _checked(entry: Target, g: Graph) -> CheckOutcome:
 
 def _admitted(entry: Target, cap: int, source: str | None, connected: bool) -> Iterator[Graph]:
     """The graphs that ``verify`` checks, each test run once per graph and
-    the cheapest first.  A line of the graph6 file ``source`` passes the
-    cap, the stream's shape tests, ``connected``, the target's admission,
-    then the class search, which records each pattern it proves absent on
-    the graph; so a line the target does not admit costs no pattern search.
-    Admission needs no class membership, but ``find_clique_cutset`` needs a
-    connected graph, which the shape test of its connected-only targets
-    ensures.  Generated members are in the class already."""
+    the cheapest first.  The source is the class's generated members on 1
+    to ``cap`` vertices, or the lines of the graph6 file ``source`` with at
+    most ``cap`` vertices.  Each graph then passes the class's shape test,
+    ``connected`` and the target's admission; a file line last passes the
+    class search, which records each pattern it proves absent on the graph,
+    so a line the target does not admit costs no pattern search.  Generated
+    members are in the class already.  Admission needs no class membership,
+    but ``find_clique_cutset`` needs a connected graph, which the shape test
+    of its connected-only targets ensures."""
     if source is None:
-        graphs: Iterable[Graph] = _sizes(entry.streams, cap)
+        graphs: Iterable[Graph] = (g for n in range(1, cap + 1) for g in entry.streams(n))
     else:
-        graphs = (g for g in iter_graph6_file(source) if g.n <= cap and entry.shape(g))
+        graphs = (g for g in iter_graph6_file(source) if g.n <= cap)
     for g in graphs:
-        if (connected and not is_connected(g)) or not entry.admit(g):
+        if not entry.shape(g) or (connected and not is_connected(g)) or not entry.admit(g):
             continue
         if source is None or is_free(g, entry.free_of):
             yield g

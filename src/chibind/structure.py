@@ -619,7 +619,8 @@ def find_dominating_clique_or_p3(g: Graph) -> tuple[str, VertexSet]:
     if not is_connected(g):
         raise PreconditionError("domination search needs a connected graph")
     n = g.n
-    for size in range(1, n + 1):
+    # the empty clique dominates only the null graph
+    for size in range(n + 1):
         for mask in cliques(g.adj, (1 << n) - 1, size):
             if _dominates(g, mask):
                 return "clique", VertexSet(mask, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from chibind import enumeration
-from chibind.colorers import bound_p5_k23, color_p5_k23
+from chibind.colorers import BOUNDS, color_p5_k23
 from chibind.enumeration import decode_graph6, encode_graph6, representatives
 from chibind.graphs import cycle_graph, is_connected
 from chibind.harness import verify
@@ -38,7 +38,7 @@ def test_criterion_2_k23_bound_and_pipeline(p5_k23_free_9):
     c5 = cycle_graph(5)
     chi = chromatic_number(c5)[0]
     coloring, cert = color_p5_k23(c5)
-    sharp = (clique_number(c5) == 2 and chi == bound_p5_k23(2) == 3
+    sharp = (clique_number(c5) == 2 and chi == BOUNDS["p5-k23"](2) == 3
              and cert.colors_used == 3
              and report.extremes.get("max_ratio") == 1.0)
     ok = not report.violations and sharp

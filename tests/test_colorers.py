@@ -7,9 +7,7 @@ import pytest
 
 from chibind import colorers, color_one, decode_graph6, invariants, structure
 from chibind.colorers import (
-    bound_p5_k1_2k2,
-    bound_p5_k1_k1k3,
-    bound_p5_k23,
+    BOUNDS,
     classify_triangle_free,
     color_k1_union_k3_free,
     color_p5_k1_2k2,
@@ -200,7 +198,7 @@ def test_p5k23_certificate_trace_covers_graph():
         for v in step.vertices:
             assert step.palette[0] <= col.colors[v] < step.palette[1]
     assert covered == (1 << g.n) - 1
-    assert cert.bound_value == bound_p5_k23(cert.omega)
+    assert cert.bound_value == BOUNDS["p5-k23"](cert.omega)
 
 
 def bad_pair_witness():
@@ -258,7 +256,7 @@ def test_p5_k1_2k2_pipeline_examples():
     for n in (2, 3, 5):
         kn = complete_graph(n)
         col, cert = color_p5_k1_2k2(kn)
-        assert cert.colors_used == n <= cert.bound_value == bound_p5_k1_2k2(n)
+        assert cert.colors_used == n <= cert.bound_value == BOUNDS["p5-k1-2k2"](n)
 
 
 def test_p5_k1_2k2_pipeline_preconditions():
@@ -277,7 +275,7 @@ def test_p5_k1_k1k3_pipeline_examples():
     assert is_free(c7bar, ["P5", "K1+(K1uK3)"])
     col, cert = color_p5_k1_k1k3(c7bar)
     assert is_proper_coloring(c7bar, col)
-    assert cert.colors_used == 4 and cert.bound_value == bound_p5_k1_k1k3(3)
+    assert cert.colors_used == 4 and cert.bound_value == BOUNDS["p5-k1-k1uk3"](3)
     assert chromatic_number(c7bar)[0] == 4
 
 
@@ -286,7 +284,7 @@ def test_pipelines_exhaustive_to_seven(p5_k23_free_9, p5_k1_2k2_free_9, p5_k1_k1
         if g.n > 7 or clique_number(g) < 2:
             continue
         chi = chromatic_number(g)[0]
-        bound = bound_p5_k23(clique_number(g))
+        bound = BOUNDS["p5-k23"](clique_number(g))
         assert chi <= bound
         if is_connected(g):
             col, cert = color_p5_k23(g)

@@ -1,4 +1,4 @@
-"""Generation, canonical forms, graph6 interchange, and streams."""
+"""Generation, canonical forms and graph6 interchange."""
 
 import itertools
 from pathlib import Path
@@ -17,15 +17,13 @@ from chibind.graphs import (
     is_connected,
     path_graph,
 )
+from chibind import harness
 from chibind.enumeration import (
-    GraphStream,
     _canon,
     canonical_form,
     canonical_key,
     decode_graph6,
     encode_graph6,
-    filter_stream,
-    generate,
     iter_graph6_file,
     representatives,
     write_graph6_file,
@@ -159,8 +157,7 @@ def test_graph6_file_round_trip(tmp_path):
 
 
 def test_generated_stream_filters():
-    stream = filter_stream(generate(5, connected_only=True), free_of=["P5", "K3"])
-    members = list(stream)
+    members = [g for g in representatives(5, ["P5", "K3"]) if is_connected(g)]
     keys = {canonical_key(g) for g in members}
     assert canonical_key(cycle_graph(5)) in keys
     assert canonical_key(path_graph(5)) not in keys
@@ -168,14 +165,14 @@ def test_generated_stream_filters():
 
 
 def test_empty_filter_is_identity():
-    plain = list(generate(4))
-    filtered = list(filter_stream(generate(4), free_of=[]))
-    assert plain == filtered
+    plain = representatives(4)
+    filtered = representatives(4, [])
+    assert plain == filtered and len(plain) == 11
 
 
 def test_hereditary_fusion_equals_post_filtering():
-    fused = list(GraphStream(6, free_of=(complete_graph(3),)))
-    post = [g for g in generate(6) if is_free(g, ["K3"])]
+    fused = representatives(6, (complete_graph(3),))
+    post = [g for g in representatives(6) if is_free(g, ["K3"])]
     assert [canonical_key(g) for g in fused] == [canonical_key(g) for g in post]
 
 
@@ -188,27 +185,26 @@ def test_class_member_counts_regression():
 
 
 def test_omega_filters():
-    stream = filter_stream(generate(4), omega_min=3)
     from chibind.invariants import clique_number
 
-    members = list(stream)
-    assert members and all(clique_number(g) >= 3 for g in members)
-    assert len(members) < len(list(generate(4)))
+    members = list(harness._admitted(harness.TARGETS["theorem-1.2"], 6, None, False))
+    assert members and all(clique_number(g) >= 2 for g in members)
+    assert len(members) < sum(len(representatives(n, ["P5", "K2,3"])) for n in range(1, 7))
 
 
 def test_generation_cap():
-    with pytest.raises(PreconditionError):
-        generate(11)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="at most 10 vertices"):
         representatives(11)
+    with pytest.raises(PreconditionError, match="at most 10 vertices"):
+        representatives(11, ["P5", "K3"])
 
 
 @pytest.mark.parametrize("n", [-1, -3])
 def test_negative_size_is_rejected(n):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="negative"):
         representatives(n)
-    with pytest.raises(PreconditionError):
-        list(generate(n))
+    with pytest.raises(PreconditionError, match="negative"):
+        representatives(n, ["P5"])
 
 
 @pytest.mark.parametrize("n", [3.5, 3.0, True, "3"])
@@ -216,9 +212,7 @@ def test_non_int_size_is_rejected(n):
     with pytest.raises(PreconditionError, match="vertex count must be an int"):
         representatives(n)
     with pytest.raises(PreconditionError, match="vertex count must be an int"):
-        generate(n)
-    with pytest.raises(PreconditionError, match="vertex count must be an int"):
-        list(GraphStream(n))
+        representatives(n, ["P5"])
 
 
 def _sub_orbits(n: int, perms) -> list[frozenset[int]]:
@@ -299,8 +293,8 @@ def test_generation_canonicalises_only_children_with_a_maximum_degree_new_vertex
 
 
 def test_unknown_pattern_name_fails_fast():
-    with pytest.raises(KeyError):
-        filter_stream(generate(4), free_of=["nosuch"])
+    with pytest.raises(KeyError, match="nosuch"):
+        representatives(4, ["P5", "nosuch"])
 
 
 @settings(max_examples=30, derandomize=True)

@@ -305,6 +305,77 @@ def test_cli_gen_empty_graph(capsys):
     assert capsys.readouterr().out == "?\n"
 
 
+# SHA-256 of the stdout of `chibind gen ARGS`: every graph on up to six
+# vertices, and two classes on seven, each with and without --connected
+GEN_DIGESTS = {
+    "--n=0":
+        "ce773b87709a04bbcb0ead74fea94b1f20fa4a4d185fc06a24a9bc703dd99613",
+    "--n=0 --connected":
+        "ce773b87709a04bbcb0ead74fea94b1f20fa4a4d185fc06a24a9bc703dd99613",
+    "--n=1":
+        "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    "--n=1 --connected":
+        "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    "--n=2":
+        "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    "--n=2 --connected":
+        "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    "--n=3":
+        "1d237c0da1c599bbd8f4cffdf1fd13171099276e9ca335a1e0c819e4be9b2bea",
+    "--n=3 --connected":
+        "5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129",
+    "--n=4":
+        "4779a12d9a07b2a2e13924257ea8b573ba0bd3af65d263532115d2ee564e7762",
+    "--n=4 --connected":
+        "b0024cb6b9eb3ef85ae992cd8b602640c1806b2e8f7e7a2cf8c6d7ab7603aee5",
+    "--n=5":
+        "a861c3acbf0b8b8df1672307d598f8093c85f6422a413336f33b549d99f911f6",
+    "--n=5 --connected":
+        "fb159f892d623e6e5e588d8e1a5e734b4e110f4215a73bcab8da56b8a96cd1f2",
+    "--n=6":
+        "bde039cd7d5800da5135b58aab7f933fa017b9d0c2a27690ac6fefefec019202",
+    "--n=6 --connected":
+        "b7faba875ebc555f7a00e050c88e234b09a9c96e67c430ed1925ae2ec58f092e",
+    "--n=7 --free=P5,K2,3":
+        "14802a698f3fe3bd7b01bd7ec639e22ee98a10bb4e377ac1b8179325f8ec4995",
+    "--n=7 --free=P5,K2,3 --connected":
+        "1d99063a9394b7a26dc2f586088daa36a6ccf8e43c028be1f000e91c396c44e4",
+    "--n=7 --free=P5,K1+(K1uK3)":
+        "6284ef4579cdc69d186c55ca6d00f4daaf349643fa1cf7ca3e6e54eb25422b94",
+    "--n=7 --free=P5,K1+(K1uK3) --connected":
+        "59c27c39db2af8ed8a7a663f3175bf59b04cdd3c5925da748c60eae50d20ebc0",
+}
+
+
+@pytest.mark.parametrize("args", GEN_DIGESTS)
+def test_cli_gen_output_is_pinned(args, capsys):
+    assert main(["gen", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[args]
+
+
+def test_cli_gen_names_a_bad_pattern_before_a_bad_size(capsys):
+    assert main(["gen", "--n", "11", "--free", "X"]) == 2
+    assert capsys.readouterr().err == "rejected: \"unknown pattern 'X'\"\n"
+
+
+def test_every_target_checks_the_null_graph_and_k1(tmp_path, capsys):
+    """The null graph is connected and has the empty clique as its
+    dominating clique, so no target reports it."""
+    path = tmp_path / "tiny.g6"
+    path.write_text("?\n@\n", encoding="ascii")
+    for target in TARGETS:
+        assert main(["verify", "--target", target, "--n", "3", "--in", str(path)]) == 0, target
+        assert " 0 violations [ok]" in capsys.readouterr().out, target
+
+
+def test_every_colourer_has_one_bound():
+    assert colorers.BOUNDS.keys() == COLORERS.keys()
+    for pipeline, colorer in COLORERS.items():
+        coloring, cert = colorer(cycle_graph(5))
+        assert cert.bound_value == colorers.BOUNDS[pipeline](2) >= coloring.used() == 3, pipeline
+
+
 def test_cli_color_exit_codes(capsys):
     code = main(["color", "--pipeline", "p5-k23", "--edges", "0-1,1-2,2-3,3-4,4-0"])
     assert code == 0
@@ -546,7 +617,7 @@ def test_every_colourer_returns_its_certificate(all_graphs_7):
 
 
 def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch, tmp_path):
-    """The stream's omega test, the bound check, the exact chromatic number,
+    """The class's omega test, the bound check, the exact chromatic number,
     the pipeline with its leaves and the lemma checkers share one
     whole-graph clique search per checked graph."""
     searches: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -689,7 +760,7 @@ def test_suite_script_runs_every_target(tmp_path, monkeypatch):
     assert all(t["violations"] == 0 for t in first["targets"].values())
     assert isinstance(first["peak_rss_mb"], float) and first["peak_rss_mb"] > 0
     for name, (free_of, _) in suite.classes().items():
-        expected = {} if free_of is None else {
+        expected = {} if not free_of else {
             str(n): len(representatives(n, free_of)) for n in range(1, 6)}
         assert first["classes"][name]["counts"] == expected
     suite.main("second")
@@ -802,7 +873,6 @@ def test_bound_targets_colour_members_of_their_colourers_classes(monkeypatch, tm
     write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
     for target, pipeline in BOUND_TARGETS.items():
         entry = TARGETS[target]
-        assert entry.free_of == entry.streams(0).free_of
         needed = _precondition_patterns(pipeline, monkeypatch)
         members = list(harness._admitted(entry, 6, None, False))
         from_file = list(harness._admitted(entry, 6, str(path), False))

@@ -490,6 +490,12 @@ def test_dominating_examples():
         find_dominating_clique_or_p3(pattern("2K2").graph)
 
 
+def test_the_null_graph_is_dominated_by_the_empty_clique():
+    from chibind.enumeration import decode_graph6
+
+    assert find_dominating_clique_or_p3(decode_graph6("?")) == ("clique", VertexSet(0, 0))
+
+
 def test_c5_has_no_dominating_clique():
     g = cycle_graph(5)
     full = (1 << 5) - 1
