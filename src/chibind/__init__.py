@@ -24,7 +24,6 @@ from .graphs import (
 from .invariants import (
     Coloring,
     PerfectDivision,
-    chi_bound_divisible,
     chromatic_number,
     clique_number,
     find_perfect_division,
@@ -46,6 +45,7 @@ from .patterns import (
 )
 from .colorers import (
     BoundCertificate,
+    color_divisible,
     color_k1_union_k3_free,
     color_p5_k1_2k2,
     color_p5_k1_k1k3,

@@ -12,9 +12,10 @@ import json
 import sys
 
 from .enumeration import decode_graph6, encode_graph6, representatives
+from .colorers import COLORERS
 from .errors import PreconditionError, StructureAssertionError
 from .graphs import Graph, GraphError, from_edge_list, is_connected
-from .harness import COLORERS, analyze_one, color_one, verify
+from .harness import analyze_one, color_one, verify
 from .patterns import parse_pattern_list
 
 

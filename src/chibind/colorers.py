@@ -11,17 +11,15 @@ violations they report; only palette, budget and reuse checks stay inline.
 A certificate records the pieces, the colours and the bound; it builds its
 palette trace from them only when the trace is read.
 
-A leaf searches its least five-hole once, then its big odd antiholes (seven
-or more vertices) at most once.  With neither it is perfect, by the Strong
-Perfect Graph Theorem (Chudnovsky, Robertson, Seymour and Thomas, Ann. Math.
-2006), since its host has no induced P5 and so no longer odd hole; it is then
-coloured with omega colours, which is asserted.  Else a ``p5-k23`` leaf is
-coloured triangle-free at omega two, else around its five-hole, else by
-perfect divisibility; a ``p5-k1-k1uk3`` leaf around its five-hole, else
-around its first big odd antihole.  A cutset-free piece that is a clique
-(most of them, in the exhaustive sweeps) is not searched at all: it is
-coloured in place with the map either leaf would give it, one colour per
-vertex in vertex order.
+Every cutset-free piece goes through one dispatch, ``_leaf_on_copy``, which
+colours a perfect piece exactly and hands any other, with its five-hole or
+big odd antiholes, to the pipeline's leaf: a ``p5-k23`` leaf is coloured
+triangle-free at omega two, else around its five-hole, else by perfect
+divisibility; a ``p5-k1-k1uk3`` leaf around its five-hole, else around its
+first big odd antihole.  A cutset-free piece that is a clique (most of
+them, in the exhaustive sweeps) is not searched at all: it is coloured in
+place with the map the dispatch would give it, one colour per vertex in
+vertex order.
 
 Every public colourer has one shape: its precondition (``_require_free``,
 or a failed proof on an input outside the class), then a core that colours
@@ -63,7 +61,6 @@ from .invariants import (
     _optimal_map,
     _peeled_map,
     _perfect_map,
-    chi_bound_divisible,
     clique_number,
     clique_number_mask,
     is_proper_coloring,
@@ -140,18 +137,6 @@ def _require_free(g: Graph, pats) -> None:
         if emb is not None:
             raise PreconditionError(
                 f"input induces {p.name} at vertices {list(emb.map)}")
-
-
-# the bound each colourer is certified against, as a function of omega
-BOUNDS: dict[str, Callable[[int], int]] = {
-    "p5-k23": lambda w: 2 * w * w - w - 3,
-    "p5-k1-2k2": lambda w: 3 * (w * w - w) // 2,
-    "p5-k1-k1uk3": lambda w: 3 * w + 11,
-    "sumner": lambda w: 3,
-    "wagon-2k2": lambda w: (w * w + w) // 2,
-    "k1-union-k3": lambda w: max(3 * w - 3, 1),
-    "divisible": lambda w: comb(w + 1, 2),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +309,13 @@ def color_wagon_2k2_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
 
 
 def color_divisible(g: Graph) -> tuple[Coloring, BoundCertificate]:
-    """At most ``comb(omega+1, 2)`` colours by peeling perfect divisions, for
-    hosts on at most 16 vertices where every round finds one."""
-    _, coloring = chi_bound_divisible(g)
-    return _finish(g, "divisible", dict(enumerate(coloring.colors)), [])
+    """At most ``comb(omega+1, 2)`` colours by peeling perfect divisions
+    (``_peeled_map``), for hosts on at most 16 vertices where every round
+    finds one."""
+    cmap = _peeled_map(g, (1 << g.n) - 1, clique_number(g))
+    if cmap is None:
+        raise PreconditionError("input graph is not perfectly divisible")
+    return _finish(g, "divisible", cmap, [])
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +349,9 @@ def _color_with_cutsets(g: Graph, mask: int, seps: list[int],
 
     A piece that is a clique is coloured in place, its i-th vertex with
     colour i: it has no clique cutset, no five-hole and no odd antihole, so
-    either leaf would colour it perfect-exact, and the k-colouring, which
-    takes vertices by degree and then index, gives the same map.  ``_finish``
-    still certifies the whole colouring."""
+    ``_leaf_on_copy`` would colour it perfect-exact, and the k-colouring,
+    which takes vertices by degree and then index, gives the same map.
+    ``_finish`` still certifies the whole colouring."""
     if is_clique_mask(g.adj, mask):
         return {v: i for i, v in enumerate(bits_of(mask))}, [("perfect-exact", mask)]
     found = _least_clique_cutset(g.adj, mask, seps)
@@ -378,10 +366,25 @@ def _color_with_cutsets(g: Graph, mask: int, seps: list[int],
 
 
 def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    """Run a cutset-free leaf on the induced copy of ``G[mask]`` (the host when
-    ``mask`` covers it) and lift its colour map and regions back to the host."""
+    """Colour the cutset-free piece ``G[mask]`` on its induced copy ``h`` (the
+    host when ``mask`` covers it) and lift the map and regions to the host.
+
+    The least five-hole of ``h`` is searched once, and only without one its
+    big odd antiholes (seven or more vertices), once.  The host has no
+    induced P5, so no odd hole on seven or more vertices, and the
+    five-antihole is the five-hole; so by the Strong Perfect Graph Theorem
+    (Chudnovsky, Robertson, Seymour and Thomas, Ann. Math. 2006) a piece with
+    neither is perfect and is coloured exactly with omega colours, which is
+    asserted.  Else ``leaf(h, hole, antiholes)`` colours it."""
     verts = list(bits_of(mask))
-    d_local, r_local = leaf(induced(g, VertexSet(mask, g.n)))
+    h = induced(g, VertexSet(mask, g.n))
+    hole = find_five_hole(h)
+    antiholes = find_all_odd_antiholes(h, 7) if hole is None else []
+    if hole is None and not antiholes:
+        full = (1 << h.n) - 1
+        d_local, r_local = _perfect_map(h, full), [("perfect-exact", full)]
+    else:
+        d_local, r_local = leaf(h, hole, antiholes)
     regions = [(name, sum(1 << verts[i] for i in bits_of(m))) for name, m in r_local]
     return {verts[v]: c for v, c in d_local.items()}, regions
 
@@ -429,13 +432,6 @@ def _greedy_in_slice(g: Graph, cmap: dict[int, int], vertices: list[int],
     return True
 
 
-def _perfect_exact(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    """An optimal colouring of a leaf its pipeline has shown perfect, which
-    needs only omega colours."""
-    full = (1 << h.n) - 1
-    return _perfect_map(h, full), [("perfect-exact", full)]
-
-
 def _divisible_map(h: Graph, mask: int, w: int) -> dict[int, int]:
     """The peeled colouring of a part the proof makes perfectly divisible
     (lemma 2.4 for independence number two, theorem 1.1 for a five-hole-free
@@ -466,13 +462,11 @@ _K23_PIECES = (
 )
 
 
-def _p5k23_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    """A cutset-free leaf with no induced P5, hence no odd hole on seven or
-    more vertices, is perfect iff it has no five-hole and no big odd antihole."""
-    hole = find_five_hole(h)
+def _p5k23_leaf(h: Graph, hole, antiholes) -> tuple[dict[int, int], list[tuple[str, int]]]:
+    """Colour a cutset-free piece with a five-hole ``hole`` or big odd
+    antiholes: triangle-free at omega two, else by perfect divisibility
+    when ``hole`` is None, else around the five-hole."""
     full = (1 << h.n) - 1
-    if hole is None and not find_all_odd_antiholes(h, 7):
-        return _perfect_exact(h)
     w = clique_number(h)
     if w <= 2:
         # triangle-free members are exactly the three-colourable ones here,
@@ -618,19 +612,11 @@ def _wagon_piece(g: Graph, piece_mask: int, owned: int, offset: int, w: int,
 # pipeline for hosts with no induced P5 or K1+(K1uK3)
 
 
-def _p5k1k1k3_leaf(h: Graph) -> tuple[dict[int, int], list[tuple[str, int]]]:
-    """A cutset-free leaf with no induced P5, hence no odd hole on seven or
-    more vertices, is perfect iff it has no five-hole and no big odd antihole."""
-    hole = find_five_hole(h)
-    if hole is not None:
-        return _p5k1k1k3_hole(h, hole)
-    orders = find_all_odd_antiholes(h, 7)
-    if orders:
-        return _p5k1k1k3_antihole(h, orders[0])
-    return _perfect_exact(h)
-
-
-def _p5k1k1k3_hole(h: Graph, hole: tuple[int, ...]) -> tuple[dict[int, int], list[tuple[str, int]]]:
+def _p5k1k1k3_leaf(h: Graph, hole, antiholes) -> tuple[dict[int, int], list[tuple[str, int]]]:
+    """Colour a cutset-free piece around its five-hole ``hole``, or, when
+    that is None, around its first big odd antihole."""
+    if hole is None:
+        return _p5k1k1k3_antihole(h, antiholes[0])
     dec = decompose_five_hole(h, hole)
     _assert_lemmas(check_p5_hole_lemma(h, dec), check_k1uk3_hole_lemma(h, dec),
                    check_k1uk3_level_lemma(h, dec))
@@ -715,3 +701,31 @@ def color_p5_k1_k1k3(g: Graph) -> tuple[Coloring, BoundCertificate]:
     _require_free(g, [_P5, _K1_K1UK3])
     cmap, regions = _components_shared_palette(g, _p5k1k1k3_leaf)
     return _finish(g, "p5-k1-k1uk3", cmap, regions)
+
+
+# ---------------------------------------------------------------------------
+# the colourers by name
+
+
+# the bound each colourer is certified against, as a function of omega
+BOUNDS: dict[str, Callable[[int], int]] = {
+    "p5-k23": lambda w: 2 * w * w - w - 3,
+    "p5-k1-2k2": lambda w: 3 * (w * w - w) // 2,
+    "p5-k1-k1uk3": lambda w: 3 * w + 11,
+    "sumner": lambda w: 3,
+    "wagon-2k2": lambda w: (w * w + w) // 2,
+    "k1-union-k3": lambda w: max(3 * w - 3, 1),
+    "divisible": lambda w: comb(w + 1, 2),
+}
+
+# every colourer by name, each returning its colouring and certificate; read at
+# call time, so a rewritten entry reaches every caller
+COLORERS: dict[str, Callable[[Graph], tuple[Coloring, BoundCertificate]]] = {
+    "p5-k23": color_p5_k23,
+    "p5-k1-2k2": color_p5_k1_2k2,
+    "p5-k1-k1uk3": color_p5_k1_k1k3,
+    "sumner": color_sumner,
+    "wagon-2k2": color_wagon_2k2_free,
+    "k1-union-k3": color_k1_union_k3_free,
+    "divisible": color_divisible,
+}

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 from .graphs import CapacityError, Graph, GraphError, bits_of
-from .patterns import Pattern, _as_graph, mark_forbidden_traces
+from .patterns import Pattern, _as_graph, _require_pattern_list, mark_forbidden_traces
 
 GENERATION_CAP = 10
 
@@ -259,6 +259,7 @@ def representatives(n: int, free_of: Iterable[Pattern | Graph | str] = ()) -> li
     ``free_of`` as induced subgraphs; generation proves that, so each graph
     records ``free_of`` as patterns it is free of."""
     _check_generation_size(n)
+    _require_pattern_list(free_of)
     free_graphs = tuple(_as_graph(p) for p in free_of)
     proved = tuple(pg.adj for pg in free_graphs)
     return [Graph._trusted(n, adj, free_of=proved) for adj in _representatives(n, free_graphs)]
@@ -291,6 +292,8 @@ def encode_graph6(g: Graph) -> str:
 
 def decode_graph6(text: str) -> Graph:
     """Inverse of :func:`encode_graph6`; rejects long forms and malformed input."""
+    if not isinstance(text, str):
+        raise GraphError(f"graph6 input must be a str, not {text!r}")
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]

@@ -15,17 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .colorers import (
-    BOUNDS,
-    classify_triangle_free,
-    color_divisible,
-    color_k1_union_k3_free,
-    color_p5_k1_2k2,
-    color_p5_k1_k1k3,
-    color_p5_k23,
-    color_sumner,
-    color_wagon_2k2_free,
-)
+from .colorers import BOUNDS, COLORERS, classify_triangle_free
 from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
 from .enumeration import encode_graph6, iter_graph6_file, representatives
 from .graphs import Graph, bits_of, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
@@ -162,19 +152,6 @@ def _check_divisible(g: Graph) -> CheckOutcome:
     ok = is_perfectly_divisible(g)
     return CheckOutcome(() if ok else ("not perfectly divisible",),
                         row={"divisible": ok})
-
-
-# every colourer by name, each returning its colouring and certificate; read at
-# call time, so a rewritten entry reaches every caller
-COLORERS: dict[str, Callable] = {
-    "p5-k23": color_p5_k23,
-    "p5-k1-2k2": color_p5_k1_2k2,
-    "p5-k1-k1uk3": color_p5_k1_k1k3,
-    "sumner": color_sumner,
-    "wagon-2k2": color_wagon_2k2_free,
-    "k1-union-k3": color_k1_union_k3_free,
-    "divisible": color_divisible,
-}
 
 
 def _bound_check(pipeline: str, connected_only: bool = False,

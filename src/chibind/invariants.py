@@ -4,7 +4,7 @@ These are the ground-truth engines the class-specific claims are checked
 against.  Everything is exact.  Perfect divisions come from one direct search
 over the subsets of a vertex set, capped at 16 vertices; it serves
 :func:`find_perfect_division` and every peeling round of
-:func:`chi_bound_divisible`.  Only the divisibility dynamic program of
+:func:`_peeled_map`.  Only the divisibility dynamic program of
 :func:`is_perfectly_divisible` builds the subset-indexed ``omega_table`` and
 ``perfection_table``, and it is capped at 13 vertices.  :func:`clique_number`
 keeps omega in the graph's declared ``_omega`` field after its one search,
@@ -298,25 +298,6 @@ def is_perfectly_divisible(g: Graph) -> bool:
                       perfection_table(g.adj, complement(g).adj, g.n), g.n)
 
 
-def chi_bound_divisible(g: Graph) -> tuple[int, Coloring]:
-    """Colour a graph on at most 16 vertices by peeling perfect divisions.
-
-    Each round takes the first division of the remaining graph, colours the
-    perfect side exactly with fresh colours, and recurses on the rest; the
-    clique number drops every round, so the palette stays within
-    ``comb(omega+1, 2)`` by construction.  Divisibility itself is not
-    checked: a graph that is not perfectly divisible is still coloured when
-    every round finds a division, and a round without one raises
-    ``PreconditionError``.
-    """
-    cmap = _peeled_map(g, (1 << g.n) - 1, clique_number(g))
-    if cmap is None:
-        raise PreconditionError("input graph is not perfectly divisible")
-    colors = tuple(cmap[v] for v in range(g.n))
-    k = max(colors, default=-1) + 1
-    return k, Coloring(colors, k)
-
-
 def _optimal_map(g: Graph, mask: int) -> tuple[int, int, dict[int, int]]:
     """``(chi, omega, cmap)``: the chromatic number of ``G[mask]``, its clique
     number and an optimal colouring of it keyed by host vertex.  With
@@ -337,8 +318,16 @@ def _perfect_map(g: Graph, mask: int) -> dict[int, int]:
 
 
 def _peeled_map(g: Graph, mask: int, w: int) -> dict[int, int] | None:
-    """The colouring of :func:`chi_bound_divisible` of ``G[mask]`` (clique number
-    ``w``), keyed by host vertex, or None when a round finds no division."""
+    """Colour ``G[mask]`` (clique number ``w``, at most 16 vertices) by
+    peeling perfect divisions, keyed by host vertex, or None when a round
+    finds no division.
+
+    Each round takes the first division of the remaining vertices, colours
+    the perfect side exactly with fresh colours, and goes on with the rest;
+    the clique number drops every round, so the palette stays within
+    ``comb(w+1, 2)`` by construction.  Divisibility itself is not checked:
+    a graph that is not perfectly divisible is still coloured when every
+    round finds a division."""
     _check_division_cap(mask.bit_count())
     comp_adj = complement(g).adj
     w_top = w

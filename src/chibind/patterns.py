@@ -117,6 +117,8 @@ _NORMALIZED = {name.lower().replace("_", "").replace("{", "").replace("}", ""): 
 
 def pattern(name: str) -> Pattern:
     """Resolve a catalog pattern by name; lookup is case- and brace-insensitive."""
+    if not isinstance(name, str):
+        raise PreconditionError(f"a pattern name must be a str, not {name!r}")
     key = name.strip().lower().replace(" ", "").replace("_", "").replace("{", "").replace("}", "")
     if key not in _NORMALIZED:
         raise KeyError(f"unknown pattern {name!r}")
@@ -129,6 +131,8 @@ def parse_pattern_list(text: str) -> list[Pattern]:
     Names like ``K2,3`` contain a comma, so a purely numeric token is glued
     back onto its predecessor: ``"P5,K2,3"`` -> ``[P5, K2,3]``.
     """
+    if not isinstance(text, str):
+        raise PreconditionError(f"a pattern list must be a str, not {text!r}")
     tokens: list[str] = []
     for raw in text.split(","):
         tok = raw.strip()
@@ -146,7 +150,16 @@ def _as_graph(p: Pattern | Graph | str) -> Graph:
         return p.graph
     if isinstance(p, Graph):
         return p
+    if not isinstance(p, str):
+        raise PreconditionError(f"expected a Pattern, a Graph or a pattern name, not {p!r}")
     return pattern(p).graph
+
+
+def _require_pattern_list(patterns) -> None:
+    """A bare str would be read as a list of one-letter names."""
+    if isinstance(patterns, str):
+        raise PreconditionError(f"expected a list of patterns, not the str {patterns!r}; "
+                                "parse_pattern_list reads a comma-separated one")
 
 
 def _candidate_masks(host_adj: tuple[int, ...], padj: tuple[int, ...]) -> list[int] | None:
@@ -458,6 +471,7 @@ def mark_forbidden_traces(host_adj: tuple[int, ...], n: int, pg: Graph, blocked:
 
 def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:
     """True iff ``host`` induces none of the listed patterns."""
+    _require_pattern_list(patterns)
     return all(find_induced(host, p) is None for p in patterns)
 
 

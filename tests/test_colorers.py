@@ -161,7 +161,7 @@ def test_p5k23_pipeline_perfect_inputs_use_omega():
 
 
 def test_p5k23_overshoot_is_an_assertion(monkeypatch):
-    def wasteful_leaf(h):
+    def wasteful_leaf(h, hole, antiholes):
         return {v: v for v in range(h.n)}, [("one-colour-per-vertex", (1 << h.n) - 1)]
 
     monkeypatch.setattr(colorers, "_p5k23_leaf", wasteful_leaf)
@@ -400,8 +400,10 @@ def test_outputs_and_rejection_texts_to_seven_are_pinned(pipeline, all_graphs_7)
 
 def test_clique_atoms_are_coloured_as_either_leaf_colours_them(monkeypatch, all_graphs_8):
     # every cutset-free piece that is a clique, of every graph with n <= 8,
-    # coloured in place and by each leaf on its induced copy
+    # coloured in place and by the dispatch on its induced copy with each leaf;
+    # the graphs are not all P5-free, so the split runs with a stub dispatch
     split = colorers._color_with_cutsets
+    dispatch = colorers._leaf_on_copy
     atoms = []
 
     def recording(g, mask, seps, leaf):
@@ -409,21 +411,61 @@ def test_clique_atoms_are_coloured_as_either_leaf_colours_them(monkeypatch, all_
             atoms.append((g, mask))
         return split(g, mask, seps, leaf)
 
-    def stub_leaf(h):
-        return {v: v for v in range(h.n)}, []
+    def stub_dispatch(g, mask, leaf):
+        return {v: i for i, v in enumerate(bits_of(mask))}, []
 
     monkeypatch.setattr(colorers, "_color_with_cutsets", recording)
+    monkeypatch.setattr(colorers, "_leaf_on_copy", stub_dispatch)
     compared = 0
     for g in all_graphs_8:
         atoms.clear()
-        colorers._components_shared_palette(g, stub_leaf)
+        colorers._components_shared_palette(g, colorers._p5k23_leaf)
         for host, mask in atoms:
-            in_place = split(host, mask, [], stub_leaf)
+            in_place = split(host, mask, [], colorers._p5k23_leaf)
             assert in_place[1] == [("perfect-exact", mask)]
             for leaf in (colorers._p5k23_leaf, colorers._p5k1k1k3_leaf):
-                assert colorers._leaf_on_copy(host, mask, leaf) == in_place, (g.adj, mask)
+                assert dispatch(host, mask, leaf) == in_place, (g.adj, mask)
             compared += 1
     assert compared == 26406
+
+
+def test_each_piece_is_searched_once_for_each_structure(monkeypatch, p5_k23_free_9,
+                                                         p5_k1_k1uk3_free_9):
+    # the dispatch searches a copy once for a five-hole and, only when it
+    # finds none, once for big odd antiholes
+    hole_found = {}
+    antiholes_searched = set()
+    copies = []
+
+    def five_hole(h, _search=colorers.find_five_hole):
+        assert id(h) not in hole_found
+        copies.append(h)
+        hole = _search(h)
+        hole_found[id(h)] = hole is not None
+        return hole
+
+    def antiholes(h, min_length, _search=colorers.find_all_odd_antiholes):
+        assert hole_found.get(id(h)) is False and id(h) not in antiholes_searched
+        antiholes_searched.add(id(h))
+        return _search(h, min_length)
+
+    monkeypatch.setattr(colorers, "find_five_hole", five_hole)
+    monkeypatch.setattr(colorers, "find_all_odd_antiholes", antiholes)
+    searched = 0
+    for graphs, colorer in ((p5_k23_free_9, color_p5_k23), (p5_k1_k1uk3_free_9, color_p5_k1_k1k3)):
+        for g in graphs:
+            if g.n > 8:
+                continue
+            try:
+                colorer(g)
+            except PreconditionError:
+                assert clique_number(g) < 2
+            searched += len(copies)
+            # the copies are kept alive until here, so no id is reused within a colouring
+            hole_found.clear()
+            antiholes_searched.clear()
+            copies.clear()
+    assert searched == 3971
 
 
 @pytest.mark.parametrize("colorer", [

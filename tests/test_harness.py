@@ -18,6 +18,7 @@ from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
 from chibind.graphs import (
+    bits_of,
     complement,
     complete_graph,
     cycle_graph,
@@ -26,7 +27,7 @@ from chibind.graphs import (
     is_connected,
 )
 from chibind.harness import COLORERS, TARGETS, analyze_one, color_one, verify
-from chibind.invariants import Coloring, clique_number, cliques
+from chibind.invariants import clique_number, cliques
 from chibind.patterns import _as_graph, is_free, pattern
 from test_structure import _grown_pipeline_members
 
@@ -458,7 +459,7 @@ def test_cli_verify_rejects_empty_size_range(n, capsys):
 
 
 def test_verify_assertion_names_its_graph(monkeypatch, capsys):
-    def wasteful_leaf(h):
+    def wasteful_leaf(h, hole, antiholes):
         return {v: v for v in range(h.n)}, [("one-colour-per-vertex", (1 << h.n) - 1)]
 
     monkeypatch.setattr(colorers, "_p5k23_leaf", wasteful_leaf)
@@ -591,7 +592,7 @@ def test_missing_division_inside_p5k23_is_an_assertion(monkeypatch, capsys):
 def test_a_faulty_divisible_colouring_is_an_assertion(monkeypatch, capsys):
     """The divisible colourer is certified like every other one: an improper
     colouring from the peeling fails ``_finish``, and the CLI exits 1."""
-    monkeypatch.setattr(colorers, "chi_bound_divisible", lambda g: (1, Coloring((0,) * g.n, 1)))
+    monkeypatch.setattr(colorers, "_peeled_map", lambda g, mask, w: dict.fromkeys(bits_of(mask), 0))
     c5 = cycle_graph(5)
     with pytest.raises(StructureAssertionError, match="improper"):
         color_one(c5, "divisible")
@@ -729,6 +730,7 @@ def test_colorings_are_pinned(pipeline, all_graphs_7):
 # the same digest over the complete graphs K1..K20 and the grown members of
 # tests/test_structure.py, past the exhaustive sweeps' reach
 COLORINGS_PAST_REACH = {
+    "divisible": "f7af54b35fca260435802d3cd3a32e746d669f9cb63867c511920c9eeb1f81c8",
     "p5-k1-k1uk3": "5be62f2fa352826db9bd164af574a5f7e4cc8a39d71c40ec3c1c4edf19af6458",
     "p5-k23": "6cd6a4ad044654ac6bb883190186e69211c43d852e64dd1c13bd88893f4ba8be",
 }

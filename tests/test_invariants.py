@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibind import invariants
+from chibind.colorers import color_divisible
 from chibind.errors import PreconditionError
 from chibind.graphs import (
     VertexSet,
@@ -20,7 +21,6 @@ from chibind.graphs import (
     path_graph,
 )
 from chibind.invariants import (
-    chi_bound_divisible,
     chromatic_number,
     clique_number,
     clique_number_mask,
@@ -252,12 +252,10 @@ def test_perfection_table_matches_definitional():
 
 def test_chi_bound_divisible_examples():
     c5 = cycle_graph(5)
-    k, col = chi_bound_divisible(c5)
-    assert k <= 3 and is_proper_coloring(c5, col)
-    k, col = chi_bound_divisible(complete_graph(4))
-    assert k == 4
-    k, col = chi_bound_divisible(empty_graph(3))
-    assert k == 1
+    col, _ = color_divisible(c5)
+    assert col.k <= 3 and is_proper_coloring(c5, col)
+    assert color_divisible(complete_graph(4))[0].k == 4
+    assert color_divisible(empty_graph(3))[0].k == 1
 
 
 def test_divisibility_size_guard():
@@ -270,16 +268,17 @@ def test_divisibility_size_guard():
 def test_chi_bound_divisible_on_class_members(g):
     if not is_free(g, ["P5", "C5", "K2,3"]):
         return
-    k, col = chi_bound_divisible(g)
+    col, _ = color_divisible(g)
     assert is_proper_coloring(g, col)
     w = clique_number(g)
-    assert chromatic_number(g)[0] <= k <= comb(w + 1, 2)
+    assert chromatic_number(g)[0] <= col.k <= comb(w + 1, 2)
 
 
 def test_chi_bound_divisible_equals_per_round_tables(all_graphs_7):
     members = list(all_graphs_7) + [complement(cycle_graph(9))]
     for g in members:
-        assert chi_bound_divisible(g) == chi_bound_divisible_per_round(g), g.adj
+        col, _ = color_divisible(g)
+        assert (col.k, col) == chi_bound_divisible_per_round(g), g.adj
         assert find_perfect_division(g) == first_division_brute(g), g.adj
 
 
@@ -294,17 +293,17 @@ def test_chi_bound_divisible_rejects_grotzsch():
     g = grotzsch()
     assert clique_number(g) == 2 and chromatic_number(g)[0] == 4
     with pytest.raises(PreconditionError, match="not perfectly divisible"):
-        chi_bound_divisible(g)
+        color_divisible(g)
     assert find_perfect_division(g) is None
 
 
 def test_division_search_size_guard():
-    for fn in (chi_bound_divisible, find_perfect_division):
+    for fn in (color_divisible, find_perfect_division):
         with pytest.raises(PreconditionError, match="at most 16 vertices"):
             fn(empty_graph(17))
     # above the divisibility cap, the colouring still runs
-    k, col = chi_bound_divisible(from_edge_list(14, [(i, i + 7) for i in range(7)]))
-    assert k == 2 and col.used() == 2
+    col, _ = color_divisible(from_edge_list(14, [(i, i + 7) for i in range(7)]))
+    assert col.k == 2 and col.used() == 2
 
 
 def test_division_tables_are_built_only_by_the_divisibility_dp(monkeypatch):
@@ -315,7 +314,7 @@ def test_division_tables_are_built_only_by_the_divisibility_dp(monkeypatch):
             return _table(*args)
         monkeypatch.setattr(invariants, name, counting)
     c9bar = complement(cycle_graph(9))
-    chi_bound_divisible(c9bar)
+    color_divisible(c9bar)
     find_perfect_division(c9bar)
     assert calls == []
     profile = analyze_one(c9bar)

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from chibind import patterns
 from chibind.errors import PreconditionError
-from chibind.enumeration import iter_graph6_file, representatives
+from chibind.enumeration import decode_graph6, iter_graph6_file, representatives
 from chibind.graphs import (
     Graph,
+    GraphError,
     VertexSet,
     bits_of,
     complement,
@@ -102,6 +103,22 @@ def test_pattern_lookup_normalisation():
 def test_parse_pattern_list_merges_numeric_tokens():
     names = [p.name for p in parse_pattern_list("P5,K2,3,K1+(K1uK3)")]
     assert names == ["P5", "K2,3", "K1+(K1uK3)"]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: pattern(5), PreconditionError, "must be a str"),
+    (lambda: parse_pattern_list(5), PreconditionError, "must be a str"),
+    (lambda: find_induced(cycle_graph(5), 5), PreconditionError, "expected a Pattern"),
+    (lambda: is_free(cycle_graph(5), [5]), PreconditionError, "expected a Pattern"),
+    (lambda: representatives(3, [3]), PreconditionError, "expected a Pattern"),
+    (lambda: representatives(3, "P5"), PreconditionError, "parse_pattern_list"),
+    (lambda: is_free(cycle_graph(5), "P5"), PreconditionError, "parse_pattern_list"),
+    (lambda: decode_graph6(b"DLo"), GraphError, "must be a str"),
+], ids=["pattern", "parse_pattern_list", "find_induced", "is_free-list", "representatives-list",
+        "representatives-str", "is_free-str", "decode_graph6"])
+def test_a_pattern_or_graph6_argument_of_the_wrong_type_is_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_catalog_structural_identities():

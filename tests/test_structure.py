@@ -12,6 +12,7 @@ from chibind.errors import PreconditionError, SearchExhaustedError
 from chibind.graphs import (
     Graph,
     VertexSet,
+    bits_of,
     complement,
     complete_graph,
     components_masks,
@@ -418,15 +419,18 @@ def test_one_separator_list_splits_like_the_per_piece_search(monkeypatch, all_gr
             splits.append((found[0], found[1][0]))
         return found
 
-    def recording_leaf(h):
-        return dict.fromkeys(range(h.n), 0), [("leaf", (1 << h.n) - 1)]
+    # the graphs are not all P5-free, so each cutset-free piece goes to a
+    # stub dispatch rather than the perfection test
+    def recording_dispatch(g, mask, leaf):
+        return dict.fromkeys(bits_of(mask), 0), [("leaf", mask)]
 
     monkeypatch.setattr(colorers, "_least_clique_cutset", recording_search)
+    monkeypatch.setattr(colorers, "_leaf_on_copy", recording_dispatch)
     for graphs, least_split in ((all_graphs_8, 10000), (_grown_pipeline_members(), 20)):
         split_graphs = 0
         for g in graphs:
             splits.clear()
-            _, regions = colorers._components_shared_palette(g, recording_leaf)
+            _, regions = colorers._components_shared_palette(g, colorers._p5k23_leaf)
             assert splits == cutset_splits_oracle(g), g
             # each split of a piece repeats its cut in both parts; a piece
             # that is a clique is coloured in place, the others by the leaf
