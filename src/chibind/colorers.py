@@ -55,6 +55,7 @@ from .graphs import (
     is_connected,
     is_independent_mask,
     neighborhood_mask,
+    require_graph,
 )
 from .invariants import (
     Coloring,
@@ -238,6 +239,7 @@ def color_sumner(g: Graph) -> tuple[Coloring, BoundCertificate]:
 
     Any graph whose components are bipartite or five-hole blow-ups is accepted.
     """
+    require_graph(g, "g")
     return _finish(g, "sumner", _in_triangle_free_class(g, _triangle_free_map), [])
 
 
@@ -267,6 +269,7 @@ def _k1uk3_map(g: Graph, mask: int) -> dict[int, int]:
 def color_k1_union_k3_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``max(3*omega - 3, 1)`` colours for hosts with no induced P5
     or K1uK3."""
+    require_graph(g, "g")
     _require_free(g, [_P5, _K1UK3])
     return _finish(g, "k1-union-k3", _k1uk3_map(g, (1 << g.n) - 1), [])
 
@@ -302,6 +305,7 @@ def _wagon_map(g: Graph, mask: int, top: int) -> dict[int, int]:
 
 def color_wagon_2k2_free(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``(omega^2+omega)/2`` colours for hosts with no induced 2K2."""
+    require_graph(g, "g")
     _require_free(g, [_2K2])
     full = (1 << g.n) - 1
     cmap = _wagon_map(g, full, least_maximum_clique(g.adj, full))
@@ -312,6 +316,7 @@ def color_divisible(g: Graph) -> tuple[Coloring, BoundCertificate]:
     """At most ``comb(omega+1, 2)`` colours by peeling perfect divisions
     (``_peeled_map``), for hosts on at most 16 vertices where every round
     finds one."""
+    require_graph(g, "g")
     cmap = _peeled_map(g, (1 << g.n) - 1, clique_number(g))
     if cmap is None:
         raise PreconditionError("input graph is not perfectly divisible")
@@ -526,6 +531,7 @@ def color_p5_k23(g: Graph) -> tuple[Coloring, BoundCertificate]:
     the triangle-free structure, perfect divisibility, or the five-hole
     decomposition with its clique groups and palette reuse.
     """
+    require_graph(g, "g")
     _require_free(g, [_P5, _K23])
     if clique_number(g) < 2:
         raise PreconditionError("the certified bound needs omega at least two")
@@ -545,6 +551,7 @@ def color_p5_k1_2k2(g: Graph) -> tuple[Coloring, BoundCertificate]:
     handles it; leftover vertices in the clique branch fall into independent
     per-clique-vertex classes.
     """
+    require_graph(g, "g")
     if not is_connected(g):
         raise PreconditionError("the pipeline needs a connected input; split components first")
     _require_free(g, [_P5, _K1_2K2])
@@ -698,6 +705,7 @@ def color_p5_k1_k1k3(g: Graph) -> tuple[Coloring, BoundCertificate]:
     independent unions, or carry a big odd antihole whose neighbourhood splits
     into a fully attached peelable part and independent buckets.
     """
+    require_graph(g, "g")
     _require_free(g, [_P5, _K1_K1UK3])
     cmap, regions = _components_shared_palette(g, _p5k1k1k3_leaf)
     return _finish(g, "p5-k1-k1uk3", cmap, regions)

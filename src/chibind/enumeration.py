@@ -259,7 +259,7 @@ def representatives(n: int, free_of: Iterable[Pattern | Graph | str] = ()) -> li
     ``free_of`` as induced subgraphs; generation proves that, so each graph
     records ``free_of`` as patterns it is free of."""
     _check_generation_size(n)
-    _require_pattern_list(free_of)
+    _require_pattern_list(free_of, "free_of")
     free_graphs = tuple(_as_graph(p) for p in free_of)
     proved = tuple(pg.adj for pg in free_graphs)
     return [Graph._trusted(n, adj, free_of=proved) for adj in _representatives(n, free_graphs)]

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .errors import PreconditionError
+
 MAX_VERTICES = 64
 
 
@@ -188,6 +190,13 @@ _set_label = Graph.label.__set__
 _set_omega = Graph._omega.__set__
 _set_chi = Graph._chi.__set__
 _set_free_of = Graph._free_of.__set__
+
+
+def require_graph(g, name: str) -> None:
+    """Reject an argument ``name`` of a public entry point that is not a
+    Graph, before anything reads it."""
+    if not isinstance(g, Graph):
+        raise PreconditionError(f"expected a Graph for {name}, not {g!r}")
 
 
 def _check_order(n: int) -> None:

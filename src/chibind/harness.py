@@ -18,7 +18,17 @@ from typing import Callable, Iterable, Iterator
 from .colorers import BOUNDS, COLORERS, classify_triangle_free
 from .errors import PreconditionError, SearchExhaustedError, StructureAssertionError
 from .enumeration import encode_graph6, iter_graph6_file, representatives
-from .graphs import Graph, bits_of, complement, cycle_graph, empty_graph, induced, is_clique, is_connected
+from .graphs import (
+    Graph,
+    bits_of,
+    complement,
+    cycle_graph,
+    empty_graph,
+    induced,
+    is_clique,
+    is_connected,
+    require_graph,
+)
 from .invariants import (
     chromatic_number,
     clique_number,
@@ -412,14 +422,9 @@ def _admitted(entry: Target, cap: int, source: str | None, connected: bool) -> I
 # single-graph entry points
 
 
-def _require_graph(g: Graph) -> None:
-    if not isinstance(g, Graph):
-        raise PreconditionError(f"expected a Graph, not {g!r}")
-
-
 def color_one(g: Graph, pipeline: str) -> dict:
     """Colour one graph through a pipeline; raises on precondition failure."""
-    _require_graph(g)
+    require_graph(g, "g")
     if not isinstance(pipeline, str):
         raise PreconditionError(f"pipeline must be a str, not {pipeline!r}")
     if pipeline not in COLORERS:
@@ -439,7 +444,7 @@ def color_one(g: Graph, pipeline: str) -> dict:
 
 def analyze_one(g: Graph) -> dict:
     """Structural profile: invariants, searches, cutsets, and divisibility."""
-    _require_graph(g)
+    require_graph(g, "g")
     chi, _ = chromatic_number(g)
     hole = find_odd_hole(g)
     antihole = find_odd_antihole(g)

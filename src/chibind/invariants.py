@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import PreconditionError, StructureAssertionError
-from .graphs import Graph, VertexSet, bits_of, complement, induced
+from .graphs import Graph, VertexSet, bits_of, complement, induced, require_graph
 from .patterns import _holes, has_odd_hole_mask
 
 
@@ -108,6 +108,7 @@ def clique_number_mask(adj: tuple[int, ...], sub: int) -> int:
 
 def clique_number(g: Graph) -> int:
     """The clique number, searched once per graph and kept on it; graphs are immutable."""
+    require_graph(g, "g")
     if g._omega is None:
         object.__setattr__(g, "_omega", clique_number_mask(g.adj, (1 << g.n) - 1))
     return g._omega
@@ -196,6 +197,7 @@ def _solve_k_coloring(g: Graph, k: int) -> Coloring | None:
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     """Exact chromatic number with a deterministic optimal colouring, searched
     once per graph and kept on it; graphs are immutable."""
+    require_graph(g, "g")
     if g._chi is None:
         for k in range(clique_number(g), g.n + 1):
             coloring = _solve_k_coloring(g, k)

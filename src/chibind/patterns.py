@@ -29,9 +29,9 @@ pipelines' leaves and the pinned reports rely on that order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import PreconditionError
@@ -49,6 +49,7 @@ from .graphs import (
     is_connected,
     join,
     path_graph,
+    require_graph,
 )
 
 
@@ -155,11 +156,14 @@ def _as_graph(p: Pattern | Graph | str) -> Graph:
     return pattern(p).graph
 
 
-def _require_pattern_list(patterns) -> None:
-    """A bare str would be read as a list of one-letter names."""
+def _require_pattern_list(patterns, name: str) -> None:
+    """Reject an argument ``name`` that is not a list of patterns; a bare str
+    would be read as a list of one-letter names."""
     if isinstance(patterns, str):
-        raise PreconditionError(f"expected a list of patterns, not the str {patterns!r}; "
+        raise PreconditionError(f"expected a list of patterns for {name}, not the str {patterns!r}; "
                                 "parse_pattern_list reads a comma-separated one")
+    if not isinstance(patterns, Iterable):
+        raise PreconditionError(f"expected a list of patterns for {name}, not {patterns!r}")
 
 
 def _candidate_masks(host_adj: tuple[int, ...], padj: tuple[int, ...]) -> list[int] | None:
@@ -266,6 +270,25 @@ def _place_last(image: list[int], vertex: int, dom: int,
     return False
 
 
+def _place_pair(host_adj: tuple[int, ...], image: list[int], vertex: int, code: int, allowed: int,
+                last: int, final: int, visit: Callable[[list[int]], bool] | None) -> bool:
+    """Give the second-to-last pattern vertex each host vertex of its domain
+    in turn, narrow the last domain by its ``code`` and read the last vertex
+    off what is left."""
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        nbrs = host_adj[low.bit_length() - 1]
+        left = final & (nbrs if code & 1 else ~(nbrs | low))
+        if code & 2:
+            left &= -(low << 1)
+        if left:
+            image[vertex] = low.bit_length() - 1
+            if _place_last(image, last, left, visit):
+                return True
+    return False
+
+
 def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
            image: list[int], idx: int, visit: Callable[[list[int]], bool] | None = None) -> bool:
     """Forward-checking search for an induced copy, least host vertices first.
@@ -278,32 +301,47 @@ def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
     so is one whose later domains together hold fewer host vertices than
     there are later positions, since every position gets its own vertex
     (each placement removes h from every later domain).  Neither test drops
-    a complete image, so the images are met in the same order.  The last
-    position is read off its domain.  ``image`` is indexed by
-    pattern vertex.  Stops at the first complete ``image`` when ``visit`` is
-    None; otherwise hands every complete image that meets the symmetry
-    conditions to ``visit`` and stops once it returns True.
+    a complete image, so the images are met in the same order.  The later
+    domains are narrowed in one loop over the frame's (domain, code) pairs
+    that stops at the first empty one and builds their union as it goes.
+    The last three positions open no frame: the third-to-last narrows its
+    two later domains in place and hands them to :func:`_place_pair`, which
+    places the second-to-last and reads the last off its domain
+    (:func:`_place_last`); the images and their order are those of one frame
+    per position.  ``image`` is indexed by pattern vertex.  Stops at the
+    first complete ``image`` when ``visit`` is None; otherwise hands every
+    complete image that meets the symmetry conditions to ``visit`` and stops
+    once it returns True.
     """
     vertex, codes = plan[idx]
     allowed = dom[0]
     if not codes:
         return _place_last(image, vertex, allowed, visit)
     if len(codes) == 1:
-        last, code, final = plan[idx + 1][0], codes[0], dom[1]
+        return _place_pair(host_adj, image, vertex, codes[0], allowed, plan[idx + 1][0], dom[1], visit)
+    if len(codes) == 2:
+        (mid, (code,)), (last, _) = plan[idx + 1], plan[idx + 2]
+        near, far = codes
+        mid_dom, last_dom = dom[1], dom[2]
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             nbrs = host_adj[low.bit_length() - 1]
-            left = final & (nbrs if code & 1 else ~(nbrs | low))
-            if code & 2:
-                left &= -(low << 1)
-            if left:
+            mid_left = mid_dom & (nbrs if near & 1 else ~(nbrs | low))
+            if near & 2:
+                mid_left &= -(low << 1)
+            if not mid_left:
+                continue
+            last_left = last_dom & (nbrs if far & 1 else ~(nbrs | low))
+            if far & 2:
+                last_left &= -(low << 1)
+            if last_left and (mid_left | last_left).bit_count() >= 2:
                 image[vertex] = low.bit_length() - 1
-                if _place_last(image, last, left, visit):
+                if _place_pair(host_adj, image, mid, code, mid_left, last, last_left, visit):
                     return True
         return False
-    rest = dom[1:]
-    need = len(rest)
+    pairs = tuple(zip(dom[1:], codes))
+    need = len(pairs)
     while allowed:
         low = allowed & -allowed
         allowed ^= low
@@ -311,11 +349,19 @@ def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
         off = ~(nbrs | low)
         above = -(low << 1)
         masks = (off, nbrs, off & above, nbrs & above)
-        nxt = [d & masks[c] for d, c in zip(rest, codes)]
-        if 0 not in nxt and reduce(or_, nxt).bit_count() >= need:
-            image[vertex] = low.bit_length() - 1
-            if _embed(host_adj, plan, nxt, image, idx + 1, visit):
-                return True
+        nxt = []
+        union = 0
+        for d, c in pairs:
+            d &= masks[c]
+            if not d:
+                break
+            nxt.append(d)
+            union |= d
+        else:
+            if union.bit_count() >= need:
+                image[vertex] = low.bit_length() - 1
+                if _embed(host_adj, plan, nxt, image, idx + 1, visit):
+                    return True
     return False
 
 
@@ -349,6 +395,7 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
     checks read; patterns of clique number two or less, such as P5, C5,
     K2,3, 2K2 and 3K1, never ask for the host's.
     """
+    require_graph(host, "host")
     pg = _as_graph(pat)
     k, n = pg.n, host.n
     if k == 0:
@@ -471,7 +518,8 @@ def mark_forbidden_traces(host_adj: tuple[int, ...], n: int, pg: Graph, blocked:
 
 def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:
     """True iff ``host`` induces none of the listed patterns."""
-    _require_pattern_list(patterns)
+    require_graph(host, "host")
+    _require_pattern_list(patterns, "patterns")
     return all(find_induced(host, p) is None for p in patterns)
 
 

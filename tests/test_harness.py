@@ -127,6 +127,29 @@ def test_single_graph_entry_points_reject_a_non_graph(g):
         analyze_one(g)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: patterns.find_induced(5, "P5"), "Graph for host"),
+    (lambda: is_free("x", ["P5"]), "Graph for host"),
+    (lambda: clique_number(5), "Graph for g"),
+    (lambda: invariants.chromatic_number(5), "Graph for g"),
+    (lambda: colorers.color_sumner(5), "Graph for g"),
+    (lambda: colorers.color_k1_union_k3_free(5), "Graph for g"),
+    (lambda: colorers.color_wagon_2k2_free(5), "Graph for g"),
+    (lambda: colorers.color_divisible(None), "Graph for g"),
+    (lambda: colorers.color_p5_k23(5), "Graph for g"),
+    (lambda: colorers.color_p5_k1_2k2(5), "Graph for g"),
+    (lambda: colorers.color_p5_k1_k1k3(5), "Graph for g"),
+    (lambda: is_free(cycle_graph(5), None), "patterns for patterns"),
+    (lambda: is_free(cycle_graph(5), 5), "patterns for patterns"),
+    (lambda: representatives(3, None), "patterns for free_of"),
+], ids=["find_induced", "is_free-host", "clique_number", "chromatic_number", "color_sumner",
+        "color_k1_union_k3_free", "color_wagon_2k2_free", "color_divisible", "color_p5_k23",
+        "color_p5_k1_2k2", "color_p5_k1_k1k3", "is_free-None", "is_free-int", "representatives-None"])
+def test_public_entry_points_name_an_argument_of_the_wrong_type(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("pipeline", [["x"], None, 3, ("p5-k23",)])
 def test_color_one_rejects_a_pipeline_that_is_not_a_str(pipeline):
     with pytest.raises(PreconditionError, match="pipeline must be a str"):

@@ -29,6 +29,7 @@ from chibind.graphs import (
 from chibind.invariants import clique_number, clique_number_mask
 from chibind.patterns import (
     PATTERN_CATALOG,
+    _candidate_masks,
     _cards,
     _connectivity_order,
     _moves,
@@ -309,6 +310,53 @@ def test_has_induced_using_matches_every_pinned_plain_search(all_graphs_7):
                     uses_vertex_plain(host.adj, pg, v), (host.adj, pg.adj, v)
 
 
+def test_has_induced_using_matches_the_pinned_plain_search_when_grown():
+    named = [pattern(name).graph for name in
+             ("P5", "K2,3", "K1+2K2", "K1+(K1uK3)", "2K2", "K1uK3", "K3", "C5")]
+    hits = 0
+    for host in _grown_pipeline_members():
+        for pg in named:
+            for v in (0, host.n // 2, host.n - 1):
+                found = has_induced_using(host.adj, host.n, pg, v)
+                assert found == uses_vertex_plain(host.adj, pg, v), (host.adj, pg.adj, v)
+                hits += found
+    assert hits == 681
+
+
+# every complete image _embed hands over, in order, for every catalog pattern
+# on at most six vertices under its whole-pattern plan and each card plan, in
+# the hosts on at most six vertices and the grown members on at most twenty;
+# the search had 6,796,560 images on all the grown members, too many to list
+# in a test
+EMBED_IMAGES_SHA256 = "8404cf8f165df858a60b77264f552ad4b89617dd1886bdb63bdba5e8e54717e9"
+
+
+def test_embed_hands_over_every_image_in_the_pinned_order(all_graphs_7):
+    hosts = [g for g in all_graphs_7 if g.n <= 6]
+    hosts += [g for g in _grown_pipeline_members() if g.n <= 20]
+    digest = hashlib.sha256()
+
+    def visit(image):
+        digest.update(bytes(image))
+        return False
+
+    for pat in PATTERN_CATALOG.values():
+        padj, k = pat.graph.adj, pat.graph.n
+        if k > 6:
+            continue
+        plans = [(padj, _plan(padj, k, 0, 0))]
+        plans += [(cadj, plan) for cadj, plan, _ in (_cards(padj, k) if k > 1 else ())]
+        for qadj, plan in plans:
+            for host in hosts:
+                digest.update(b"|")
+                cand = _candidate_masks(host.adj, qadj) if len(qadj) <= host.n else None
+                if cand is not None:
+                    patterns._embed(host.adj, plan, [cand[v] for v, _ in plan], [0] * len(qadj), 0,
+                                    visit)
+    assert len(hosts) == 236
+    assert digest.hexdigest() == EMBED_IMAGES_SHA256
+
+
 def test_the_degree_window_keeps_the_plain_search_witness():
     # the window of degree d tops out at n - k + d: a universal host vertex
     # may play only a universal pattern vertex, and beside an isolated vertex
@@ -328,8 +376,9 @@ def test_the_degree_window_keeps_the_plain_search_witness():
 # _embed frames that prove the tracked (P5, K1+(K1uK3))-free members with
 # n <= 7 free of both patterns; the search took 11,612 before the degree
 # window and the distinct-vertex count, and 3,838 before members of clique
-# number three or less skipped the K1+(K1uK3) search
-PROOF_FRAMES_UP_TO_SEVEN = 2469
+# number three or less skipped the K1+(K1uK3) search, and 2,469 before the
+# third-to-last position placed the last three without a frame of its own
+PROOF_FRAMES_UP_TO_SEVEN = 2409
 
 
 def test_the_freeness_proofs_keep_their_pruning(monkeypatch):
