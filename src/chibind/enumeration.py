@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError
-from .graphs import CapacityError, Graph, GraphError, bits_of
+from .graphs import CapacityError, Graph, GraphError, bits_of, require_graph
 from .patterns import Pattern, _as_graph, _require_pattern_list, mark_forbidden_traces
 
 GENERATION_CAP = 10
@@ -166,12 +166,14 @@ def _apply_perm(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[in
 
 def canonical_key(g: Graph) -> tuple[int, int]:
     """Isomorphism-invariant key: vertex count plus canonical adjacency bits."""
+    require_graph(g, "g")
     bits, _, _ = _canon(g.n, g.adj)
     return g.n, bits
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labelled copy of ``g``."""
+    require_graph(g, "g")
     _, perm, _ = _canon(g.n, g.adj)
     return Graph._trusted(g.n, _apply_perm(g.n, g.adj, perm), g.label)
 
@@ -271,6 +273,7 @@ def representatives(n: int, free_of: Iterable[Pattern | Graph | str] = ()) -> li
 
 def encode_graph6(g: Graph) -> str:
     """Standard short-form graph6 text for a graph on at most 62 vertices."""
+    require_graph(g, "g")
     if g.n > 62:
         raise CapacityError("short-form graph6 supports at most 62 vertices")
     chunks = [chr(63 + g.n)]

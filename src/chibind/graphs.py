@@ -267,6 +267,7 @@ def induced(g: Graph, s: VertexSet) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
+    require_graph(g, "g")
     full = (1 << g.n) - 1
     return Graph._trusted(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)),
                           g.label)
@@ -313,10 +314,12 @@ def components_masks(adj: tuple[int, ...], sub: int) -> list[int]:
 
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, ordered by least member."""
+    require_graph(g, "g")
     return [VertexSet(m, g.n) for m in components_masks(g.adj, (1 << g.n) - 1)]
 
 
 def is_connected(g: Graph) -> bool:
+    require_graph(g, "g")
     return g.n <= 1 or len(components_masks(g.adj, (1 << g.n) - 1)) == 1
 
 

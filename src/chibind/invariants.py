@@ -115,6 +115,7 @@ def clique_number(g: Graph) -> int:
 
 
 def independence_number(g: Graph) -> int:
+    require_graph(g, "g")
     return clique_number(complement(g))
 
 
@@ -283,6 +284,7 @@ def find_perfect_division(g: Graph) -> PerfectDivision | None:
     The empty part is perfect and has clique number zero, so perfect graphs
     always admit a division and edgeless graphs yield ``(V, empty)``.
     """
+    require_graph(g, "g")
     _check_division_cap(g.n)
     full = (1 << g.n) - 1
     a = _first_division(g.adj, complement(g).adj, full, clique_number(g))
@@ -294,6 +296,7 @@ def find_perfect_division(g: Graph) -> PerfectDivision | None:
 
 def is_perfectly_divisible(g: Graph) -> bool:
     """Every nonempty induced subgraph admits a perfect division."""
+    require_graph(g, "g")
     if g.n > 13:
         raise PreconditionError("divisibility scan supports at most 13 vertices")
     return _divisible(omega_table(g.adj, g.n),

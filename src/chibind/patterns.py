@@ -20,11 +20,26 @@ itself, one per pair of vertices that might share an orbit, so the group,
 which grows as k! for a complete or edgeless pattern, is never listed.
 Odd-hole and odd-antihole search provide the perfection test.  Both go
 through :func:`_holes`, which lists the induced cycles of one length inside
-a vertex mask in one flat depth-first loop, a single generator frame per
-query.  Each cycle is written canonically (least start vertex, smaller
-second neighbour first), and the cycles come in ascending lexicographic
-order, so the first one is the least: the five-hole witnesses, the
-pipelines' leaves and the pinned reports rely on that order.
+a vertex mask by a depth-first search.  Each cycle is written canonically
+(least start vertex, smaller second neighbour first), and the cycles come in
+ascending lexicographic order, so the first one is the least: the five-hole
+witnesses, the pipelines' leaves and the pinned reports rely on that order.
+
+Both searches run as compiled kernels: Python source with one nested
+``while`` loop per pattern position or cycle depth, generated from integers
+only (sizes, positions and counts; never a graph, a name or other input)
+and compiled once per process.  There is one :func:`_embed` kernel per
+pattern size, cached in :func:`_embed_kernel`; a plan binds its vertex order
+and codes to it as closure values (:func:`_bound`), so plans of one size,
+the pinned self-searches that build them included, share one compiled
+text.  There is one hole generator per cycle length, cached in
+:func:`_hole_kernel`.  CPython refuses a function with more than 20
+statically nested blocks, so one kernel holds at most :data:`_CHUNK` (16)
+loops: the innermost loop of a full chunk hands its state to the kernel of
+the positions or depths that remain, a call for :func:`_embed` and a
+``yield from`` for :func:`_holes`.  That hand-over is the one code path for
+long patterns and holes, not a fallback; there is no interpreted search
+beside the kernels.
 """
 
 from __future__ import annotations
@@ -255,114 +270,102 @@ def _moves(padj: tuple[int, ...], order: tuple[int, ...], idx: int, keep: int, w
         same[key] = same.get(key, 0) | 1 << x
     plan = tuple((x, tuple(padj[x] >> u & 1 for u in order[i + 1:])) for i, x in enumerate(order))
     dom = [1 << x for x in order[:idx]] + [1 << w] + [same[kind[x]] for x in order[idx + 1:]]
-    return _embed(padj, plan, dom, [0] * len(padj), 0)
+    return _embed(padj, plan, dom, [0] * len(padj))
 
 
-def _place_last(image: list[int], vertex: int, dom: int,
-                visit: Callable[[list[int]], bool] | None) -> bool:
-    """Give the last pattern vertex each host vertex of its domain in turn."""
-    while dom:
-        low = dom & -dom
-        dom ^= low
-        image[vertex] = low.bit_length() - 1
-        if visit is None or visit(image):
-            return True
-    return False
+# CPython refuses a function with more than 20 statically nested blocks, so a
+# kernel holds at most this many loops and hands the rest of its search on to
+# the kernel of the positions or depths that remain
+_CHUNK = 16
 
 
-def _place_pair(host_adj: tuple[int, ...], image: list[int], vertex: int, code: int, allowed: int,
-                last: int, final: int, visit: Callable[[list[int]], bool] | None) -> bool:
-    """Give the second-to-last pattern vertex each host vertex of its domain
-    in turn, narrow the last domain by its ``code`` and read the last vertex
-    off what is left."""
-    while allowed:
-        low = allowed & -allowed
-        allowed ^= low
-        nbrs = host_adj[low.bit_length() - 1]
-        left = final & (nbrs if code & 1 else ~(nbrs | low))
-        if code & 2:
-            left &= -(low << 1)
-        if left:
-            image[vertex] = low.bit_length() - 1
-            if _place_last(image, last, left, visit):
-                return True
-    return False
+@lru_cache(maxsize=None)
+def _embed_kernel(k: int) -> Callable:
+    """The compiled search over ``k`` positions, as a binder: called with a
+    plan's vertices, codes and ``rest``, the bound search of the positions
+    past the chunk (None when there are none), it returns
+    ``search(adj, dom, image, visit)``.
+
+    The text holds one ``while`` loop per position, nested, and is built from
+    integers only: position i's candidates are ``x{i}_{i}``, and placing host
+    vertex h there narrows each later domain ``x{i}_{j}`` into
+    ``x{i+1}_{j}``.  A plan's adjacency bits ``a{i}_{j}``, its "must exceed"
+    bits ``g{i}_{j}`` and its vertices ``v{i}`` are closure values, so every
+    plan of one size shares one kernel.  When ``k`` exceeds :data:`_CHUNK`,
+    the innermost loop hands its narrowed domains to ``rest``, the search of
+    the remaining positions."""
+    c = min(k, _CHUNK)
+    params = [f"v{i}" for i in range(c)]
+    params += [f"a{i}_{j}, g{i}_{j}" for i in range(c) for j in range(i + 1, k)]
+    lines = [f"def bind({', '.join(params)}, rest):",
+             "    def search(adj, dom, image, visit):",
+             f"        {', '.join(f'x0_{j}' for j in range(k))}, = dom"]
+    for i in range(c):
+        pad = " " * (8 + 4 * i)
+        lines += [f"{pad}while x{i}_{i}:",
+                  f"{pad}    l = x{i}_{i} & -x{i}_{i}",
+                  f"{pad}    x{i}_{i} ^= l"]
+        if i == k - 1:
+            lines += [f"{pad}    image[v{i}] = l.bit_length() - 1",
+                      f"{pad}    if visit is None or visit(image):",
+                      f"{pad}        return True"]
+            break
+        lines += [f"{pad}    h = l.bit_length() - 1",
+                  f"{pad}    nb = adj[h]",
+                  f"{pad}    off = ~(nb | l)"]
+        for j in range(i + 1, k):
+            lines += [f"{pad}    x{i + 1}_{j} = x{i}_{j} & (nb if a{i}_{j} else off)",
+                      f"{pad}    if g{i}_{j}:",
+                      f"{pad}        x{i + 1}_{j} &= -(l << 1)",
+                      f"{pad}    if not x{i + 1}_{j}:",
+                      f"{pad}        continue"]
+        later = [f"x{i + 1}_{j}" for j in range(i + 1, k)]
+        if len(later) > 1:
+            lines += [f"{pad}    if ({' | '.join(later)}).bit_count() < {len(later)}:",
+                      f"{pad}        continue"]
+        lines.append(f"{pad}    image[v{i}] = h")
+        if i == c - 1:
+            lines += [f"{pad}    if rest(adj, ({', '.join(later)},), image, visit):",
+                      f"{pad}        return True"]
+    lines += ["        return False",
+              "    return search"]
+    space: dict = {}
+    exec(compile("\n".join(lines), f"<embed kernel {k}>", "exec"), space)
+    return space["bind"]
+
+
+@lru_cache(maxsize=4096)
+def _bound(plan: tuple[tuple, ...]) -> Callable:
+    """The kernel of the plan's size bound to its vertex order and codes."""
+    k = len(plan)
+    c = min(k, _CHUNK)
+    args = [v for v, _ in plan[:c]]
+    for _, codes in plan[:c]:
+        for code in codes:
+            args += (code & 1, code & 2)
+    return _embed_kernel(k)(*args, _bound(plan[c:]) if k > c else None)
 
 
 def _embed(host_adj: tuple[int, ...], plan: tuple[tuple, ...], dom: list[int],
-           image: list[int], idx: int, visit: Callable[[list[int]], bool] | None = None) -> bool:
+           image: list[int], visit: Callable[[list[int]], bool] | None = None) -> bool:
     """Forward-checking search for an induced copy, least host vertices first.
 
-    ``dom`` holds the candidate masks ("domains") of positions ``idx``
-    onwards of ``plan``.  Placing host vertex h ANDs every later domain with
-    N(h), or with the non-neighbours of h other than h, and, for a later
-    vertex that must exceed this one, with the vertices above h; a branch
-    whose later domain empties is dropped at once (Haralick and Elliott), and
-    so is one whose later domains together hold fewer host vertices than
-    there are later positions, since every position gets its own vertex
-    (each placement removes h from every later domain).  Neither test drops
-    a complete image, so the images are met in the same order.  The later
-    domains are narrowed in one loop over the frame's (domain, code) pairs
-    that stops at the first empty one and builds their union as it goes.
-    The last three positions open no frame: the third-to-last narrows its
-    two later domains in place and hands them to :func:`_place_pair`, which
-    places the second-to-last and reads the last off its domain
-    (:func:`_place_last`); the images and their order are those of one frame
-    per position.  ``image`` is indexed by pattern vertex.  Stops at the
-    first complete ``image`` when ``visit`` is None; otherwise hands every
-    complete image that meets the symmetry conditions to ``visit`` and stops
-    once it returns True.
+    ``dom`` holds the candidate masks ("domains") of the positions of
+    ``plan``.  Placing host vertex h ANDs every later domain with N(h), or
+    with the non-neighbours of h other than h, and, for a later vertex that
+    must exceed this one, with the vertices above h; a branch whose later
+    domain empties is dropped at once (Haralick and Elliott), and so is one
+    whose later domains together hold fewer host vertices than there are
+    later positions, since every position gets its own vertex (each
+    placement removes h from every later domain).  Neither test drops a
+    complete image, so the images are met in the same order.  The search
+    runs in the compiled kernel of the plan's size (:func:`_embed_kernel`).
+    ``image`` is indexed by pattern vertex.  Stops at the first complete
+    ``image`` when ``visit`` is None; otherwise hands every complete image
+    that meets the symmetry conditions to ``visit`` and stops once it
+    returns True.
     """
-    vertex, codes = plan[idx]
-    allowed = dom[0]
-    if not codes:
-        return _place_last(image, vertex, allowed, visit)
-    if len(codes) == 1:
-        return _place_pair(host_adj, image, vertex, codes[0], allowed, plan[idx + 1][0], dom[1], visit)
-    if len(codes) == 2:
-        (mid, (code,)), (last, _) = plan[idx + 1], plan[idx + 2]
-        near, far = codes
-        mid_dom, last_dom = dom[1], dom[2]
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            nbrs = host_adj[low.bit_length() - 1]
-            mid_left = mid_dom & (nbrs if near & 1 else ~(nbrs | low))
-            if near & 2:
-                mid_left &= -(low << 1)
-            if not mid_left:
-                continue
-            last_left = last_dom & (nbrs if far & 1 else ~(nbrs | low))
-            if far & 2:
-                last_left &= -(low << 1)
-            if last_left and (mid_left | last_left).bit_count() >= 2:
-                image[vertex] = low.bit_length() - 1
-                if _place_pair(host_adj, image, mid, code, mid_left, last, last_left, visit):
-                    return True
-        return False
-    pairs = tuple(zip(dom[1:], codes))
-    need = len(pairs)
-    while allowed:
-        low = allowed & -allowed
-        allowed ^= low
-        nbrs = host_adj[low.bit_length() - 1]
-        off = ~(nbrs | low)
-        above = -(low << 1)
-        masks = (off, nbrs, off & above, nbrs & above)
-        nxt = []
-        union = 0
-        for d, c in pairs:
-            d &= masks[c]
-            if not d:
-                break
-            nxt.append(d)
-            union |= d
-        else:
-            if union.bit_count() >= need:
-                image[vertex] = low.bit_length() - 1
-                if _embed(host_adj, plan, nxt, image, idx + 1, visit):
-                    return True
-    return False
+    return _bound(plan)(host_adj, dom, image, visit)
 
 
 @lru_cache(maxsize=4096)
@@ -412,7 +415,7 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
     if cand is not None:
         plan = _plan(pg.adj, k, 0, 0)
         image = [0] * k
-        if _embed(host.adj, plan, [cand[v] for v, _ in plan], image, 0):
+        if _embed(host.adj, plan, [cand[v] for v, _ in plan], image):
             return Embedding(tuple(image))
     object.__setattr__(host, "_free_of", host._free_of + (pg.adj,))
     return None
@@ -450,7 +453,7 @@ def has_induced_using(host_adj: tuple[int, ...], n: int, pg: Graph, vertex: int)
         plan = _plan(padj, k, pos, 1 << pos)
         dom = [cand[v] for v, _ in plan]
         dom[0] &= 1 << vertex
-        if _embed(host_adj, plan, dom, image, 0):
+        if _embed(host_adj, plan, dom, image):
             return True
     return False
 
@@ -513,7 +516,7 @@ def mark_forbidden_traces(host_adj: tuple[int, ...], n: int, pg: Graph, blocked:
                     return False
                 r = (r - 1) & free
 
-        _embed(host_adj, plan, [cand[v] for v, _ in plan], [0] * (k - 1), 0, visit)
+        _embed(host_adj, plan, [cand[v] for v, _ in plan], [0] * (k - 1), visit)
 
 
 def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:
@@ -521,6 +524,67 @@ def is_free(host: Graph, patterns: list[Pattern | Graph | str] | tuple) -> bool:
     require_graph(host, "host")
     _require_pattern_list(patterns, "patterns")
     return all(find_induced(host, p) is None for p in patterns)
+
+
+@lru_cache(maxsize=None)
+def _hole_kernel(length: int, first: int = 0) -> Callable[..., Iterator[tuple[int, ...]]]:
+    """The compiled generator of :func:`_holes` for one cycle length, from
+    depth ``first`` on.
+
+    The text holds one ``while`` loop per depth, nested, and is built from
+    integers only.  Depth 0 takes the start ``p0``, depth d < ``length - 1``
+    takes ``p{d}`` from its candidates ``m{d}``, with ``r{d}`` the vertices
+    that ``path[d+1:]`` may still use, and the last depth takes the closing
+    vertex.  A generator from depth ``first`` > 0 is handed ``row0``,
+    ``close``, the path before ``first`` and that depth's masks by the
+    generator before it: past :data:`_CHUNK` depths the innermost loop hands
+    its state on with ``yield from``."""
+    top = length - 1
+    if first:
+        lines = [f"def holes(adj, row0, close, prefix, m{first}, r{first}):"]
+        path = "prefix + ("
+    else:
+        lines = ["def holes(adj, m0):"]
+        path = "("
+    for d in range(first, length):
+        pad = " " * (4 + 4 * (d - first))
+        if d - first == _CHUNK:
+            lines.append(f"{pad}yield from _hole_kernel({length}, {d})(adj, row0, close, {path}), "
+                         f"m{d}, {f'r{d}' if d < top else 0})")
+            break
+        lines += [f"{pad}while m{d}:",
+                  f"{pad}    l = m{d} & -m{d}",
+                  f"{pad}    m{d} ^= l"]
+        if d == top:
+            lines.append(f"{pad}    yield {path}l.bit_length() - 1,)")
+            break
+        path += f"p{d}, "
+        if d == 0:
+            lines += [f"{pad}    if m0.bit_count() < {top}:",
+                      f"{pad}        return",
+                      f"{pad}    p0 = l.bit_length() - 1",
+                      f"{pad}    row0 = adj[p0]",
+                      f"{pad}    m1 = row0 & m0",
+                      f"{pad}    r1 = m0"]
+            continue
+        lines.append(f"{pad}    p{d} = l.bit_length() - 1")
+        if d == 1:
+            lines.append(f"{pad}    close = row0 & ~((l << 1) - 1)")
+        lines += [f"{pad}    a = r{d} & ~l",
+                  f"{pad}    if a.bit_count() < {top - d}:",
+                  f"{pad}        continue",
+                  f"{pad}    row = adj[p{d}]"]
+        if d + 1 == top:
+            lines.append(f"{pad}    m{top} = row & close & a")
+        else:
+            lines += [f"{pad}    b = a & ~row",
+                      f"{pad}    if not b & close:",
+                      f"{pad}        continue",
+                      f"{pad}    m{d + 1} = row & a & ~row0",
+                      f"{pad}    r{d + 1} = b"]
+    space: dict = {"_hole_kernel": _hole_kernel}
+    exec(compile("\n".join(lines), f"<hole kernel {length} from {first}>", "exec"), space)
+    return space["holes"]
 
 
 def _holes(adj: tuple[int, ...], sub: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -531,60 +595,17 @@ def _holes(adj: tuple[int, ...], sub: int, length: int) -> Iterator[tuple[int, .
     lexicographic order, so the first one is the least.  Callers rely on
     that order: the first hole found is the least one.
 
-    One flat depth-first loop in one generator frame: ``cand[d]`` holds the
-    untried choices for ``path[d]``, and ``rest[d]`` the vertices that
-    ``path[d+1:]`` may still use: vertices of ``sub`` above ``path[0]``, off
-    ``path[:d]`` and not adjacent to ``path[1 .. d-1]``.  A branch stops when
-    fewer of them are left than there are open positions, or when none of
-    them can close the cycle: the closing vertex is a neighbour of
-    ``path[0]`` above ``path[1]`` (which fixes the traversal direction), and
-    the usable vertices only get fewer with depth.  Neither test drops a
-    hole, so the search meets every hole, in the same order.
+    A depth-first search in the compiled generator of the length
+    (:func:`_hole_kernel`): depth d picks ``path[d]`` from its candidates and
+    keeps the vertices that ``path[d+1:]`` may still use: vertices of ``sub``
+    above ``path[0]``, off ``path[:d]`` and not adjacent to
+    ``path[1 .. d-1]``.  A branch stops when fewer of them are left than there are open positions,
+    or when none of them can close the cycle: the closing vertex is a
+    neighbour of ``path[0]`` above ``path[1]`` (which fixes the traversal
+    direction), and the usable vertices only get fewer with depth.  Neither
+    test drops a hole, so the search meets every hole, in the same order.
     """
-    top = length - 1
-    path = [0] * length
-    cand = [0] * length
-    rest = [0] * length
-    starts = sub
-    while starts:
-        low = starts & -starts
-        starts ^= low
-        if starts.bit_count() < top:
-            return
-        path[0] = s = low.bit_length() - 1
-        row0 = adj[s]
-        cand[1] = row0 & starts
-        rest[1] = starts
-        d = 1
-        while d:
-            m = cand[d]
-            if not m:
-                d -= 1
-                continue
-            low = m & -m
-            cand[d] = m ^ low
-            path[d] = v = low.bit_length() - 1
-            if d == 1:
-                close = row0 & ~((low << 1) - 1)
-            avail = rest[d] & ~low
-            if avail.bit_count() < top - d:
-                continue
-            row = adj[v]
-            if d + 1 == top:
-                # the closing vertex: adjacent to both ends, not to the middle
-                m = row & close & avail
-                while m:
-                    low = m & -m
-                    m ^= low
-                    path[top] = low.bit_length() - 1
-                    yield tuple(path)
-                continue
-            below = avail & ~row
-            if not below & close:
-                continue
-            d += 1
-            cand[d] = row & avail & ~row0
-            rest[d] = below
+    return _hole_kernel(length)(adj, sub)
 
 
 def has_odd_hole_mask(adj: tuple[int, ...], sub: int) -> bool:
@@ -594,6 +615,7 @@ def has_odd_hole_mask(adj: tuple[int, ...], sub: int) -> bool:
 
 def find_odd_hole(g: Graph) -> VertexSet | None:
     """Vertex set of the least induced odd cycle of length >= 5, or None."""
+    require_graph(g, "g")
     full = (1 << g.n) - 1
     for length in range(5, g.n + 1, 2):
         tup = next(_holes(g.adj, full, length), None)
@@ -604,11 +626,13 @@ def find_odd_hole(g: Graph) -> VertexSet | None:
 
 def find_odd_antihole(g: Graph) -> VertexSet | None:
     """Vertex set of the least odd hole of the complement, or None."""
+    require_graph(g, "g")
     return find_odd_hole(complement(g))
 
 
 def is_perfect(g: Graph) -> bool:
     """No odd hole and no odd antihole, which characterises perfection."""
+    require_graph(g, "g")
     full = (1 << g.n) - 1
     comp = complement(g)
     return not has_odd_hole_mask(g.adj, full) and not has_odd_hole_mask(comp.adj, full)

@@ -47,6 +47,7 @@ from .graphs import (
     is_connected,
     is_independent_mask,
     neighborhood_mask,
+    require_graph,
 )
 from .invariants import clique_number, clique_number_mask, cliques
 from .patterns import _holes, is_free, pattern
@@ -128,6 +129,7 @@ def find_all_five_holes(g: Graph) -> list[tuple[int, ...]]:
 
 def find_five_hole(g: Graph) -> tuple[int, ...] | None:
     """Least induced five-cycle in canonical cyclic order, or None."""
+    require_graph(g, "g")
     return next(_holes(g.adj, (1 << g.n) - 1, 5), None)
 
 
@@ -434,6 +436,7 @@ def find_homogeneous_set(g: Graph) -> VertexSet | None:
     Seeds every vertex pair and closes it under splitters; the minimal closure
     over all pairs is exactly the smallest homogeneous set.
     """
+    require_graph(g, "g")
     n = g.n
     if n < 3:
         return None
@@ -552,6 +555,7 @@ def find_clique_cutset(g: Graph) -> CutsetReport | None:
     separator, and the answer is the least separator of the MCS-M
     triangulation that is a clique in ``g`` and separates it.
     """
+    require_graph(g, "g")
     if not is_connected(g):
         raise PreconditionError("clique cutsets are defined for connected graphs")
     full = (1 << g.n) - 1
@@ -572,6 +576,7 @@ def minimal_cutsets(g: Graph) -> list[CutsetReport]:
     from N(C) for each component C of G - N[v], then close under
     S -> N(C) for each component C of G - (S + N(x)) with x in S.
     """
+    require_graph(g, "g")
     if not is_connected(g):
         raise PreconditionError("cutsets are defined for connected graphs")
     n = g.n
@@ -616,6 +621,7 @@ def find_dominating_clique_or_p3(g: Graph) -> tuple[str, VertexSet]:
     Guaranteed to succeed on connected P5-free inputs; exhaustion on such an
     input signals a bug.
     """
+    require_graph(g, "g")
     if not is_connected(g):
         raise PreconditionError("domination search needs a connected graph")
     n = g.n

@@ -275,6 +275,59 @@ def induced_cycles_brute(adj: tuple[int, ...], n: int, length: int) -> list[tupl
     return out
 
 
+def holes_plain(adj: tuple[int, ...], sub: int, length: int):
+    """Every induced cycle of exactly ``length >= 3`` vertices inside ``sub``,
+    written and ordered as the package's hole search writes them, by one
+    interpreted depth-first loop: ``cand[d]`` holds the untried choices for
+    ``path[d]`` and ``rest[d]`` the vertices that ``path[d+1:]`` may still
+    use, with the same two prunings (too few usable vertices left, none of
+    them able to close the cycle)."""
+    top = length - 1
+    path = [0] * length
+    cand = [0] * length
+    rest = [0] * length
+    starts = sub
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        if starts.bit_count() < top:
+            return
+        path[0] = s = low.bit_length() - 1
+        row0 = adj[s]
+        cand[1] = row0 & starts
+        rest[1] = starts
+        d = 1
+        while d:
+            m = cand[d]
+            if not m:
+                d -= 1
+                continue
+            low = m & -m
+            cand[d] = m ^ low
+            path[d] = v = low.bit_length() - 1
+            if d == 1:
+                close = row0 & ~((low << 1) - 1)
+            avail = rest[d] & ~low
+            if avail.bit_count() < top - d:
+                continue
+            row = adj[v]
+            if d + 1 == top:
+                # the closing vertex: adjacent to both ends, not to the middle
+                m = row & close & avail
+                while m:
+                    low = m & -m
+                    m ^= low
+                    path[top] = low.bit_length() - 1
+                    yield tuple(path)
+                continue
+            below = avail & ~row
+            if not below & close:
+                continue
+            d += 1
+            cand[d] = row & avail & ~row0
+            rest[d] = below
+
+
 def decode_graph6_plain(text: str) -> Graph:
     """graph6 decoding that reads every pair bit of the payload in turn."""
     s = text.strip()

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import chibind
 from chibind import colorers, enumeration, harness, invariants, patterns, structure
 from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
@@ -27,8 +28,9 @@ from chibind.graphs import (
     is_connected,
 )
 from chibind.harness import COLORERS, TARGETS, analyze_one, color_one, verify
-from chibind.invariants import clique_number, cliques
+from chibind.invariants import Coloring, chromatic_number, clique_number, cliques
 from chibind.patterns import _as_graph, is_free, pattern
+from test_invariants import grotzsch
 from test_structure import _grown_pipeline_members
 
 
@@ -142,9 +144,20 @@ def test_single_graph_entry_points_reject_a_non_graph(g):
     (lambda: is_free(cycle_graph(5), None), "patterns for patterns"),
     (lambda: is_free(cycle_graph(5), 5), "patterns for patterns"),
     (lambda: representatives(3, None), "patterns for free_of"),
-], ids=["find_induced", "is_free-host", "clique_number", "chromatic_number", "color_sumner",
-        "color_k1_union_k3_free", "color_wagon_2k2_free", "color_divisible", "color_p5_k23",
-        "color_p5_k1_2k2", "color_p5_k1_k1k3", "is_free-None", "is_free-int", "representatives-None"])
+] + [(lambda f=f: f(5), "Graph for g") for f in (
+    chibind.find_odd_hole, chibind.find_odd_antihole, chibind.is_perfect, chibind.independence_number,
+    chibind.is_perfectly_divisible, chibind.find_perfect_division,
+    chibind.encode_graph6, chibind.canonical_form, chibind.canonical_key,
+    chibind.find_clique_cutset, chibind.minimal_cutsets, chibind.find_homogeneous_set,
+    chibind.find_five_hole, chibind.find_dominating_clique_or_p3,
+    chibind.complement, chibind.is_connected, chibind.components,
+)], ids=["find_induced", "is_free-host", "clique_number", "chromatic_number", "color_sumner",
+         "color_k1_union_k3_free", "color_wagon_2k2_free", "color_divisible", "color_p5_k23",
+         "color_p5_k1_2k2", "color_p5_k1_k1k3", "is_free-None", "is_free-int", "representatives-None",
+         "find_odd_hole", "find_odd_antihole", "is_perfect", "independence_number",
+         "is_perfectly_divisible", "find_perfect_division", "encode_graph6", "canonical_form",
+         "canonical_key", "find_clique_cutset", "minimal_cutsets", "find_homogeneous_set",
+         "find_five_hole", "find_dominating_clique_or_p3", "complement", "is_connected", "components"])
 def test_public_entry_points_name_an_argument_of_the_wrong_type(call, match):
     with pytest.raises(PreconditionError, match=match):
         call()
@@ -621,6 +634,26 @@ def test_a_faulty_divisible_colouring_is_an_assertion(monkeypatch, capsys):
         color_one(c5, "divisible")
     assert main(["color", "--pipeline", "divisible", "--g6", encode_graph6(c5)]) == 1
     assert "(bug)" in capsys.readouterr().err
+
+
+def test_the_divisibility_check_fires_on_the_groetzsch_graph():
+    # triangle-free with chromatic number 4, so no perfect division
+    outcome = harness._check_divisible(grotzsch())
+    assert outcome.violations == ("not perfectly divisible",)
+    assert outcome.row == {"divisible": False}
+
+
+def test_the_bound_check_fires_above_the_bound(monkeypatch):
+    """A chromatic number above the bound, and a proper colouring with one
+    colour more than the bound, each give their violation; the colourer is a
+    stub, since sumner's rejects the Groetzsch graph, which induces P5."""
+    check = harness._bound_check("sumner")
+    monkeypatch.setitem(COLORERS, "sumner", lambda g: (chromatic_number(g)[1], None))
+    assert check(grotzsch()).violations == ("exact chromatic number 4 exceeds bound 3",
+                                            "sumner used 4 colours above bound 3")
+    c5 = cycle_graph(5)
+    monkeypatch.setitem(COLORERS, "sumner", lambda g: (Coloring((0, 1, 2, 3, 1), 4), None))
+    assert check(c5).violations == ("sumner used 4 colours above bound 3",)
 
 
 def test_every_colourer_returns_its_certificate(all_graphs_7):

@@ -28,10 +28,14 @@ from chibind.graphs import (
 )
 from chibind.invariants import clique_number, clique_number_mask
 from chibind.patterns import (
+    _CHUNK,
     PATTERN_CATALOG,
     _candidate_masks,
     _cards,
     _connectivity_order,
+    _embed_kernel,
+    _hole_kernel,
+    _holes,
     _moves,
     _pin_orbit_reps,
     _plan,
@@ -48,6 +52,7 @@ from chibind.patterns import (
 )
 from oracles import (
     graph_from_pair_mask,
+    holes_plain,
     induced_copy_exists,
     is_perfect_definitional,
     least_embedding_plain,
@@ -351,8 +356,7 @@ def test_embed_hands_over_every_image_in_the_pinned_order(all_graphs_7):
                 digest.update(b"|")
                 cand = _candidate_masks(host.adj, qadj) if len(qadj) <= host.n else None
                 if cand is not None:
-                    patterns._embed(host.adj, plan, [cand[v] for v, _ in plan], [0] * len(qadj), 0,
-                                    visit)
+                    patterns._embed(host.adj, plan, [cand[v] for v, _ in plan], [0] * len(qadj), visit)
     assert len(hosts) == 236
     assert digest.hexdigest() == EMBED_IMAGES_SHA256
 
@@ -373,12 +377,17 @@ def test_the_degree_window_keeps_the_plain_search_witness():
                     uses_vertex_plain(host.adj, pg, 0), (host.adj, pg.adj)
 
 
-# _embed frames that prove the tracked (P5, K1+(K1uK3))-free members with
-# n <= 7 free of both patterns; the search took 11,612 before the degree
-# window and the distinct-vertex count, and 3,838 before members of clique
-# number three or less skipped the K1+(K1uK3) search, and 2,469 before the
-# third-to-last position placed the last three without a frame of its own
-PROOF_FRAMES_UP_TO_SEVEN = 2409
+# adjacency rows the searches read inside _embed, one per host vertex placed
+# before the last position, while they prove the tracked (P5, K1+(K1uK3))-free
+# members with n <= 7 free of both patterns, and the searches they take.  When
+# every position had a frame of its own, the frames numbered 11,612 before
+# the degree window and the distinct-vertex count, 3,838 before members of
+# clique number three or less skipped the K1+(K1uK3) search, 2,469 before the
+# third-to-last position placed the last three without a frame of its own,
+# and 2,409 then; those 2,409 frames read 6,062 rows, as the compiled kernels
+# do, so the kernels expand the same nodes
+PROOF_ROW_READS_UP_TO_SEVEN = 6062
+PROOF_SEARCHES_UP_TO_SEVEN = 617
 
 
 def test_the_freeness_proofs_keep_their_pruning(monkeypatch):
@@ -387,18 +396,25 @@ def test_the_freeness_proofs_keep_their_pruning(monkeypatch):
     pats = [pattern("P5").graph, pattern("K1+(K1uK3)").graph]
     for pg in pats:
         _plan(pg.adj, pg.n, 0, 0)
-    frames = 0
+    searches = reads = 0
     embed = patterns._embed
 
-    def counting(*args):
-        nonlocal frames
-        frames += 1
-        return embed(*args)
+    class CountedRows(tuple):
+        def __getitem__(self, index):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, index)
+
+    def counting(host_adj, *args):
+        nonlocal searches
+        searches += 1
+        return embed(CountedRows(host_adj), *args)
 
     monkeypatch.setattr(patterns, "_embed", counting)
     assert len(members) == 650
     assert all(is_free(g, pats) for g in members)
-    assert frames == PROOF_FRAMES_UP_TO_SEVEN
+    assert reads == PROOF_ROW_READS_UP_TO_SEVEN
+    assert searches == PROOF_SEARCHES_UP_TO_SEVEN
 
 
 def _permutation_scan(g: Graph) -> list[tuple[int, ...]]:
@@ -600,3 +616,80 @@ def test_pin_orbit_reps_are_pinned():
     assert set(PIN_ORBIT_REPS) == set(PATTERN_CATALOG)
     for name, pat in PATTERN_CATALOG.items():
         assert _pin_orbit_reps(pat.graph.adj, pat.graph.n) == PIN_ORBIT_REPS[name], name
+
+
+def _planted(rng: random.Random, pg: Graph, extra: int, reach: int) -> Graph:
+    """``pg`` with ``extra`` more vertices, each adjacent to at most ``reach``
+    of its vertices and to each other extra vertex with probability 1/2,
+    relabelled at random."""
+    k = pg.n
+    edges = list(pg.edges())
+    for x in range(k, k + extra):
+        edges += [(v, x) for v in rng.sample(range(k), rng.randrange(reach + 1))]
+        edges += [(y, x) for y in range(k, x) if rng.random() < 0.5]
+    return _shuffled(from_edge_list(k + extra, edges), rng)
+
+
+def test_embed_kernels_past_the_chunk_match_the_plain_search():
+    # a kernel places at most _CHUNK positions and hands the rest to the
+    # kernel of the remaining ones; paths, cycles and cliques of 17 to 24
+    # vertices cross that hand-over once.  The extra vertices see few
+    # pattern vertices, so the plain search, which does not break the
+    # clique's symmetry, stays small
+    rng = random.Random(31)
+    found = using = 0
+    for k in range(_CHUNK + 1, 25):
+        for pg in (path_graph(k), cycle_graph(k), complete_graph(k)):
+            for extra, reach in ((2, 2), (4, 2), (4, 3)):
+                host = _planted(rng, pg, extra, reach)
+                emb = find_induced(host, pg)
+                assert (None if emb is None else emb.map) == least_embedding_plain(host, pg), \
+                    (host.adj, pg.adj)
+                found += emb is not None
+                for v in (0, host.n // 2, host.n - 1):
+                    hit = has_induced_using(host.adj, host.n, pg, v)
+                    assert hit == uses_vertex_plain(host.adj, pg, v), (host.adj, pg.adj, v)
+                    using += hit
+    assert (found, using) == (8 * 3 * 3, 191), (found, using)
+
+
+def test_hole_kernels_past_the_chunk_match_the_plain_search():
+    # a hole kernel holds at most _CHUNK depths, and a longer cycle is
+    # finished by the generator of the depths that remain: every length in
+    # cycles and their complements up to 31 vertices, and in seeded hosts of
+    # 17 to 30 vertices, sparse ones built around a long cycle among them,
+    # each inside the whole vertex set and inside a random part of it
+    rng = random.Random(32)
+    hosts = [cycle_graph(n) for n in range(3, 32)] + [complement(cycle_graph(n)) for n in range(3, 32)]
+    for n in range(_CHUNK + 1, 31):
+        chords = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(1, 4))]
+        hosts.append(_shuffled(from_edge_list(n, list(cycle_graph(n).edges()) + chords), rng))
+        density = rng.choice((0.15, 0.3, 0.5))
+        hosts.append(_shuffled(from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                                                  if rng.random() < density]), rng))
+    long_holes = 0
+    for host in hosts:
+        full = (1 << host.n) - 1
+        part = full & ~(1 << rng.randrange(host.n))
+        for sub in (full, part):
+            for length in range(3, host.n + 1):
+                got = list(_holes(host.adj, sub, length))
+                assert got == list(holes_plain(host.adj, sub, length)), (host.adj, sub, length)
+                if length > _CHUNK:
+                    long_holes += len(got)
+    assert long_holes == 26, long_holes
+
+
+def test_verify_compiles_one_kernel_per_size_and_length():
+    # lemma-6.5 over the P5,K1+(K1uK3)-free graphs on at most eight vertices
+    # searches for P5 and K1+(K1uK3), both on five vertices, and for holes of
+    # lengths five and seven
+    from chibind.harness import verify
+
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "p5-k1pk1uk3-upto8.g6"
+    for cached in (_embed_kernel, _hole_kernel, patterns._bound):
+        cached.cache_clear()
+    assert verify("lemma-6.5", 8, source=str(source)).violations == []
+    embed, holes = _embed_kernel.cache_info(), _hole_kernel.cache_info()
+    assert (embed.misses, embed.currsize) == (1, 1) and embed.hits > 0
+    assert (holes.misses, holes.currsize) == (2, 2) and holes.hits > 1000
