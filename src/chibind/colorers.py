@@ -390,7 +390,14 @@ def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple
         d_local, r_local = _perfect_map(h, full), [("perfect-exact", full)]
     else:
         d_local, r_local = leaf(h, hole, antiholes)
-    regions = [(name, sum(1 << verts[i] for i in bits_of(m))) for name, m in r_local]
+    regions = []
+    for name, m in r_local:
+        lifted = 0
+        while m:
+            low = m & -m
+            lifted |= 1 << verts[low.bit_length() - 1]
+            m ^= low
+        regions.append((name, lifted))
     return {verts[v]: c for v, c in d_local.items()}, regions
 
 

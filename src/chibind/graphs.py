@@ -255,13 +255,24 @@ def induced(g: Graph, s: VertexSet) -> Graph:
     mask = _bind(g, s)
     if mask == (1 << g.n) - 1:
         return g
-    old = list(bits_of(mask))
-    pos = {v: i for i, v in enumerate(old)}
+    adj = g.adj
+    old = []
+    new_bit = [0] * g.n  # new_bit[v]: the bit of kept vertex v in the copy
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        new_bit[v] = 1 << len(old)
+        old.append(v)
+        m ^= low
     rows = []
     for v in old:
         row = 0
-        for u in bits_of(g.adj[v] & mask):
-            row |= 1 << pos[u]
+        m = adj[v] & mask
+        while m:
+            low = m & -m
+            row |= new_bit[low.bit_length() - 1]
+            m ^= low
         rows.append(row)
     return Graph._trusted(len(old), tuple(rows), g.label, g._free_of)
 
@@ -302,8 +313,10 @@ def components_masks(adj: tuple[int, ...], sub: int) -> list[int]:
         frontier = seed
         while frontier:
             grow = 0
-            for v in bits_of(frontier):
-                grow |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             grow &= sub & ~comp
             comp |= grow
             frontier = grow
@@ -346,16 +359,22 @@ def distances_from(g: Graph, s: VertexSet) -> tuple[int | None, ...]:
 
 
 def is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:
-    for v in bits_of(mask):
-        if mask & ~adj[v] & ~(1 << v):
+    m = mask
+    while m:
+        low = m & -m
+        if mask & ~adj[low.bit_length() - 1] & ~low:
             return False
+        m ^= low
     return True
 
 
 def is_independent_mask(adj: tuple[int, ...], mask: int) -> bool:
-    for v in bits_of(mask):
-        if adj[v] & mask:
+    m = mask
+    while m:
+        low = m & -m
+        if adj[low.bit_length() - 1] & mask:
             return False
+        m ^= low
     return True
 
 
@@ -387,6 +406,9 @@ def is_anticomplete_to(g: Graph, x: VertexSet, y: VertexSet) -> bool:
 def neighborhood_mask(adj: tuple[int, ...], mask: int) -> int:
     """Vertices outside ``mask`` with a neighbour inside it."""
     out = 0
-    for v in bits_of(mask):
-        out |= adj[v]
+    m = mask
+    while m:
+        low = m & -m
+        out |= adj[low.bit_length() - 1]
+        m ^= low
     return out & ~mask

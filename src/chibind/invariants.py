@@ -1,17 +1,22 @@
 """Exact clique number, independence number, chromatic number, and perfect divisions.
 
 These are the ground-truth engines the class-specific claims are checked
-against.  Everything is exact.  Perfect divisions come from one direct search
-over the subsets of a vertex set, capped at 16 vertices; it serves
-:func:`find_perfect_division` and every peeling round of
-:func:`_peeled_map`.  Only the divisibility dynamic program of
-:func:`is_perfectly_divisible` builds the subset-indexed ``omega_table`` and
-``perfection_table``, and it is capped at 13 vertices.  :func:`clique_number`
-keeps omega in the graph's declared ``_omega`` field after its one search,
-and :func:`chromatic_number` keeps chi with its optimal colouring in
-``_chi``; every layer then shares them, and a perfect pipeline leaf that is
-the whole checked graph reuses the harness's exact chi.  A ``Graph`` never
-changes, so the kept values cannot go stale.
+against.  Everything is exact.  The clique search
+(:func:`least_maximum_clique`) and the k-colouring search
+(:func:`_solve_k_coloring`) are each one flat loop over per-depth arrays,
+with no recursion; the clique search bounds a branch by the number of
+colour classes that greedy independent-set extraction takes from its
+candidates, which is the first-fit count in ascending vertex order.
+Perfect divisions come from one direct search over the subsets of a vertex
+set, capped at 16 vertices; it serves :func:`find_perfect_division` and
+every peeling round of :func:`_peeled_map`.  Only the divisibility dynamic
+program of :func:`is_perfectly_divisible` builds the subset-indexed
+``omega_table`` and ``perfection_table``, and it is capped at 13 vertices.
+:func:`clique_number` keeps omega in the graph's declared ``_omega`` field
+after its one search, and :func:`chromatic_number` keeps chi with its
+optimal colouring in ``_chi``; every layer then shares them, and a perfect
+pipeline leaf that is the whole checked graph reuses the harness's exact
+chi.  A ``Graph`` never changes, so the kept values cannot go stale.
 """
 
 from __future__ import annotations
@@ -47,57 +52,83 @@ class PerfectDivision:
 
 
 def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
-    """Every colour is in range and no vertex sees its own colour class."""
-    if len(coloring.colors) != g.n:
-        return False
-    if any(not 0 <= c < max(coloring.k, 1) for c in coloring.colors) and g.n:
-        return False
-    classes: dict[int, int] = {}
-    for v, c in enumerate(coloring.colors):
-        classes[c] = classes.get(c, 0) | 1 << v
-    return not any(row & classes[c] for row, c in zip(g.adj, coloring.colors))
+    """Every colour is in range and no vertex sees its own colour class.
 
-
-def _greedy_color_bound(adj: tuple[int, ...], cand: int) -> int:
-    classes: list[int] = []
-    for v in bits_of(cand):
-        for i, cl in enumerate(classes):
-            if not adj[v] & cl:
-                classes[i] = cl | (1 << v)
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
+    After the range test, one pass in vertex order: each vertex is tested
+    against the class masks of the vertices before it, so every
+    monochromatic edge is met at its later end, and the first one ends the
+    pass."""
+    colors = coloring.colors
+    if len(colors) != g.n:
+        return False
+    if not colors:
+        return True
+    top = max(colors)
+    if min(colors) < 0 or top >= max(coloring.k, 1):
+        return False
+    classes = [0] * (top + 1)
+    for v, (row, c) in enumerate(zip(g.adj, colors)):
+        cl = classes[c]
+        if row & cl:
+            return False
+        classes[c] = cl | 1 << v
+    return True
 
 
 def least_maximum_clique(adj: tuple[int, ...], sub: int) -> int:
     """The least maximum clique inside ``sub``, as a mask, by branch and bound.
 
-    The search adds members in ascending order, so it meets cliques in the
-    order of :func:`cliques`, and it keeps a clique only when it is larger
-    than every clique met before; so the clique kept at the end is the
-    first of the largest size, the least one."""
+    One flat depth-first loop, as in :func:`cliques`: ``cand[d]`` holds the
+    untried choices for member ``d``, the common neighbours of the members
+    before it that lie above them, and ``base[d]`` those members.  Members
+    are added in ascending order, so cliques are met in the order of
+    :func:`cliques`, and one is kept only when it is larger than every clique
+    met before; so the clique kept at the end is the first of the largest
+    size, the least one.
+
+    A branch stops when its members and its candidates cannot beat the best,
+    and a child is entered only when its candidates need more colour classes
+    than the room left.  The classes are taken by greedy independent-set
+    extraction: each pass sweeps the remaining candidates in ascending order
+    and takes every one with no neighbour among those taken, which gives the
+    classes of first-fit colouring in that order.  Counting stops as soon as
+    the count passes the room."""
     best = 0
     best_mask = 0
-
-    def expand(cand: int, size: int, base: int) -> None:
-        nonlocal best, best_mask
-        if size > best:
-            best = size
-            best_mask = base
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            low = cand & -cand
-            cand ^= low
-            nxt = cand & adj[low.bit_length() - 1]
-            if size + 1 + nxt.bit_count() > best:
-                # kept: without it cocktail-party graphs K2,...,2 cost ~6x per 4 vertices
-                if nxt and size + 1 + _greedy_color_bound(adj, nxt) <= best:
-                    continue
-                expand(nxt, size + 1, base | low)
-
-    expand(sub, 0, 0)
+    cand = [0] * (sub.bit_count() + 1)
+    base = [0] * len(cand)
+    cand[0] = sub
+    d = 0
+    while d >= 0:
+        m = cand[d]
+        if not m or d + m.bit_count() <= best:
+            d -= 1
+            continue
+        low = m & -m
+        m ^= low
+        cand[d] = m
+        nxt = m & adj[low.bit_length() - 1]
+        room = best - d - 1
+        if nxt.bit_count() <= room:
+            continue
+        # kept: without the colour bound cocktail-party graphs K2,...,2 cost ~6x per 4 vertices
+        rest = nxt
+        count = 0
+        while rest and count <= room:
+            count += 1
+            q = rest
+            while q:
+                b = q & -q
+                rest ^= b
+                q = (q ^ b) & ~adj[b.bit_length() - 1]
+        if count <= room:
+            continue
+        d += 1
+        cand[d] = nxt
+        base[d] = base[d - 1] | low
+        if d > best:
+            best = d
+            best_mask = base[d]
     return best_mask
 
 
@@ -169,29 +200,45 @@ def _solve_k_coloring(g: Graph, k: int) -> Coloring | None:
     """Deterministic backtracking k-colouring; vertex order is degree-descending.
 
     Each vertex takes the least colour whose class mask holds none of its
-    neighbours, among the colours used so far and one fresh colour."""
+    neighbours, among the colours used so far and one fresh colour.  One
+    flat loop over the order: ``tried[i]`` is one more than the colour the
+    ``i``-th vertex holds (0 before its first try), and ``used[i]`` the
+    number of colours the vertices before it use."""
     n, adj = g.n, g.adj
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    if not n:
+        return Coloring((), k)
+    # a stable sort of ascending vertices, so ties stay ascending
+    order = sorted(range(n), key=[-row.bit_count() for row in adj].__getitem__)
+    rows = [adj[v] for v in order]
     colors = [-1] * n
     classes = [0] * k
-
-    def assign(idx: int, used: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        row, bit = adj[v], 1 << v
-        for c in range(min(used + 1, k)):
-            if row & classes[c]:
-                continue
-            classes[c] |= bit
-            colors[v] = c
-            if assign(idx + 1, max(used, c + 1)):
-                return True
-            classes[c] ^= bit
-        return False
-
-    if assign(0, 0):
-        return Coloring(tuple(colors), k)
+    tried = [0] * n
+    used = [0] * n
+    last = n - 1
+    i = 0
+    while i >= 0:
+        v = order[i]
+        bit = 1 << v
+        c = tried[i]
+        if c:
+            classes[c - 1] ^= bit
+        row = rows[i]
+        top = used[i] + 1
+        if top > k:
+            top = k
+        while c < top and row & classes[c]:
+            c += 1
+        if c == top:
+            i -= 1
+            continue
+        classes[c] |= bit
+        colors[v] = c
+        tried[i] = c + 1
+        if i == last:
+            return Coloring(tuple(colors), k)
+        used[i + 1] = used[i] if c < used[i] else c + 1
+        i += 1
+        tried[i] = 0
     return None
 
 

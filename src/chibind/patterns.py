@@ -405,12 +405,9 @@ def find_induced(host: Graph, pat: Pattern | Graph | str) -> Embedding | None:
         return Embedding(())
     if pg.adj in host._free_of:
         return None
-    # invariants imports this module, so its clique number is imported here
-    from .invariants import clique_number
-
-    w = clique_number(pg)
+    w = invariants.clique_number(pg)
     cand = None
-    if k <= n and (w < 3 or w <= clique_number(host)):
+    if k <= n and (w < 3 or w <= invariants.clique_number(host)):
         cand = _candidate_masks(host.adj, pg.adj)
     if cand is not None:
         plan = _plan(pg.adj, k, 0, 0)
@@ -660,3 +657,8 @@ def odd_antihole_not_two_cliques(g: Graph) -> bool:
         if is_clique_mask(g.adj, a) and is_clique_mask(g.adj, full & ~a):
             return False
     return True
+
+
+# invariants imports this module, so it is bound last, when every name it
+# reads from here exists
+from . import invariants  # noqa: E402

@@ -512,8 +512,10 @@ def _mcs_m_separators(adj: tuple[int, ...], mask: int) -> Iterator[int]:
             frontier = seen & passable & ~inside
             while frontier:
                 inside |= frontier
-                for x in bits_of(frontier):
-                    seen |= adj[x]
+                while frontier:
+                    x = frontier & -frontier
+                    seen |= adj[x.bit_length() - 1]
+                    frontier ^= x
                 frontier = seen & passable & ~inside
             if seen & bucket:
                 reached.append((w, seen & bucket))
@@ -521,8 +523,10 @@ def _mcs_m_separators(adj: tuple[int, ...], mask: int) -> Iterator[int]:
         for w, hit in reached:
             buckets[w] ^= hit
             buckets[w + 1] |= hit
-            for u in bits_of(hit):
-                madj[u] |= low
+            while hit:
+                u = hit & -hit
+                madj[u.bit_length() - 1] |= low
+                hit ^= u
         top += 1
 
 

@@ -540,3 +540,71 @@ def cutset_splits_oracle(g: Graph) -> list[tuple[int, int]]:
     for comp in components_masks(g.adj, (1 << g.n) - 1):
         split(comp)
     return splits
+
+
+def _greedy_color_bound_plain(adj: tuple[int, ...], cand: int) -> int:
+    """Classes of first-fit colouring of ``cand`` in ascending vertex order."""
+    classes: list[int] = []
+    for v in bits_of(cand):
+        for i, cl in enumerate(classes):
+            if not adj[v] & cl:
+                classes[i] = cl | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def least_maximum_clique_plain(adj: tuple[int, ...], sub: int) -> int:
+    """The least maximum clique inside ``sub`` by recursive branch and bound,
+    with the first-fit colour bound taken vertex by vertex."""
+    best = 0
+    best_mask = 0
+
+    def expand(cand: int, size: int, base: int) -> None:
+        nonlocal best, best_mask
+        if size > best:
+            best = size
+            best_mask = base
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            cand ^= low
+            nxt = cand & adj[low.bit_length() - 1]
+            if size + 1 + nxt.bit_count() > best:
+                if nxt and size + 1 + _greedy_color_bound_plain(adj, nxt) <= best:
+                    continue
+                expand(nxt, size + 1, base | low)
+
+    expand(sub, 0, 0)
+    return best_mask
+
+
+def k_coloring_plain(g: Graph, k: int) -> Coloring | None:
+    """The first k-colouring of a recursive backtracking search along the
+    degree-descending vertex order, each vertex trying the colours used so
+    far and one fresh colour, least first; or None."""
+    n, adj = g.n, g.adj
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    colors = [-1] * n
+    classes = [0] * k
+
+    def assign(idx: int, used: int) -> bool:
+        if idx == n:
+            return True
+        v = order[idx]
+        row, bit = adj[v], 1 << v
+        for c in range(min(used + 1, k)):
+            if row & classes[c]:
+                continue
+            classes[c] |= bit
+            colors[v] = c
+            if assign(idx + 1, max(used, c + 1)):
+                return True
+            classes[c] ^= bit
+        return False
+
+    if assign(0, 0):
+        return Coloring(tuple(colors), k)
+    return None

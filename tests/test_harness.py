@@ -26,6 +26,7 @@ from chibind.graphs import (
     from_edge_list,
     induced,
     is_connected,
+    path_graph,
 )
 from chibind.harness import COLORERS, TARGETS, analyze_one, color_one, verify
 from chibind.invariants import Coloring, chromatic_number, clique_number, cliques
@@ -654,6 +655,22 @@ def test_the_bound_check_fires_above_the_bound(monkeypatch):
     c5 = cycle_graph(5)
     monkeypatch.setitem(COLORERS, "sumner", lambda g: (Coloring((0, 1, 2, 3, 1), 4), None))
     assert check(c5).violations == ("sumner used 4 colours above bound 3",)
+
+
+@pytest.mark.parametrize("target, admitted, refused", [
+    ("lemma-2.2", (cycle_graph(5),), (path_graph(4),)),  # _has_five_hole
+    ("lemma-4.1", (cycle_graph(5),), (path_graph(4),)),  # _has_five_hole
+    ("lemma-3.1", (cycle_graph(5),), (path_graph(3),)),  # _no_clique_cutset
+    ("lemma-4.2", (cycle_graph(5),), (path_graph(4), path_graph(3))),  # both
+    ("lemma-6.5", (complement(cycle_graph(7)),), (cycle_graph(5), complete_graph(4))),
+])
+def test_each_admission_admits_and_refuses(target, admitted, refused):
+    """Each admission predicate admits a graph with its shape and refuses one
+    without: P4 has no five-hole, the middle vertex of P3 is a clique
+    cutset, C5 is its own five-antihole and K4 holds no odd antihole."""
+    admit = TARGETS[target].admit
+    assert [admit(g) for g in admitted] == [True] * len(admitted)
+    assert [admit(g) for g in refused] == [False] * len(refused)
 
 
 def test_every_colourer_returns_its_certificate(all_graphs_7):

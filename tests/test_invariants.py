@@ -21,6 +21,7 @@ from chibind.graphs import (
     path_graph,
 )
 from chibind.invariants import (
+    Coloring,
     chromatic_number,
     clique_number,
     clique_number_mask,
@@ -42,6 +43,8 @@ from oracles import (
     first_division_brute,
     graph_from_pair_mask,
     is_perfect_definitional,
+    k_coloring_plain,
+    least_maximum_clique_plain,
     omega_table_brute,
     perfectly_divisible_definitional,
     seeded_random_graphs,
@@ -95,6 +98,42 @@ def test_least_maximum_clique_is_the_first_clique_of_the_clique_number(all_graph
         table = omega_table(g.adj, g.n)
         for sub in range(1 << g.n):
             assert least_maximum_clique(g.adj, sub) == next(cliques(g.adj, sub, table[sub]))
+
+
+def test_least_maximum_clique_matches_the_recursive_search(all_graphs_7):
+    # the flat loop against the recursive search with the first-fit bound it
+    # replaced, on full and sub masks of both views, beyond the subset tables
+    graphs = list(all_graphs_7) + seeded_random_graphs(41, range(10, 21), 6)
+    for adj, n, subs in views_and_sub_masks(graphs, 43):
+        for sub in subs:
+            assert least_maximum_clique(adj, sub) == least_maximum_clique_plain(adj, sub)
+
+
+def test_k_coloring_matches_the_recursive_search(all_graphs_7):
+    # the same first colouring, or None, for every k from omega - 1 to chi + 1
+    graphs = list(all_graphs_7) + seeded_random_graphs(47, range(10, 21), 6)
+    nones = 0
+    for g in graphs:
+        chi, _ = chromatic_number(g)
+        for k in range(max(clique_number(g) - 1, 0), chi + 2):
+            got = invariants._solve_k_coloring(g, k)
+            assert got == k_coloring_plain(g, k)
+            nones += got is None
+    assert nones >= len(graphs)
+
+
+def test_proper_coloring_check_refuses_each_fault():
+    c5 = cycle_graph(5)
+    assert is_proper_coloring(c5, Coloring((0, 1, 0, 1, 2), 3))
+    assert is_proper_coloring(empty_graph(0), Coloring((), 0))
+    assert not is_proper_coloring(c5, Coloring((0, 1, 0, 1, 0), 3))  # edge 4-0
+    assert not is_proper_coloring(c5, Coloring((0, 1, 1, 0, 2), 3))  # edge 1-2
+    assert not is_proper_coloring(c5, Coloring((0, 1, 0, 1, -1), 3))
+    assert not is_proper_coloring(c5, Coloring((0, 1, -1, 0, 2), 3))  # else proper
+    assert not is_proper_coloring(c5, Coloring((0, 1, 0, 1, 3), 3))
+    assert not is_proper_coloring(c5, Coloring((0, 1, 0, 1, 7), 3))
+    assert not is_proper_coloring(c5, Coloring((0, 1, 0, 1), 3))
+    assert not is_proper_coloring(c5, Coloring((0, 1, 0, 1, 2, 0), 3))
 
 
 def test_chromatic_number_is_searched_once_and_kept(monkeypatch):
