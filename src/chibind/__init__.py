@@ -9,16 +9,11 @@ from .graphs import (
     GraphError,
     VertexSet,
     complement,
-    components,
     disjoint_union,
-    distances_from,
     from_edge_list,
     induced,
-    is_anticomplete_to,
     is_clique,
-    is_complete_to,
     is_connected,
-    is_independent,
     join,
 )
 from .invariants import (
@@ -69,7 +64,6 @@ from .structure import (
     find_dominating_clique_or_p3,
     find_five_hole,
     find_homogeneous_set,
-    is_bad_pair,
     minimal_cutsets,
 )
 

@@ -43,6 +43,9 @@ class VertexSet:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.mask) is not int or type(self.n) is not int:
+            name, value = ("mask", self.mask) if type(self.mask) is not int else ("n", self.n)
+            raise GraphError(f"vertex set {name} must be an int, not {value!r}")
         if not 0 <= self.n <= MAX_VERTICES:
             raise CapacityError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if self.mask < 0 or self.mask >> self.n:
@@ -50,10 +53,15 @@ class VertexSet:
 
     @classmethod
     def of(cls, vertices: Iterable[int], n: int) -> VertexSet:
+        _check_order(n)
+        try:
+            vertices = iter(vertices)
+        except TypeError:
+            raise GraphError(f"vertices must be iterable, not {vertices!r}") from None
         mask = 0
         for v in vertices:
-            if not 0 <= v < n:
-                raise GraphError(f"vertex {v} outside 0..{n - 1}")
+            if type(v) is not int or not 0 <= v < n:
+                raise GraphError(f"vertex {v!r} is not one of 0..{n - 1}")
             mask |= 1 << v
         return cls(mask, n)
 
@@ -75,25 +83,6 @@ class VertexSet:
 
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def _check_binding(self, other: VertexSet) -> None:
-        if self.n != other.n:
-            raise BindingError(f"vertex sets bound to different orders {self.n} and {other.n}")
-
-    def __or__(self, other: VertexSet) -> VertexSet:
-        self._check_binding(other)
-        return VertexSet(self.mask | other.mask, self.n)
-
-    def __and__(self, other: VertexSet) -> VertexSet:
-        self._check_binding(other)
-        return VertexSet(self.mask & other.mask, self.n)
-
-    def __sub__(self, other: VertexSet) -> VertexSet:
-        self._check_binding(other)
-        return VertexSet(self.mask & ~other.mask, self.n)
-
-    def complement(self) -> VertexSet:
-        return VertexSet(~self.mask & ((1 << self.n) - 1), self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,10 +200,14 @@ def _check_order(n: int) -> None:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
     """Build a graph from an edge list; duplicate pairs collapse."""
     _check_order(n)
+    try:
+        pairs = [(u, v) for u, v in edges]
+    except (TypeError, ValueError):
+        raise GraphError(f"edges must be pairs of vertices, not {edges!r}") from None
     rows = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+    for u, v in pairs:
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is not one of 0..{n - 1}")
         if u == v:
             raise GraphError(f"loop edge ({u},{v})")
         rows[u] |= 1 << v
@@ -244,6 +237,9 @@ def cycle_graph(n: int, label: str | None = None) -> Graph:
 
 
 def _bind(g: Graph, s: VertexSet) -> int:
+    if not (isinstance(g, Graph) and isinstance(s, VertexSet)):
+        require_graph(g, "g")
+        raise PreconditionError(f"expected a VertexSet for s, not {s!r}")
     if s.n != g.n:
         raise BindingError(f"vertex set of order {s.n} used with graph of order {g.n}")
     return s.mask
@@ -286,6 +282,8 @@ def complement(g: Graph) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph, label: str | None = None) -> Graph:
     """Union on disjoint vertex sets; ``g2`` vertices are shifted by ``g1.n``."""
+    require_graph(g1, "g1")
+    require_graph(g2, "g2")
     if g1.n + g2.n > MAX_VERTICES:
         raise CapacityError(f"union of {g1.n}+{g2.n} vertices exceeds {MAX_VERTICES}")
     rows = list(g1.adj) + [row << g1.n for row in g2.adj]
@@ -294,6 +292,8 @@ def disjoint_union(g1: Graph, g2: Graph, label: str | None = None) -> Graph:
 
 def join(g1: Graph, g2: Graph, label: str | None = None) -> Graph:
     """Disjoint union plus all cross edges."""
+    require_graph(g1, "g1")
+    require_graph(g2, "g2")
     if g1.n + g2.n > MAX_VERTICES:
         raise CapacityError(f"join of {g1.n}+{g2.n} vertices exceeds {MAX_VERTICES}")
     left = (1 << g1.n) - 1
@@ -325,37 +325,9 @@ def components_masks(adj: tuple[int, ...], sub: int) -> list[int]:
     return out
 
 
-def components(g: Graph) -> list[VertexSet]:
-    """Connected components, ordered by least member."""
-    require_graph(g, "g")
-    return [VertexSet(m, g.n) for m in components_masks(g.adj, (1 << g.n) - 1)]
-
-
 def is_connected(g: Graph) -> bool:
     require_graph(g, "g")
     return g.n <= 1 or len(components_masks(g.adj, (1 << g.n) - 1)) == 1
-
-
-def distances_from(g: Graph, s: VertexSet) -> tuple[int | None, ...]:
-    """Hop distance of every vertex to ``s``; ``None`` marks unreachable."""
-    source = _bind(g, s)
-    dist: list[int | None] = [None] * g.n
-    for v in bits_of(source):
-        dist[v] = 0
-    frontier = source
-    seen = source
-    d = 0
-    while frontier:
-        d += 1
-        grow = 0
-        for v in bits_of(frontier):
-            grow |= g.adj[v]
-        grow &= ~seen & ((1 << g.n) - 1)
-        for v in bits_of(grow):
-            dist[v] = d
-        seen |= grow
-        frontier = grow
-    return tuple(dist)
 
 
 def is_clique_mask(adj: tuple[int, ...], mask: int) -> bool:
@@ -380,27 +352,8 @@ def is_independent_mask(adj: tuple[int, ...], mask: int) -> bool:
 
 def is_clique(g: Graph, s: VertexSet) -> bool:
     """Empty and singleton sets count as cliques."""
-    return is_clique_mask(g.adj, _bind(g, s))
-
-
-def is_independent(g: Graph, s: VertexSet) -> bool:
-    return is_independent_mask(g.adj, _bind(g, s))
-
-
-def is_complete_to(g: Graph, x: VertexSet, y: VertexSet) -> bool:
-    """Every vertex of ``x`` adjacent to every vertex of ``y``; vacuous on empties."""
-    xm, ym = _bind(g, x), _bind(g, y)
-    if xm & ym:
-        raise GraphError("complete-to requires disjoint vertex sets")
-    return all(g.adj[v] & ym == ym for v in bits_of(xm))
-
-
-def is_anticomplete_to(g: Graph, x: VertexSet, y: VertexSet) -> bool:
-    """No edges between ``x`` and ``y``; vacuous on empties."""
-    xm, ym = _bind(g, x), _bind(g, y)
-    if xm & ym:
-        raise GraphError("anticomplete-to requires disjoint vertex sets")
-    return all(not g.adj[v] & ym for v in bits_of(xm))
+    mask = _bind(g, s)
+    return is_clique_mask(g.adj, mask)
 
 
 def neighborhood_mask(adj: tuple[int, ...], mask: int) -> int:

@@ -58,20 +58,26 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     against the class masks of the vertices before it, so every
     monochromatic edge is met at its later end, and the first one ends the
     pass."""
+    if not (isinstance(g, Graph) and isinstance(coloring, Coloring)):
+        require_graph(g, "g")
+        raise PreconditionError(f"expected a Coloring for coloring, not {coloring!r}")
     colors = coloring.colors
     if len(colors) != g.n:
         return False
     if not colors:
         return True
-    top = max(colors)
-    if min(colors) < 0 or top >= max(coloring.k, 1):
-        return False
-    classes = [0] * (top + 1)
-    for v, (row, c) in enumerate(zip(g.adj, colors)):
-        cl = classes[c]
-        if row & cl:
+    try:
+        top = max(colors)
+        if min(colors) < 0 or top >= max(coloring.k, 1):
             return False
-        classes[c] = cl | 1 << v
+        classes = [0] * (top + 1)
+        for v, (row, c) in enumerate(zip(g.adj, colors)):
+            cl = classes[c]
+            if row & cl:
+                return False
+            classes[c] = cl | 1 << v
+    except TypeError:
+        raise PreconditionError(f"coloring must hold int colours and an int k, not {coloring!r}") from None
     return True
 
 

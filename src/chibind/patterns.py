@@ -82,12 +82,6 @@ class Embedding:
 
     map: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.map)
-
-    def image(self, n_host: int) -> VertexSet:
-        return VertexSet.of(self.map, n_host)
-
 
 def _build_catalog() -> dict[str, Pattern]:
     k1 = complete_graph(1)
@@ -650,6 +644,7 @@ def odd_antihole_not_two_cliques(g: Graph) -> bool:
 
     The scan tries every bipartition; a True result certifies impossibility.
     """
+    require_graph(g, "g")
     if not is_odd_antihole(g):
         raise PreconditionError("input is not an odd antihole on >= 5 vertices")
     full = (1 << g.n) - 1

@@ -139,6 +139,11 @@ def decompose_five_hole(g: Graph, hole: tuple[int, ...]) -> FiveHoleDecompositio
     The decomposition asserts nothing about the host; the lemma checkers below
     state what holds in each class.
     """
+    require_graph(g, "g")
+    try:
+        hole = tuple(hole)
+    except TypeError:
+        raise PreconditionError(f"expected a sequence of five vertices for hole, not {hole!r}") from None
     for v in hole:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
             raise PreconditionError(f"hole entry {v!r} is not a vertex of 0..{g.n - 1}")
@@ -151,7 +156,6 @@ def decompose_five_hole(g: Graph, hole: tuple[int, ...]) -> FiveHoleDecompositio
             raise PreconditionError(f"hole vertices {a},{b} are not adjacent")
         if g.has_edge(a, c):
             raise PreconditionError(f"hole chord {a},{c}: cycle is not induced")
-    hole = tuple(hole)
     seen = frontier = sum(1 << v for v in hole)
     levels = []
     while frontier := neighborhood_mask(g.adj, frontier) & ~seen:
@@ -200,18 +204,6 @@ def five_cliques_partition(dec: FiveHoleDecomposition) -> tuple[int, ...]:
     and the consecutive triples; group ``i`` avoids hole vertex ``v_i``."""
     classes = dec.classes
     return tuple(sum(classes[p] for p in group) for group in _CLIQUE_GROUP_PATTERNS)
-
-
-def is_bad_pair(g: Graph, dec: FiveHoleDecomposition, u: int, v: int) -> bool:
-    """Non-adjacent hole neighbours whose classes pair up as
-    ``{i,i+1,i+3}`` against ``{i,i+1,i+2,i+4}`` for some ``i``."""
-    level1 = dec.level(1)
-    if min(u, v) < 0 or not (level1 >> u & 1 and level1 >> v & 1):
-        raise PreconditionError("bad pairs are defined for hole neighbours")
-    if g.has_edge(u, v):
-        raise PreconditionError("bad pairs are non-adjacent by definition")
-    pair = frozenset((_pattern_of(g.adj[u], dec.hole), _pattern_of(g.adj[v], dec.hole)))
-    return pair in _BAD_PAIRS
 
 
 def check_k23_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:

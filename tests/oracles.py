@@ -21,7 +21,6 @@ from chibind.graphs import (
     bits_of,
     complement,
     components_masks,
-    distances_from,
     from_edge_list,
     induced,
 )
@@ -389,6 +388,21 @@ def views_and_sub_masks(graphs: list[Graph], seed: int):
             yield adj, g.n, ((1 << g.n) - 1, rng.getrandbits(g.n), rng.getrandbits(g.n))
 
 
+def distances_plain(g: Graph, sources: tuple[int, ...]) -> list[int | None]:
+    """Hop distance of every vertex to the nearest source by a plain
+    breadth-first search over edge queries; None marks unreachable."""
+    dist: list[int | None] = [None] * g.n
+    queue = list(sources)
+    for v in queue:
+        dist[v] = 0
+    for v in queue:  # the list grows while it is walked
+        for u in range(g.n):
+            if dist[u] is None and g.has_edge(v, u):
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
 def five_hole_decomposition_plain(
     g: Graph, hole: tuple[int, ...]
 ) -> tuple[dict[frozenset[int], VertexSet], tuple[VertexSet, ...], VertexSet]:
@@ -406,10 +420,7 @@ def five_hole_decomposition_plain(
         if g.has_edge(a, c):
             raise PreconditionError(f"hole chord {a},{c}: cycle is not induced")
     n = g.n
-    hole_mask = 0
-    for v in hole:
-        hole_mask |= 1 << v
-    dist = distances_from(g, VertexSet(hole_mask, n))
+    dist = distances_plain(g, hole)
     depth = max((d for d in dist if d is not None), default=0)
     level_masks = [0] * depth
     unreachable = 0

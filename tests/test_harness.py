@@ -1,5 +1,6 @@
 """Verification targets, report determinism, and the CLI surface."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -19,6 +20,7 @@ from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
 from chibind.errors import PreconditionError, StructureAssertionError
 from chibind.graphs import (
+    GraphError,
     bits_of,
     complement,
     complete_graph,
@@ -130,38 +132,94 @@ def test_single_graph_entry_points_reject_a_non_graph(g):
         analyze_one(g)
 
 
-@pytest.mark.parametrize("call, match", [
-    (lambda: patterns.find_induced(5, "P5"), "Graph for host"),
-    (lambda: is_free("x", ["P5"]), "Graph for host"),
-    (lambda: clique_number(5), "Graph for g"),
-    (lambda: invariants.chromatic_number(5), "Graph for g"),
-    (lambda: colorers.color_sumner(5), "Graph for g"),
-    (lambda: colorers.color_k1_union_k3_free(5), "Graph for g"),
-    (lambda: colorers.color_wagon_2k2_free(5), "Graph for g"),
-    (lambda: colorers.color_divisible(None), "Graph for g"),
-    (lambda: colorers.color_p5_k23(5), "Graph for g"),
-    (lambda: colorers.color_p5_k1_2k2(5), "Graph for g"),
-    (lambda: colorers.color_p5_k1_k1k3(5), "Graph for g"),
-    (lambda: is_free(cycle_graph(5), None), "patterns for patterns"),
-    (lambda: is_free(cycle_graph(5), 5), "patterns for patterns"),
-    (lambda: representatives(3, None), "patterns for free_of"),
-] + [(lambda f=f: f(5), "Graph for g") for f in (
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: patterns.find_induced(5, "P5"), PreconditionError, "Graph for host"),
+    (lambda: is_free("x", ["P5"]), PreconditionError, "Graph for host"),
+    (lambda: clique_number(5), PreconditionError, "Graph for g"),
+    (lambda: invariants.chromatic_number(5), PreconditionError, "Graph for g"),
+    (lambda: colorers.color_sumner(5), PreconditionError, "Graph for g"),
+    (lambda: colorers.color_k1_union_k3_free(5), PreconditionError, "Graph for g"),
+    (lambda: colorers.color_wagon_2k2_free(5), PreconditionError, "Graph for g"),
+    (lambda: colorers.color_divisible(None), PreconditionError, "Graph for g"),
+    (lambda: colorers.color_p5_k23(5), PreconditionError, "Graph for g"),
+    (lambda: colorers.color_p5_k1_2k2(5), PreconditionError, "Graph for g"),
+    (lambda: colorers.color_p5_k1_k1k3(5), PreconditionError, "Graph for g"),
+    (lambda: is_free(cycle_graph(5), None), PreconditionError, "patterns for patterns"),
+    (lambda: is_free(cycle_graph(5), 5), PreconditionError, "patterns for patterns"),
+    (lambda: representatives(3, None), PreconditionError, "patterns for free_of"),
+] + [(lambda f=f: f(5), PreconditionError, "Graph for g") for f in (
     chibind.find_odd_hole, chibind.find_odd_antihole, chibind.is_perfect, chibind.independence_number,
     chibind.is_perfectly_divisible, chibind.find_perfect_division,
     chibind.encode_graph6, chibind.canonical_form, chibind.canonical_key,
     chibind.find_clique_cutset, chibind.minimal_cutsets, chibind.find_homogeneous_set,
     chibind.find_five_hole, chibind.find_dominating_clique_or_p3,
-    chibind.complement, chibind.is_connected, chibind.components,
-)], ids=["find_induced", "is_free-host", "clique_number", "chromatic_number", "color_sumner",
-         "color_k1_union_k3_free", "color_wagon_2k2_free", "color_divisible", "color_p5_k23",
-         "color_p5_k1_2k2", "color_p5_k1_k1k3", "is_free-None", "is_free-int", "representatives-None",
-         "find_odd_hole", "find_odd_antihole", "is_perfect", "independence_number",
-         "is_perfectly_divisible", "find_perfect_division", "encode_graph6", "canonical_form",
-         "canonical_key", "find_clique_cutset", "minimal_cutsets", "find_homogeneous_set",
-         "find_five_hole", "find_dominating_clique_or_p3", "complement", "is_connected", "components"])
-def test_public_entry_points_name_an_argument_of_the_wrong_type(call, match):
-    with pytest.raises(PreconditionError, match=match):
+    chibind.complement, chibind.is_connected, chibind.odd_antihole_not_two_cliques,
+)] + [
+    (lambda: chibind.induced(cycle_graph(5), 5), PreconditionError, "VertexSet for s"),
+    (lambda: chibind.induced(5, cycle_graph(5).vertices()), PreconditionError, "Graph for g"),
+    (lambda: chibind.is_clique(cycle_graph(5), 5), PreconditionError, "VertexSet for s"),
+    (lambda: chibind.is_clique(5, cycle_graph(5).vertices()), PreconditionError, "Graph for g"),
+    (lambda: chibind.VertexSet("a", 3), GraphError, "mask must be an int"),
+    (lambda: chibind.VertexSet(1, "a"), GraphError, "n must be an int"),
+    (lambda: chibind.VertexSet.of(5, 3), GraphError, "vertices must be iterable"),
+    (lambda: chibind.VertexSet.of([1.5], 3), GraphError, r"vertex 1\.5 is not one of 0\.\.2"),
+    (lambda: chibind.from_edge_list(3, 5), GraphError, "edges must be pairs"),
+    (lambda: chibind.from_edge_list(3, [(0, 1, 2)]), GraphError, "edges must be pairs"),
+    (lambda: chibind.from_edge_list(3, [("a", 1)]), GraphError, r"edge \('a',1\) has an endpoint"),
+    (lambda: chibind.join(cycle_graph(5), 5), PreconditionError, "Graph for g2"),
+    (lambda: chibind.disjoint_union(cycle_graph(5), 5), PreconditionError, "Graph for g2"),
+    (lambda: chibind.is_proper_coloring(cycle_graph(5), 5), PreconditionError, "Coloring for coloring"),
+    (lambda: chibind.is_proper_coloring(5, Coloring((0,), 1)), PreconditionError, "Graph for g"),
+    (lambda: chibind.is_proper_coloring(cycle_graph(5), Coloring("abcde", 2)), PreconditionError,
+     "coloring must hold int colours"),
+    (lambda: chibind.decompose_five_hole(5, (0, 1, 2, 3, 4)), PreconditionError, "Graph for g"),
+    (lambda: chibind.decompose_five_hole(cycle_graph(5), 5), PreconditionError, "five vertices for hole"),
+], ids=["find_induced", "is_free-host", "clique_number", "chromatic_number", "color_sumner",
+        "color_k1_union_k3_free", "color_wagon_2k2_free", "color_divisible", "color_p5_k23",
+        "color_p5_k1_2k2", "color_p5_k1_k1k3", "is_free-None", "is_free-int", "representatives-None",
+        "find_odd_hole", "find_odd_antihole", "is_perfect", "independence_number",
+        "is_perfectly_divisible", "find_perfect_division", "encode_graph6", "canonical_form",
+        "canonical_key", "find_clique_cutset", "minimal_cutsets", "find_homogeneous_set",
+        "find_five_hole", "find_dominating_clique_or_p3", "complement", "is_connected",
+        "odd_antihole_not_two_cliques", "induced-s", "induced-g", "is_clique-s", "is_clique-g",
+        "VertexSet-mask", "VertexSet-n", "VertexSet.of-vertices", "VertexSet.of-float",
+        "from_edge_list-int", "from_edge_list-triple", "from_edge_list-str", "join", "disjoint_union",
+        "is_proper_coloring-coloring", "is_proper_coloring-g", "is_proper_coloring-str",
+        "decompose_five_hole-g", "decompose_five_hole-hole"])
+def test_public_entry_points_name_an_argument_of_the_wrong_type(call, error, match):
+    with pytest.raises(error, match=match):
         call()
+
+
+# the exports that nothing outside the tests calls, each with why it stays
+EXPORTS_FOR_TESTS = {
+    "is_perfect": "the perfection test that test_acceptance checks against the definition",
+    "canonical_form": "the labelling that test_enumeration checks generation against",
+}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name ``chibind`` exports is read by the package itself, by
+    ``benchmarks/`` or by ``perfbench/``: as a name, an attribute or a
+    string naming it, anywhere but in an import."""
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "chibind"
+    init = package / "__init__.py"
+    exported = [alias.asname or alias.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    sources = [path for path in package.rglob("*.py") if path != init]
+    sources += [*(root / "benchmarks").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    read = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [name for name in exported if name not in read]
+    assert sorted(unread) == sorted(EXPORTS_FOR_TESTS)
 
 
 @pytest.mark.parametrize("pipeline", [["x"], None, 3, ("p5-k23",)])

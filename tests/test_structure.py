@@ -18,7 +18,6 @@ from chibind.graphs import (
     components_masks,
     cycle_graph,
     disjoint_union,
-    distances_from,
     from_edge_list,
     induced,
     is_connected,
@@ -48,7 +47,6 @@ from chibind.structure import (
     find_five_hole,
     find_homogeneous_set,
     five_cliques_partition,
-    is_bad_pair,
     minimal_cutsets,
     triangle_free_level2_split,
 )
@@ -56,6 +54,7 @@ from oracles import (
     clique_cutset_brute,
     cliques_brute,
     cutset_splits_oracle,
+    distances_plain,
     five_hole_decomposition_plain,
     graph_from_pair_mask,
     homogeneous_sets_brute,
@@ -303,7 +302,7 @@ def test_decomposition_partitions_vertices():
     for level in dec.levels:
         assert level and covered & level == 0
         covered |= level
-    dist = distances_from(g, VertexSet.of(dec.hole, g.n))
+    dist = distances_plain(g, dec.hole)
     assert covered == sum(1 << v for v, d in enumerate(dist) if d is not None)
     assert covered != (1 << g.n) - 1
     class_union = 0
@@ -332,21 +331,35 @@ def test_check_k23_hole_lemma_small():
     assert check_k23_level_lemma(g, dec) == []
 
 
-def test_bad_pair_detection():
-    g = c5_plus([0, 1, 3], [0, 1, 2, 4])
+def test_k23_hole_lemma_reports_a_missing_forced_edge():
+    # 5 sees {1,3} and 6 sees {1,3,4}: both miss v2, which with v1, v3 and
+    # them makes a K2,3 unless they are adjacent; the edge also makes their
+    # clique group a clique
+    g = c5_plus([0, 2], [0, 2, 3])
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
-    assert is_bad_pair(g, dec, 5, 6)
-    assert is_bad_pair(g, dec, 6, 5)
-    g2 = c5_plus([0, 2], [0, 2])
-    dec2 = decompose_five_hole(g2, (0, 1, 2, 3, 4))
-    assert not is_bad_pair(g2, dec2, 5, 6)
-    with pytest.raises(PreconditionError):
-        is_bad_pair(g, dec, 0, 5)
-    # two adjacent hole neighbours: a bad pair is non-adjacent by definition
-    g3 = from_edge_list(7, [*c5_plus([0, 2], [0, 1, 2]).edges(), (5, 6)])
-    dec3 = decompose_five_hole(g3, (0, 1, 2, 3, 4))
-    with pytest.raises(PreconditionError, match="non-adjacent"):
-        is_bad_pair(g3, dec3, 5, 6)
+    assert check_k23_hole_lemma(g, dec) == ["forced edge missing between 5 and 6 around hole position 1",
+                                            "clique group 2 is not a clique"]
+    g = from_edge_list(7, [*g.edges(), (5, 6)])
+    assert check_k23_hole_lemma(g, decompose_five_hole(g, (0, 1, 2, 3, 4))) == []
+
+
+def test_k23_hole_lemma_lets_only_bad_pairs_share_level_two():
+    """Two non-adjacent hole neighbours 5 and 6 with a common neighbour 7 at
+    level two: reported unless their classes form a bad pair."""
+    def host(u_sees, v_sees):
+        g = c5_plus(u_sees, v_sees)
+        g = from_edge_list(8, [*g.edges(), (5, 7), (6, 7)])
+        return g, decompose_five_hole(g, (0, 1, 2, 3, 4))
+
+    # {1,2,3} against {3,4,5} is no bad pair
+    g, dec = host([0, 1, 2], [2, 3, 4])
+    assert check_k23_hole_lemma(g, dec) == ["non-adjacent non-bad pair 5,6 shares a level-two neighbour"]
+    # {1,2,4} against {1,2,3,5}, and the same pair the other way round, is
+    # the bad pair at position 1
+    for u_sees, v_sees in (([0, 1, 3], [0, 1, 2, 4]), ([0, 1, 2, 4], [0, 1, 3])):
+        g, dec = host(u_sees, v_sees)
+        assert dec.level(2) == 1 << 7
+        assert check_k23_hole_lemma(g, dec) == []
 
 
 def test_homogeneous_set_examples():
