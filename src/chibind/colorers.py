@@ -291,7 +291,7 @@ def _wagon_map(g: Graph, mask: int, top: int) -> dict[int, int]:
     buckets = [1 << v for v in clique] + [0] * comb(w, 2)
     pair_index = {pair: w + k for k, pair in enumerate(combinations(range(w), 2))}
     for v in bits_of(mask & ~top):
-        missed = [i for i, u in enumerate(clique) if not g.has_edge(v, u)]
+        missed = [i for i, u in enumerate(clique) if not g.adj[v] >> u & 1]
         if not missed:
             raise StructureAssertionError("a vertex extends the maximum clique")
         buckets[missed[0] if len(missed) == 1 else pair_index[missed[0], missed[1]]] |= 1 << v
@@ -602,7 +602,7 @@ def color_p5_k1_2k2(g: Graph) -> tuple[Coloring, BoundCertificate]:
 
 
 def _order_p3(g: Graph, triple: list[int]) -> list[int]:
-    mid = next(v for v in triple if all(g.has_edge(v, u) for u in triple if u != v))
+    mid = next(v for v in triple if all(g.adj[v] >> u & 1 for u in triple if u != v))
     ends = [v for v in triple if v != mid]
     return [ends[0], mid, ends[1]]
 

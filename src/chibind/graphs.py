@@ -65,13 +65,6 @@ class VertexSet:
             mask |= 1 << v
         return cls(mask, n)
 
-    @classmethod
-    def full(cls, n: int) -> VertexSet:
-        return cls((1 << n) - 1, n)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(bits_of(self.mask))
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -139,14 +132,18 @@ class Graph:
         _set_free_of(g, free_of)
         return g
 
-    def vertices(self) -> VertexSet:
-        return VertexSet.full(self.n)
+    def _vertex(self, v, name: str) -> int:
+        """``v`` if it is a vertex of this graph; callers inside the package
+        read ``adj`` bits directly and skip this test."""
+        if type(v) is not int or not 0 <= v < self.n:
+            raise GraphError(f"{name} must be a vertex in 0..{self.n - 1}, not {v!r}")
+        return v
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.adj[self._vertex(u, "u")] >> self._vertex(v, "v") & 1)
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[self._vertex(v, "v")].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
@@ -161,7 +158,7 @@ class Graph:
                 yield (v, u)
 
     def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.adj[v], self.n)
+        return VertexSet(self.adj[self._vertex(v, "v")], self.n)
 
     def relabel(self, label: str | None) -> Graph:
         return Graph(self.n, self.adj, label)

@@ -119,27 +119,29 @@ class Target:
     hard_cap: int
     filter_desc: str
     streams: Callable[[int], Iterable[Graph]]
-    # the class: its tests other than freeness, and the patterns it is free
-    # of, which generation proves and a file line is searched for
-    shape: Callable[[Graph], bool]
+    # the patterns of the class, which generation proves and a file line is
+    # searched for; ``admit`` states the rest of the universe
     free_of: tuple
     admit: Callable[[Graph], bool]
     check: Callable[[Graph], CheckOutcome]
 
 
-def _free_stream(names: tuple, connected: bool = False, omega_min: int = 0):
-    """The class's generated members by vertex count, its shape test and
-    its patterns."""
+def _free_stream(*names):
+    """The generated members, by vertex count, of the class free of
+    ``names``, and its patterns."""
     free_of = tuple(_as_graph(p) for p in names)
-
-    def shape(g: Graph) -> bool:
-        # omega is searched only when the class bounds it
-        return ((not connected or is_connected(g))
-                and (not omega_min or clique_number(g) >= omega_min))
-
     # representatives is read from the module when called, so rebinding
     # that name (to trace generation, say) reaches every sweep
-    return (lambda n: representatives(n, free_of)), shape, free_of
+    return (lambda n: representatives(n, free_of)), free_of
+
+
+def _has_edge(g: Graph) -> bool:
+    """Clique number at least two, without a clique search."""
+    return any(g.adj)
+
+
+def _connected_with_edge(g: Graph) -> bool:
+    return _has_edge(g) and is_connected(g)
 
 
 def _has_five_hole(g: Graph) -> bool:
@@ -147,7 +149,8 @@ def _has_five_hole(g: Graph) -> bool:
 
 
 def _no_clique_cutset(g: Graph) -> bool:
-    return find_clique_cutset(g) is None
+    # the cutset search is defined on connected graphs only
+    return is_connected(g) and find_clique_cutset(g) is None
 
 
 def _five_hole_no_cutset(g: Graph) -> bool:
@@ -164,14 +167,13 @@ def _check_divisible(g: Graph) -> CheckOutcome:
                         row={"divisible": ok})
 
 
-def _bound_check(pipeline: str, connected_only: bool = False,
-                 describe: Callable[[Graph], dict] | None = None) -> Callable[[Graph], CheckOutcome]:
+def _bound_check(pipeline: str, connected_only: bool = False) -> Callable[[Graph], CheckOutcome]:
     """Check of a colouring bound: the exact chromatic number against the
     bound of ``pipeline``, then its colouring (on connected graphs only if
     ``connected_only``) for properness and for a colour count between the
-    two.  ``describe`` adds its own columns to the row.  The universe is the
-    colourer's class (or a subclass of it), and its members record the
-    class's patterns, so the colourer's precondition searches nothing."""
+    two.  The universe is the colourer's class (or a subclass of it), and
+    its members record the class's patterns, so the colourer's precondition
+    searches nothing."""
     def check(g: Graph) -> CheckOutcome:
         w = clique_number(g)
         bound = BOUNDS[pipeline](w)
@@ -192,14 +194,18 @@ def _bound_check(pipeline: str, connected_only: bool = False,
                 violations.append(f"{pipeline} claims fewer colours than the chromatic number")
             ratio = used / bound if bound > 0 else None
             row["colors_used"] = used
-        if describe is not None:
-            row.update(describe(g))
         return CheckOutcome(tuple(violations), ratio, row)
     return check
 
 
-def _shapes(g: Graph) -> dict:
-    return {"shapes": "|".join(kind for kind, _ in classify_triangle_free(g))}
+_check_sumner_bound = _bound_check("sumner")
+
+
+def _check_sumner(g: Graph) -> CheckOutcome:
+    """Sumner's bound, with the shape of each component in the row."""
+    outcome = _check_sumner_bound(g)
+    outcome.row["shapes"] = "|".join(kind for kind, _ in classify_triangle_free(g))
+    return outcome
 
 
 def _check_dominating(g: Graph) -> CheckOutcome:
@@ -266,56 +272,49 @@ def _register(name: str, default_cap: int, hard_cap: int, filter_desc: str,
 
 
 _register("theorem-1.1", 8, 10, "connected, no induced P5/C5/K2,3",
-          _free_stream(("P5", "C5", "K2,3"), connected=True), _always, _check_divisible)
+          _free_stream("P5", "C5", "K2,3"), is_connected, _check_divisible)
 _register("theorem-1.2", 9, 10, "no induced P5/K2,3, omega >= 2",
-          _free_stream(("P5", "K2,3"), omega_min=2), _always,
-          _bound_check("p5-k23", connected_only=True))
+          _free_stream("P5", "K2,3"), _has_edge, _bound_check("p5-k23", connected_only=True))
 _register("theorem-1.3", 9, 10, "connected, no induced P5/K1+2K2, omega >= 2",
-          _free_stream(("P5", "K1+2K2"), connected=True, omega_min=2), _always,
+          _free_stream("P5", "K1+2K2"), _connected_with_edge,
           _bound_check("p5-k1-2k2", connected_only=True))
 _register("theorem-1.4", 10, 10, "no induced P5/K1+(K1uK3)",
-          _free_stream(("P5", "K1+(K1uK3)")), _always,
+          _free_stream("P5", "K1+(K1uK3)"), _always,
           _bound_check("p5-k1-k1uk3", connected_only=True))
 _register("lemma-2.2", 9, 10, "no induced P5, with a five-hole",
-          _free_stream(("P5",)), _has_five_hole, _per_hole_check(check_p5_hole_lemma))
+          _free_stream("P5"), _has_five_hole, _per_hole_check(check_p5_hole_lemma))
 _register("lemma-2.4", 10, 10, "independence number at most two",
-          _free_stream((_TRIPLE_INDEPENDENT,)), _always, _check_divisible)
+          _free_stream(_TRIPLE_INDEPENDENT), _always, _check_divisible)
 _register("lemma-3.1", 10, 10, "connected, no induced P5/C5/K2,3, no clique cutset",
-          _free_stream(("P5", "C5", "K2,3"), connected=True), _no_clique_cutset,
-          _check_c5_cutsets)
+          _free_stream("P5", "C5", "K2,3"), _no_clique_cutset, _check_c5_cutsets)
 _register("lemma-4.1", 10, 10, "no induced P5/K2,3, with a five-hole",
-          _free_stream(("P5", "K2,3")), _has_five_hole, _per_hole_check(check_k23_hole_lemma))
+          _free_stream("P5", "K2,3"), _has_five_hole, _per_hole_check(check_k23_hole_lemma))
 _register("lemma-4.2", 10, 10, "connected, no induced P5/K2,3, no clique cutset, five-hole",
-          _free_stream(("P5", "K2,3"), connected=True),
-          _five_hole_no_cutset,
+          _free_stream("P5", "K2,3"), _five_hole_no_cutset,
           _per_hole_check(check_k23_level_lemma))
 _register("lemma-5.1", 9, 10, "connected, no induced P5",
-          _free_stream(("P5",), connected=True), _always, _check_dominating)
+          _free_stream("P5"), is_connected, _check_dominating)
 _register("lemma-5.2", 8, 10, "no induced 2K2",
-          _free_stream(("2K2",)), _always, _bound_check("wagon-2k2"))
+          _free_stream("2K2"), _always, _bound_check("wagon-2k2"))
 _register("lemma-6.1", 10, 10, "no induced P5/K3",
-          _free_stream(("P5", "K3")), _always,
-          _bound_check("sumner", describe=_shapes))
+          _free_stream("P5", "K3"), _always, _check_sumner)
 _register("lemma-6.2", 10, 10, "no induced P5/K1uK3, at least one edge",
-          _free_stream(("P5", "K1uK3")), lambda g: g.edge_count() >= 1,
-          _bound_check("k1-union-k3"))
+          _free_stream("P5", "K1uK3"), _has_edge, _bound_check("k1-union-k3"))
 _register("lemma-6.3", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
-          _free_stream(("P5", "K1+(K1uK3)"), connected=True),
-          _five_hole_no_cutset,
+          _free_stream("P5", "K1+(K1uK3)"), _five_hole_no_cutset,
           _per_hole_check(check_k1uk3_hole_lemma))
 _register("lemma-6.4", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique cutset, five-hole",
-          _free_stream(("P5", "K1+(K1uK3)"), connected=True),
-          _five_hole_no_cutset,
+          _free_stream("P5", "K1+(K1uK3)"), _five_hole_no_cutset,
           _per_hole_check(check_k1uk3_level_lemma))
 # the five-antihole is the five-hole, which the first test excludes
 _register("lemma-6.5", 10, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a big odd antihole",
-          _free_stream(("P5", "K1+(K1uK3)")),
+          _free_stream("P5", "K1+(K1uK3)"),
           lambda g: not _has_five_hole(g) and bool(find_all_odd_antiholes(g, 7)),
           _check_antiholes)
 # the two-cliques scan is exponential in the antihole length, so the cap stays
 # well under the 64-vertex graph budget
 _register("observation-2.1", 9, 21, "odd antiholes",
-          (_antihole_stream, _always, ()), is_odd_antihole, _check_two_cliques)
+          (_antihole_stream, ()), is_odd_antihole, _check_two_cliques)
 
 
 def verify(target: str, n_max: int | None = None, source: str | os.PathLike | None = None,
@@ -323,11 +322,10 @@ def verify(target: str, n_max: int | None = None, source: str | os.PathLike | No
     """Run one verification target over its universe up to ``n_max`` vertices.
 
     ``source`` replaces the generated universe with a graph6 file.  Both
-    sources go through one filter chain (see ``_admitted``): the class's
-    shape test, ``connected``, the target's admission and, for a file line
-    only, the class search, so a line the target does not admit costs no
-    pattern search.  ``connected`` restricts a universe that is not already
-    connected-only.
+    sources go through one filter chain (see ``_admitted``): ``connected``,
+    the target's admission and, for a file line only, the class search, so
+    a line the target does not admit costs no pattern search.
+    ``connected`` restricts a universe that is not already connected-only.
     """
     if target not in TARGETS:
         raise KeyError(f"unknown verification target {target!r}; known: {sorted(TARGETS)}")
@@ -400,19 +398,18 @@ def _admitted(entry: Target, cap: int, source: str | None, connected: bool) -> I
     """The graphs that ``verify`` checks, each test run once per graph and
     the cheapest first.  The source is the class's generated members on 1
     to ``cap`` vertices, or the lines of the graph6 file ``source`` with at
-    most ``cap`` vertices.  Each graph then passes the class's shape test,
-    ``connected`` and the target's admission; a file line last passes the
-    class search, which records each pattern it proves absent on the graph,
-    so a line the target does not admit costs no pattern search.  Generated
-    members are in the class already.  Admission needs no class membership,
-    but ``find_clique_cutset`` needs a connected graph, which the shape test
-    of its connected-only targets ensures."""
+    most ``cap`` vertices.  Each graph then passes ``connected`` and the
+    target's admission, which states the whole side condition of the class
+    and accepts any graph; a file line last passes the class search, which
+    records each pattern it proves absent on the graph, so a line the
+    target does not admit costs no pattern search.  Generated members are
+    in the class already."""
     if source is None:
         graphs: Iterable[Graph] = (g for n in range(1, cap + 1) for g in entry.streams(n))
     else:
         graphs = (g for g in iter_graph6_file(source) if g.n <= cap)
     for g in graphs:
-        if not entry.shape(g) or (connected and not is_connected(g)) or not entry.admit(g):
+        if (connected and not is_connected(g)) or not entry.admit(g):
             continue
         if source is None or is_free(g, entry.free_of):
             yield g

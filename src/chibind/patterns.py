@@ -634,7 +634,7 @@ def is_odd_antihole(g: Graph) -> bool:
     if g.n < 5 or g.n % 2 == 0:
         return False
     comp = complement(g)
-    if any(comp.degree(v) != 2 for v in range(g.n)):
+    if any(row.bit_count() != 2 for row in comp.adj):
         return False
     return is_connected(comp)
 

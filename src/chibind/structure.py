@@ -152,9 +152,9 @@ def decompose_five_hole(g: Graph, hole: tuple[int, ...]) -> FiveHoleDecompositio
     for i in range(5):
         a, b = hole[i], hole[(i + 1) % 5]
         c = hole[(i + 2) % 5]
-        if not g.has_edge(a, b):
+        if not g.adj[a] >> b & 1:
             raise PreconditionError(f"hole vertices {a},{b} are not adjacent")
-        if g.has_edge(a, c):
+        if g.adj[a] >> c & 1:
             raise PreconditionError(f"hole chord {a},{c}: cycle is not induced")
     seen = frontier = sum(1 << v for v in hole)
     levels = []
@@ -294,7 +294,7 @@ def check_k1uk3_hole_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     classes = dec.classes
     for i, (far, triples) in enumerate(_K1UK3_PATTERNS, start=1):
         vi = dec.hole[i - 1]
-        if not in_class and not is_free(induced(g, g.neighbors(vi)), [_K1UK3]):
+        if not in_class and not is_free(induced(g, VertexSet(g.adj[vi], g.n)), [_K1UK3]):
             out.append(f"neighbourhood of hole vertex v{i} induces K1uK3")
         if _has_triangle(g, classes[far]):
             out.append(f"class {{{i},{i + 2}}} induces a triangle")
@@ -319,7 +319,7 @@ def _level2_attachments(g: Graph, dec: FiveHoleDecomposition) -> Iterator[tuple[
             yield comp, comp
             continue
         attached = [u for u in bits_of(level1) if g.adj[u] & comp]
-        pairs = (u for u, v in itertools.combinations(attached, 2) if not g.has_edge(u, v))
+        pairs = (u for u, v in itertools.combinations(attached, 2) if not g.adj[u] >> v & 1)
         u = next(pairs, None)
         yield comp, None if u is None else g.adj[u] & comp
 
@@ -641,7 +641,7 @@ def _induced_path_interior_sizes(g: Graph, s1: int, s2: int, interior: int) -> l
 
     def extend(used: int) -> None:
         last = path[-1]
-        if g.has_edge(last, s2) and all(not g.has_edge(p, s2) for p in path[:-1]):
+        if g.adj[last] >> s2 & 1 and all(not g.adj[p] >> s2 & 1 for p in path[:-1]):
             sizes.append(len(path) - 1)
         cand = g.adj[last] & interior & ~used
         for p in path[:-1]:
@@ -670,7 +670,7 @@ def check_c5_cutset_lemma(g: Graph) -> list[str]:
             out.append(f"minimal cutset {sorted(report.cutset)} leaves {len(comps)} components")
             continue
         for s1, s2 in itertools.combinations(report.cutset, 2):
-            if g.has_edge(s1, s2):
+            if g.adj[s1] >> s2 & 1:
                 continue
             for side in comps:
                 sizes = _induced_path_interior_sizes(g, s1, s2, side.mask)

@@ -18,13 +18,16 @@ import chibind
 from chibind import colorers, enumeration, harness, invariants, patterns, structure
 from chibind.cli import main
 from chibind.enumeration import decode_graph6, encode_graph6, representatives, write_graph6_file
-from chibind.errors import PreconditionError, StructureAssertionError
+from chibind.errors import PreconditionError, SearchExhaustedError, StructureAssertionError
 from chibind.graphs import (
     GraphError,
+    VertexSet,
     bits_of,
     complement,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    empty_graph,
     from_edge_list,
     induced,
     is_connected,
@@ -156,9 +159,9 @@ def test_single_graph_entry_points_reject_a_non_graph(g):
     chibind.complement, chibind.is_connected, chibind.odd_antihole_not_two_cliques,
 )] + [
     (lambda: chibind.induced(cycle_graph(5), 5), PreconditionError, "VertexSet for s"),
-    (lambda: chibind.induced(5, cycle_graph(5).vertices()), PreconditionError, "Graph for g"),
+    (lambda: chibind.induced(5, VertexSet((1 << 5) - 1, 5)), PreconditionError, "Graph for g"),
     (lambda: chibind.is_clique(cycle_graph(5), 5), PreconditionError, "VertexSet for s"),
-    (lambda: chibind.is_clique(5, cycle_graph(5).vertices()), PreconditionError, "Graph for g"),
+    (lambda: chibind.is_clique(5, VertexSet((1 << 5) - 1, 5)), PreconditionError, "Graph for g"),
     (lambda: chibind.VertexSet("a", 3), GraphError, "mask must be an int"),
     (lambda: chibind.VertexSet(1, "a"), GraphError, "n must be an int"),
     (lambda: chibind.VertexSet.of(5, 3), GraphError, "vertices must be iterable"),
@@ -174,6 +177,12 @@ def test_single_graph_entry_points_reject_a_non_graph(g):
      "coloring must hold int colours"),
     (lambda: chibind.decompose_five_hole(5, (0, 1, 2, 3, 4)), PreconditionError, "Graph for g"),
     (lambda: chibind.decompose_five_hole(cycle_graph(5), 5), PreconditionError, "five vertices for hole"),
+    (lambda: cycle_graph(5).has_edge(-1, 0), GraphError, r"u must be a vertex in 0\.\.4, not -1"),
+    (lambda: cycle_graph(5).has_edge("a", 1), GraphError, r"u must be a vertex in 0\.\.4, not 'a'"),
+    (lambda: cycle_graph(5).has_edge(0, 5), GraphError, r"v must be a vertex in 0\.\.4, not 5"),
+    (lambda: cycle_graph(5).neighbors(-1), GraphError, r"v must be a vertex in 0\.\.4, not -1"),
+    (lambda: cycle_graph(5).neighbors(9), GraphError, r"v must be a vertex in 0\.\.4, not 9"),
+    (lambda: cycle_graph(5).degree(True), GraphError, r"v must be a vertex in 0\.\.4, not True"),
 ], ids=["find_induced", "is_free-host", "clique_number", "chromatic_number", "color_sumner",
         "color_k1_union_k3_free", "color_wagon_2k2_free", "color_divisible", "color_p5_k23",
         "color_p5_k1_2k2", "color_p5_k1_k1k3", "is_free-None", "is_free-int", "representatives-None",
@@ -185,7 +194,8 @@ def test_single_graph_entry_points_reject_a_non_graph(g):
         "VertexSet-mask", "VertexSet-n", "VertexSet.of-vertices", "VertexSet.of-float",
         "from_edge_list-int", "from_edge_list-triple", "from_edge_list-str", "join", "disjoint_union",
         "is_proper_coloring-coloring", "is_proper_coloring-g", "is_proper_coloring-str",
-        "decompose_five_hole-g", "decompose_five_hole-hole"])
+        "decompose_five_hole-g", "decompose_five_hole-hole", "has_edge-negative", "has_edge-str",
+        "has_edge-v", "neighbors-negative", "neighbors-past-n", "degree-bool"])
 def test_public_entry_points_name_an_argument_of_the_wrong_type(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -253,10 +263,10 @@ def test_verify_report_does_not_depend_on_the_file_order(tmp_path):
 
 def test_file_reports_equal_generated_reports(tmp_path):
     """Over a file of every graph with n <= 6, each target checks exactly
-    its generated universe: the file's lines pass the cap, the shape tests,
-    admission and the class search in that order, and admission never sees
-    a line that the shape tests drop (lemma-3.1's cutset search needs a
-    connected graph)."""
+    its generated universe: the file's lines pass the cap, admission and
+    the class search in that order, and admission alone states the rest of
+    the class (lemma-3.1's admits only connected graphs, as its cutset
+    search needs)."""
     path = tmp_path / "all6.g6"
     write_graph6_file(str(path), [g for n in range(1, 7) for g in representatives(n)])
     for target in TARGETS:
@@ -276,8 +286,8 @@ PERFBENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "p
 ])
 def test_file_lines_pay_the_class_search_only_once_admitted(target, source, cap, lines,
                                                             monkeypatch, tmp_path):
-    """Admission runs once on each file line within the cap and the shape
-    tests, and the class search runs once on each admitted line only."""
+    """Admission runs once on each file line within the cap, and the class
+    search runs once on each admitted line only."""
     if source is None:
         source = tmp_path / "all6.g6"
         write_graph6_file(str(source), [g for n in range(1, 7) for g in representatives(n)])
@@ -715,20 +725,76 @@ def test_the_bound_check_fires_above_the_bound(monkeypatch):
     assert check(c5).violations == ("sumner used 4 colours above bound 3",)
 
 
+def test_the_bound_check_fires_on_an_improper_colouring(monkeypatch):
+    """Two colours on C5 repeat a colour along an edge and fall below its
+    chromatic number three."""
+    monkeypatch.setitem(COLORERS, "sumner", lambda g: (Coloring((0, 1, 0, 1, 0), 2), None))
+    assert harness._bound_check("sumner")(cycle_graph(5)).violations == (
+        "sumner colouring is improper",
+        "sumner claims fewer colours than the chromatic number")
+
+
+def _exhausted(g):
+    raise SearchExhaustedError("stub")
+
+
+@pytest.mark.parametrize("g, found, violation", [
+    (path_graph(5), lambda g: ("clique", VertexSet.of([0], 5)), "returned set does not dominate"),
+    (cycle_graph(5), lambda g: ("clique", VertexSet.of([0, 2], 5)), "returned clique is not a clique"),
+    (complete_graph(4), lambda g: ("p3", VertexSet.of([0, 1, 2], 4)),
+     "returned three-path is not an induced path"),
+    (cycle_graph(5), _exhausted, "search exhausted without a dominating clique or three-path"),
+], ids=["not-dominating", "not-a-clique", "not-a-path", "exhausted"])
+def test_the_dominating_check_fires_on_a_bad_answer(g, found, violation, monkeypatch):
+    """Each text of the dominating-set check, from a stubbed search: {0}
+    leaves most of P5 undominated, {0, 2} dominates C5 but is no clique,
+    and a triangle of K4 dominates but is no induced three-path."""
+    monkeypatch.setattr(harness, "find_dominating_clique_or_p3", found)
+    assert harness._check_dominating(g).violations == (violation,)
+
+
+def test_the_per_hole_check_names_the_hole():
+    """A pendant vertex on C5 sits in the singleton class of its neighbour,
+    which the P5 hole lemma says is empty (the pendant makes a P5)."""
+    g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+    outcome = harness._per_hole_check(structure.check_p5_hole_lemma)(g)
+    assert outcome.violations == ("hole (0, 1, 2, 3, 4): singleton class {1} is nonempty",)
+
+
+def test_the_two_cliques_check_fires(monkeypatch):
+    monkeypatch.setattr(harness, "odd_antihole_not_two_cliques", lambda g: False)
+    outcome = harness._check_two_cliques(complement(cycle_graph(7)))
+    assert outcome.violations == ("odd antihole split into two cliques",)
+
+
 @pytest.mark.parametrize("target, admitted, refused", [
     ("lemma-2.2", (cycle_graph(5),), (path_graph(4),)),  # _has_five_hole
     ("lemma-4.1", (cycle_graph(5),), (path_graph(4),)),  # _has_five_hole
-    ("lemma-3.1", (cycle_graph(5),), (path_graph(3),)),  # _no_clique_cutset
+    ("lemma-3.1", (cycle_graph(5),), (path_graph(3), empty_graph(2))),  # _no_clique_cutset
     ("lemma-4.2", (cycle_graph(5),), (path_graph(4), path_graph(3))),  # both
-    ("lemma-6.5", (complement(cycle_graph(7)),), (cycle_graph(5), complete_graph(4))),
+    ("lemma-6.5", (complement(cycle_graph(7)),), (cycle_graph(5), complete_graph(4))),    ("theorem-1.2", (path_graph(2), disjoint_union(path_graph(2), empty_graph(1))),
+     (empty_graph(1), empty_graph(3))),  # _has_edge
+    ("theorem-1.3", (path_graph(2), cycle_graph(5)),
+     (empty_graph(1), disjoint_union(path_graph(2), empty_graph(1)))),  # _connected_with_edge
 ])
 def test_each_admission_admits_and_refuses(target, admitted, refused):
     """Each admission predicate admits a graph with its shape and refuses one
     without: P4 has no five-hole, the middle vertex of P3 is a clique
-    cutset, C5 is its own five-antihole and K4 holds no odd antihole."""
+    cutset, two vertices without an edge are not connected, K1 has no
+    edge, C5 is its own five-antihole and K4 holds no odd antihole."""
     admit = TARGETS[target].admit
     assert [admit(g) for g in admitted] == [True] * len(admitted)
     assert [admit(g) for g in refused] == [False] * len(refused)
+
+
+def test_every_admission_answers_on_every_small_graph():
+    """Each target's admission states the whole side condition of its
+    class, so it answers with a bool on any graph, connected or not,
+    without a precondition of its own."""
+    graphs = [g for n in range(1, 7) for g in representatives(n)]
+    assert not all(is_connected(g) for g in graphs)
+    for name, entry in TARGETS.items():
+        assert all(type(entry.admit(g)) is bool for g in graphs), name
 
 
 def test_every_colourer_returns_its_certificate(all_graphs_7):
@@ -749,9 +815,9 @@ def test_every_colourer_returns_its_certificate(all_graphs_7):
 
 
 def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch, tmp_path):
-    """The class's omega test, the bound check, the exact chromatic number,
-    the pipeline with its leaves and the lemma checkers share one
-    whole-graph clique search per checked graph."""
+    """The bound check, the exact chromatic number, the pipeline with its
+    leaves and the lemma checkers share one whole-graph clique search per
+    checked graph."""
     searches: dict[int, tuple[tuple[int, ...], int]] = {}
     search = invariants.clique_number_mask
 
@@ -781,7 +847,7 @@ def test_each_checked_graph_has_its_clique_number_searched_once(monkeypatch, tmp
         report = verify(target, n_max=7, source=path)
         assert report.graphs_checked == len(checked) > 0
         assert {searches.get(id(g.adj), ((), 0))[1] for g in checked} == {1}, (target, path)
-    assert all(induced(g, g.vertices()) is g for g in checked)
+    assert all(induced(g, VertexSet((1 << g.n) - 1, g.n)) is g for g in checked)
 
 
 def test_each_checked_graph_has_each_colouring_searched_once(monkeypatch, tmp_path):

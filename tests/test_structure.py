@@ -364,7 +364,7 @@ def test_k23_hole_lemma_lets_only_bad_pairs_share_level_two():
 
 def test_homogeneous_set_examples():
     k23 = pattern("K2,3").graph
-    assert find_homogeneous_set(k23).members() == (0, 1)
+    assert tuple(find_homogeneous_set(k23)) == (0, 1)
     assert find_homogeneous_set(path_graph(4)) is None
     assert find_homogeneous_set(cycle_graph(5)) is None
 
@@ -390,7 +390,7 @@ def test_homogeneous_set_matches_bruteforce(g):
 
 def test_clique_cutset_examples():
     report = find_clique_cutset(path_graph(3))
-    assert report.cutset.members() == (1,) and report.kind == "clique-cutset"
+    assert tuple(report.cutset) == (1,) and report.kind == "clique-cutset"
     assert len(report.side_components) == 2
     assert find_clique_cutset(cycle_graph(5)) is None
     assert find_clique_cutset(complete_graph(4)) is None
@@ -403,8 +403,8 @@ def test_clique_cutset_breaks_ties_on_sorted_members():
     # has the least sorted members
     g = Graph(7, (96, 48, 72, 84, 106, 83, 61))
     report = find_clique_cutset(g)
-    assert report.cutset.members() == (3, 6)
-    assert [c.members() for c in report.side_components] == [(0, 1, 4, 5), (2,)]
+    assert tuple(report.cutset) == (3, 6)
+    assert [tuple(c) for c in report.side_components] == [(0, 1, 4, 5), (2,)]
     assert _cutset_pair(report) == clique_cutset_brute(g)
 
 
@@ -454,7 +454,7 @@ def test_one_separator_list_splits_like_the_per_piece_search(monkeypatch, all_gr
 
 
 def test_minimal_cutsets_examples():
-    cuts = [r.cutset.members() for r in minimal_cutsets(cycle_graph(5))]
+    cuts = [tuple(r.cutset) for r in minimal_cutsets(cycle_graph(5))]
     assert cuts == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
     assert minimal_cutsets(complete_graph(4)) == []
 
@@ -497,12 +497,12 @@ def test_minimal_cutsets_match_the_subset_scan(all_graphs_8):
 
 def test_dominating_examples():
     kind, found = find_dominating_clique_or_p3(complete_graph(1))
-    assert kind == "clique" and found.members() == (0,)
+    assert kind == "clique" and tuple(found) == (0,)
     kind, found = find_dominating_clique_or_p3(cycle_graph(5))
-    assert kind == "p3" and found.members() == (0, 1, 2)
+    assert kind == "p3" and tuple(found) == (0, 1, 2)
     star = pattern("K1,3").graph
     kind, found = find_dominating_clique_or_p3(star)
-    assert kind == "clique" and found.members() == (0,)
+    assert kind == "clique" and tuple(found) == (0,)
     with pytest.raises(PreconditionError):
         find_dominating_clique_or_p3(pattern("2K2").graph)
 
@@ -640,6 +640,30 @@ def test_k23_checker_violations_are_pinned(hosts, decompositions, lines, digest)
 def test_cutset_checker_fires_outside_class():
     k23 = pattern("K2,3").graph  # the 3-side is a minimal cutset with alpha 3
     assert any("independence" in v for v in check_c5_cutset_lemma(k23))
+
+
+def test_cutset_checker_fires_on_long_attachment_paths():
+    """The minimal cutsets of C6 are its nine pairs of non-adjacent
+    vertices.  A pair at distance two is joined through its far side by a
+    path with three inner vertices.  A pair at distance three is joined
+    through each side by a path with two, and neither of its vertices is
+    complete to a side."""
+    out = check_c5_cutset_lemma(cycle_graph(6))
+    assert "attachment path between 0,3 has length above two" in out
+    assert "cutset vertex 0 is complete to neither side" in out
+    long_paths = [v for v in out if v.endswith("has length above two")]
+    incomplete = [v for v in out if v.endswith("is complete to neither side")]
+    assert (len(long_paths), len(incomplete), len(out)) == (12, 6, 18)
+
+
+def test_cutset_checker_fires_without_an_attachment_path(monkeypatch):
+    """A side component always joins the two halves of a cutset through
+    itself, so the missing path needs a stubbed cutset: {0, 3} of C6 with
+    the sides {1} and {4}, neither adjacent to both."""
+    report = structure.CutsetReport(VertexSet.of([0, 3], 6), "minimal-cutset",
+                                    (VertexSet.of([1], 6), VertexSet.of([4], 6)))
+    monkeypatch.setattr(structure, "minimal_cutsets", lambda g: [report])
+    assert check_c5_cutset_lemma(cycle_graph(6)) == ["no attachment path between 0,3 through one side"] * 2
 
 
 def test_k1uk3_checker_fires_outside_class():
