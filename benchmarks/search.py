@@ -8,7 +8,7 @@ tracked ``tests/_cache/v1-P5-8.g6``.  The searches are:
 
 - ``find_induced`` of P5 (absent from every host), K2,3, K1+2K2 and
   K1+(K1uK3) (present in some hosts, absent from the rest);
-- ``find_five_hole`` and ``find_all_odd_antiholes(g, 7)``, which run the
+- ``find_five_hole`` and ``find_all_odd_antiholes(g)``, which run the
   hole search in the host and in its complement;
 - ``has_induced_using`` of each of the four patterns at every vertex of the
   host (``using P5`` and so on), the test that seeded growth makes for each
@@ -58,7 +58,7 @@ def search(name):
     if name == "five-hole":
         return find_five_hole
     if name == "odd-antiholes":
-        return lambda g: find_all_odd_antiholes(g, 7)
+        return lambda g: find_all_odd_antiholes(g)
     if name.startswith("using "):
         pg = pattern(name[len("using "):]).graph
         return lambda g: tuple(has_induced_using(g.adj, g.n, pg, v) for v in range(g.n))

@@ -34,11 +34,11 @@ OUT = Path(__file__).resolve().parents[1] / "BENCH_suite.json"
 
 
 def classes() -> dict[str, tuple[tuple, list[str]]]:
-    """Per class name, its forbidden graphs (empty when the targets generate
-    nothing) and its targets, in registry order."""
+    """Per class name, its forbidden patterns (empty when the targets
+    generate nothing) and its targets, in registry order."""
     groups: dict[str, tuple[tuple, list[str]]] = {}
     for name, entry in harness.TARGETS.items():
-        key = ",".join(g.label for g in entry.free_of) or "none"
+        key = ",".join(p.name for p in entry.free_of) or "none"
         groups.setdefault(key, (entry.free_of, []))[1].append(name)
     return groups
 

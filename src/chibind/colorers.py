@@ -384,7 +384,7 @@ def _leaf_on_copy(g: Graph, mask: int, leaf) -> tuple[dict[int, int], list[tuple
     verts = list(bits_of(mask))
     h = induced(g, VertexSet(mask, g.n))
     hole = find_five_hole(h)
-    antiholes = find_all_odd_antiholes(h, 7) if hole is None else []
+    antiholes = find_all_odd_antiholes(h) if hole is None else []
     if hole is None and not antiholes:
         full = (1 << h.n) - 1
         d_local, r_local = _perfect_map(h, full), [("perfect-exact", full)]

@@ -175,7 +175,7 @@ def canonical_form(g: Graph) -> Graph:
     """The canonically labelled copy of ``g``."""
     require_graph(g, "g")
     _, perm, _ = _canon(g.n, g.adj)
-    return Graph._trusted(g.n, _apply_perm(g.n, g.adj, perm), g.label)
+    return Graph._trusted(g.n, _apply_perm(g.n, g.adj, perm))
 
 
 # ---------------------------------------------------------------------------

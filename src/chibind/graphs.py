@@ -1,8 +1,10 @@
 """Immutable bitmask graphs on at most 64 vertices and the basic constructions.
 
-A graph stores one adjacency word per vertex, so every subset of vertices fits
-in a single machine word and subset-indexed dynamic programs stay cheap.  A
-graph never changes after construction; nothing here mutates its inputs.
+A graph is its order, one adjacency word per vertex and the facts kept after
+their one search (clique number, chromatic number, patterns it is proved free
+of).  Every subset of vertices fits in a single machine word, so
+subset-indexed dynamic programs stay cheap.  A graph never changes after
+construction; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class VertexSet:
     def __iter__(self) -> Iterator[int]:
         return bits_of(self.mask)
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.mask >> v & 1)
-
     def __bool__(self) -> bool:
         return self.mask != 0
 
@@ -83,16 +82,16 @@ class Graph:
     """Simple undirected graph with dense adjacency rows.
 
     Vertices are ``0..n-1``.  ``adj[v]`` is the neighbour mask of ``v``; the
-    matrix is symmetric with a zero diagonal.  The label is a display tag and
-    does not take part in equality.  Neither do the facts kept after their one
-    search, which cannot go stale as a graph never changes: ``_omega``, the
-    clique number, ``_chi``, the chromatic number with its optimal colouring,
-    and ``_free_of``, the rows of the patterns it is free of.
+    matrix is symmetric with a zero diagonal.  Equality compares ``n`` and
+    ``adj`` only, not the facts kept after their one search, which cannot go
+    stale as a graph never changes: ``_omega``, the clique number, ``_chi``,
+    the chromatic number with its optimal colouring, and ``_free_of``, the
+    rows of the patterns it is free of.  A graph carries no name; a pattern's
+    name is ``Pattern.name``.
     """
 
     n: int
     adj: tuple[int, ...]
-    label: str | None = field(default=None, compare=False)
     # declared slots: an undeclared attribute would cost every graph a dictionary
     _omega: int | None = field(default=None, init=False, compare=False, repr=False)
     _chi: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -119,31 +118,16 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...], label: str | None = None,
-                 free_of: tuple = ()) -> Graph:
+    def _trusted(cls, n: int, adj: tuple[int, ...], free_of: tuple = ()) -> Graph:
         """A graph on rows known to be valid, such as rows of a validated graph,
         free of the patterns with rows ``free_of``; skips ``__post_init__``."""
         g = object.__new__(cls)
         _set_n(g, n)
         _set_adj(g, adj)
-        _set_label(g, label)
         _set_omega(g, None)
         _set_chi(g, None)
         _set_free_of(g, free_of)
         return g
-
-    def _vertex(self, v, name: str) -> int:
-        """``v`` if it is a vertex of this graph; callers inside the package
-        read ``adj`` bits directly and skip this test."""
-        if type(v) is not int or not 0 <= v < self.n:
-            raise GraphError(f"{name} must be a vertex in 0..{self.n - 1}, not {v!r}")
-        return v
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[self._vertex(u, "u")] >> self._vertex(v, "v") & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[self._vertex(v, "v")].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
@@ -157,22 +141,14 @@ class Graph:
             for u in bits_of(higher):
                 yield (v, u)
 
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.adj[self._vertex(v, "v")], self.n)
-
-    def relabel(self, label: str | None) -> Graph:
-        return Graph(self.n, self.adj, label)
-
     def __repr__(self) -> str:
-        tag = f" {self.label!r}" if self.label else ""
-        return f"Graph(n={self.n}, m={self.edge_count()}{tag})"
+        return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
 # the setters of the slots, for ``Graph._trusted``: a frozen graph refuses
 # plain assignment, and ``object.__setattr__`` would look each slot up by name
 _set_n = Graph.n.__set__
 _set_adj = Graph.adj.__set__
-_set_label = Graph.label.__set__
 _set_omega = Graph._omega.__set__
 _set_chi = Graph._chi.__set__
 _set_free_of = Graph._free_of.__set__
@@ -194,7 +170,7 @@ def _check_order(n: int) -> None:
         raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate pairs collapse."""
     _check_order(n)
     try:
@@ -209,28 +185,28 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], label: str | None =
             raise GraphError(f"loop edge ({u},{v})")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows), label)
+    return Graph(n, tuple(rows))
 
 
-def empty_graph(n: int, label: str | None = None) -> Graph:
+def empty_graph(n: int) -> Graph:
     _check_order(n)
-    return Graph(n, (0,) * n, label)
+    return Graph(n, (0,) * n)
 
 
-def complete_graph(n: int, label: str | None = None) -> Graph:
+def complete_graph(n: int) -> Graph:
     _check_order(n)
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), label)
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
-def path_graph(n: int, label: str | None = None) -> Graph:
-    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)), label)
+def path_graph(n: int) -> Graph:
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
-def cycle_graph(n: int, label: str | None = None) -> Graph:
+def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("a cycle needs at least 3 vertices")
-    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)), label)
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _bind(g: Graph, s: VertexSet) -> int:
@@ -267,27 +243,26 @@ def induced(g: Graph, s: VertexSet) -> Graph:
             row |= new_bit[low.bit_length() - 1]
             m ^= low
         rows.append(row)
-    return Graph._trusted(len(old), tuple(rows), g.label, g._free_of)
+    return Graph._trusted(len(old), tuple(rows), g._free_of)
 
 
 def complement(g: Graph) -> Graph:
     require_graph(g, "g")
     full = (1 << g.n) - 1
-    return Graph._trusted(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)),
-                          g.label)
+    return Graph._trusted(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
-def disjoint_union(g1: Graph, g2: Graph, label: str | None = None) -> Graph:
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Union on disjoint vertex sets; ``g2`` vertices are shifted by ``g1.n``."""
     require_graph(g1, "g1")
     require_graph(g2, "g2")
     if g1.n + g2.n > MAX_VERTICES:
         raise CapacityError(f"union of {g1.n}+{g2.n} vertices exceeds {MAX_VERTICES}")
     rows = list(g1.adj) + [row << g1.n for row in g2.adj]
-    return Graph(g1.n + g2.n, tuple(rows), label)
+    return Graph(g1.n + g2.n, tuple(rows))
 
 
-def join(g1: Graph, g2: Graph, label: str | None = None) -> Graph:
+def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all cross edges."""
     require_graph(g1, "g1")
     require_graph(g2, "g2")
@@ -297,7 +272,7 @@ def join(g1: Graph, g2: Graph, label: str | None = None) -> Graph:
     right = ((1 << g2.n) - 1) << g1.n
     rows = [row | right for row in g1.adj]
     rows += [(row << g1.n) | left for row in g2.adj]
-    return Graph(g1.n + g2.n, tuple(rows), label)
+    return Graph(g1.n + g2.n, tuple(rows))
 
 
 def components_masks(adj: tuple[int, ...], sub: int) -> list[int]:

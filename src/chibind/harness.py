@@ -38,12 +38,13 @@ from .invariants import (
     is_proper_coloring,
 )
 from .patterns import (
-    _as_graph,
+    Pattern,
     find_odd_hole,
     find_odd_antihole,
     is_free,
     is_odd_antihole,
     odd_antihole_not_two_cliques,
+    pattern,
 )
 from .structure import (
     check_antihole_lemma,
@@ -63,7 +64,7 @@ from .structure import (
     minimal_cutsets,
 )
 
-_TRIPLE_INDEPENDENT = empty_graph(3, "3K1")
+_TRIPLE_INDEPENDENT = Pattern("3K1", empty_graph(3))
 
 
 @dataclass(frozen=True)
@@ -119,17 +120,19 @@ class Target:
     hard_cap: int
     filter_desc: str
     streams: Callable[[int], Iterable[Graph]]
-    # the patterns of the class, which generation proves and a file line is
-    # searched for; ``admit`` states the rest of the universe
-    free_of: tuple
+    # the class's patterns, which generation proves and a file line is
+    # searched for, and whose names key the class; ``admit`` states the rest
+    # of the universe
+    free_of: tuple[Pattern, ...]
     admit: Callable[[Graph], bool]
     check: Callable[[Graph], CheckOutcome]
 
 
-def _free_stream(*names):
+def _free_stream(*names: str | Pattern):
     """The generated members, by vertex count, of the class free of
-    ``names``, and its patterns."""
-    free_of = tuple(_as_graph(p) for p in names)
+    ``names``, and its patterns: a catalog name resolves with ``pattern``,
+    and a pattern outside the catalog comes as a ``Pattern``."""
+    free_of = tuple(pattern(p) if isinstance(p, str) else p for p in names)
     # representatives is read from the module when called, so rebinding
     # that name (to trace generation, say) reaches every sweep
     return (lambda n: representatives(n, free_of)), free_of
@@ -309,7 +312,7 @@ _register("lemma-6.4", 10, 10, "connected, no induced P5/K1+(K1uK3), no clique c
 # the five-antihole is the five-hole, which the first test excludes
 _register("lemma-6.5", 10, 10, "no induced P5/K1+(K1uK3), five-cycle-free, with a big odd antihole",
           _free_stream("P5", "K1+(K1uK3)"),
-          lambda g: not _has_five_hole(g) and bool(find_all_odd_antiholes(g, 7)),
+          lambda g: not _has_five_hole(g) and bool(find_all_odd_antiholes(g)),
           _check_antiholes)
 # the two-cliques scan is exponential in the antihole length, so the cap stays
 # well under the 64-vertex graph budget

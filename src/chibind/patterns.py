@@ -116,7 +116,7 @@ def _build_catalog() -> dict[str, Pattern]:
     # standard banner: a 4-cycle with one pendant vertex; named but not drawn
     # alongside the rest of the catalog, so treated as externally defined
     graphs["banner"] = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    return {name: Pattern(name, g.relabel(name)) for name, g in graphs.items()}
+    return {name: Pattern(name, g) for name, g in graphs.items()}
 
 
 PATTERN_CATALOG: dict[str, Pattern] = _build_catalog()

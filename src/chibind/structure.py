@@ -357,14 +357,15 @@ def check_k1uk3_level_lemma(g: Graph, dec: FiveHoleDecomposition) -> list[str]:
     return out
 
 
-def find_all_odd_antiholes(g: Graph, min_length: int = 7) -> list[tuple[int, ...]]:
-    """Odd antiholes of length at least ``min_length``, in cyclic complement
-    order (consecutive tuple entries are non-adjacent), ascending by length
-    then vertex set."""
+def find_all_odd_antiholes(g: Graph) -> list[tuple[int, ...]]:
+    """Odd antiholes on seven or more vertices, in cyclic complement order
+    (consecutive tuple entries are non-adjacent), ascending by length then
+    vertex set; the five-antihole is the five-hole, which the callers search
+    for on its own."""
     comp_adj = complement(g).adj
     full = (1 << g.n) - 1
     out = []
-    for length in range(min_length | 1, g.n + 1, 2):
+    for length in range(7, g.n + 1, 2):
         out.extend(sorted(_holes(comp_adj, full, length), key=sorted))
     return out
 
@@ -414,7 +415,7 @@ def check_antihole_lemma(g: Graph) -> list[str]:
     the fully attached part avoids K1uK3, the partial part splits into
     independent buckets, and nothing sits at distance two."""
     out = []
-    for order in find_all_odd_antiholes(g, 7):
+    for order in find_all_odd_antiholes(g):
         try:
             out += _antihole_violations(g, order, antihole_neighborhood_split(g, order))
         except StructureAssertionError as exc:
@@ -634,25 +635,21 @@ def find_dominating_clique_or_p3(g: Graph) -> tuple[str, VertexSet]:
     raise SearchExhaustedError("no dominating clique or three-path found")
 
 
-def _induced_path_interior_sizes(g: Graph, s1: int, s2: int, interior: int) -> list[int]:
-    """Interior sizes of all induced s1-s2 paths with interior inside ``interior``."""
-    sizes = []
-    path = [s1]
-
-    def extend(used: int) -> None:
-        last = path[-1]
-        if g.adj[last] >> s2 & 1 and all(not g.adj[p] >> s2 & 1 for p in path[:-1]):
-            sizes.append(len(path) - 1)
-        cand = g.adj[last] & interior & ~used
-        for p in path[:-1]:
-            cand &= ~g.adj[p]
-        for v in bits_of(cand):
-            path.append(v)
-            extend(used | (1 << v))
-            path.pop()
-
-    extend(1 << s1)
-    return sizes
+def _attachment_paths(adj: tuple[int, ...], s1: int, s2: int, side: int) -> tuple[bool, bool]:
+    """Whether an induced path between the non-adjacent ``s1`` and ``s2``
+    runs through ``side`` with one inner vertex, and whether one runs with
+    two or more.  With A and B the neighbours of ``s1`` and ``s2`` in the
+    side, one inner vertex means a vertex of A and B.  A longer path starts
+    in A less B, ends in B less A and has its other inner vertices in the
+    rest R of the side, as an inner vertex sees neither end; conversely a
+    shortest such path from A less B to B less A is induced.  So one exists
+    iff the two parts are adjacent or both touch one component of G[R]."""
+    a, b = adj[s1] & side, adj[s2] & side
+    a_only, b_only = a & ~b, b & ~a
+    touches = (neighborhood_mask(adj, comp) for comp in components_masks(adj, side & ~(a | b)))
+    longer = bool(neighborhood_mask(adj, a_only) & b_only) or any(
+        t & a_only and t & b_only for t in touches)
+    return bool(a & b), longer
 
 
 def check_c5_cutset_lemma(g: Graph) -> list[str]:
@@ -673,10 +670,10 @@ def check_c5_cutset_lemma(g: Graph) -> list[str]:
             if g.adj[s1] >> s2 & 1:
                 continue
             for side in comps:
-                sizes = _induced_path_interior_sizes(g, s1, s2, side.mask)
-                if not sizes:
+                short, longer = _attachment_paths(g.adj, s1, s2, side.mask)
+                if not (short or longer):
                     out.append(f"no attachment path between {s1},{s2} through one side")
-                elif any(k != 1 for k in sizes):
+                elif longer:
                     out.append(f"attachment path between {s1},{s2} has length above two")
         for s in report.cutset:
             if not any(g.adj[s] & side.mask == side.mask for side in comps):

@@ -32,7 +32,7 @@ def warm_universe(names: tuple[str, ...], n_max: int) -> list[Graph]:
     from chibind.graphs import empty_graph
 
     free_graphs = tuple(
-        empty_graph(3, "3K1") if name == "3K1" else pattern(name).graph for name in names
+        empty_graph(3) if name == "3K1" else pattern(name).graph for name in names
     )
     cache_key = en._pattern_cache_key(free_graphs)
     out: list[Graph] = []

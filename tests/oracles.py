@@ -397,7 +397,7 @@ def distances_plain(g: Graph, sources: tuple[int, ...]) -> list[int | None]:
         dist[v] = 0
     for v in queue:  # the list grows while it is walked
         for u in range(g.n):
-            if dist[u] is None and g.has_edge(v, u):
+            if dist[u] is None and g.adj[v] >> u & 1:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
@@ -415,9 +415,9 @@ def five_hole_decomposition_plain(
     for i in range(5):
         a, b = hole[i], hole[(i + 1) % 5]
         c = hole[(i + 2) % 5]
-        if not g.has_edge(a, b):
+        if not g.adj[a] >> b & 1:
             raise PreconditionError(f"hole vertices {a},{b} are not adjacent")
-        if g.has_edge(a, c):
+        if g.adj[a] >> c & 1:
             raise PreconditionError(f"hole chord {a},{c}: cycle is not induced")
     n = g.n
     dist = distances_plain(g, hole)
@@ -433,7 +433,7 @@ def five_hole_decomposition_plain(
     classes: dict[frozenset[int], int] = {}
     if depth >= 1:
         for x in bits_of(level_masks[0]):
-            key = frozenset(i + 1 for i in range(5) if g.has_edge(x, hole[i]))
+            key = frozenset(i + 1 for i in range(5) if g.adj[x] >> hole[i] & 1)
             classes[key] = classes.get(key, 0) | (1 << x)
     class_sets = {}
     for r in range(1, 6):
@@ -597,7 +597,7 @@ def k_coloring_plain(g: Graph, k: int) -> Coloring | None:
     degree-descending vertex order, each vertex trying the colours used so
     far and one fresh colour, least first; or None."""
     n, adj = g.n, g.adj
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     colors = [-1] * n
     classes = [0] * k
 
@@ -619,3 +619,25 @@ def k_coloring_plain(g: Graph, k: int) -> Coloring | None:
     if assign(0, 0):
         return Coloring(tuple(colors), k)
     return None
+
+
+def induced_path_interior_sizes(g: Graph, s1: int, s2: int, interior: int) -> list[int]:
+    """Inner vertex counts of all induced s1-s2 paths with their inner
+    vertices inside ``interior``, listed one path at a time."""
+    sizes = []
+    path = [s1]
+
+    def extend(used: int) -> None:
+        last = path[-1]
+        if g.adj[last] >> s2 & 1 and all(not g.adj[p] >> s2 & 1 for p in path[:-1]):
+            sizes.append(len(path) - 1)
+        cand = g.adj[last] & interior & ~used
+        for p in path[:-1]:
+            cand &= ~g.adj[p]
+        for v in bits_of(cand):
+            path.append(v)
+            extend(used | (1 << v))
+            path.pop()
+
+    extend(1 << s1)
+    return sizes

@@ -444,10 +444,10 @@ def test_each_piece_is_searched_once_for_each_structure(monkeypatch, p5_k23_free
         hole_found[id(h)] = hole is not None
         return hole
 
-    def antiholes(h, min_length, _search=colorers.find_all_odd_antiholes):
+    def antiholes(h, _search=colorers.find_all_odd_antiholes):
         assert hole_found.get(id(h)) is False and id(h) not in antiholes_searched
         antiholes_searched.add(id(h))
-        return _search(h, min_length)
+        return _search(h)
 
     monkeypatch.setattr(colorers, "find_five_hole", five_hole)
     monkeypatch.setattr(colorers, "find_all_odd_antiholes", antiholes)

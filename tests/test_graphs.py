@@ -40,7 +40,7 @@ def test_from_edge_list_examples():
     k1 = from_edge_list(1, [])
     assert k1.n == 1 and k1.edge_count() == 0
     c5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert all(c5.degree(v) == 2 for v in range(5))
+    assert all(row.bit_count() == 2 for row in c5.adj)
 
 
 def test_from_edge_list_collapses_duplicates():
@@ -206,6 +206,9 @@ def test_clique_independent_complete_anticomplete():
 def test_vertex_set_basics():
     s = VertexSet.of([1, 3], 5)
     assert len(s) == 2 and 3 in s and 0 not in s
+    # membership is that of the frozenset of its vertices
+    assert "a" not in s and None not in s and 5 not in s and -1 not in s
+    assert 1 in s and True in s and 1.0 in s and 3.0 in s and 2.0 not in s
     assert tuple(s) == (1, 3) and list(s) == [1, 3]
     with pytest.raises(GraphError):
         VertexSet.of([5], 5)

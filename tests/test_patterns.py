@@ -235,7 +235,7 @@ def test_odd_hole_certificate_is_an_induced_odd_cycle(g):
         return
     sub = induced(g, found)
     assert sub.n >= 5 and sub.n % 2 == 1
-    assert all(sub.degree(v) == 2 for v in range(sub.n))
+    assert all(row.bit_count() == 2 for row in sub.adj)
     from chibind.graphs import is_connected
 
     assert is_connected(sub)

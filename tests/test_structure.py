@@ -30,6 +30,7 @@ from chibind.harness import verify
 from chibind.patterns import _as_graph, _holes, has_induced_using, is_free, pattern
 from chibind.structure import (
     FiveHoleDecomposition,
+    _attachment_paths,
     _least_clique_cutset,
     antihole_neighborhood_split,
     check_antihole_lemma,
@@ -59,6 +60,7 @@ from oracles import (
     graph_from_pair_mask,
     homogeneous_sets_brute,
     induced_cycles_brute,
+    induced_path_interior_sizes,
     minimal_cutsets_brute,
     neighbor_class,
     seeded_random_graphs,
@@ -130,10 +132,9 @@ def test_hole_searches_match_subset_scans(all_graphs_8):
     for g in all_graphs_8:
         assert find_all_five_holes(g) == sorted(induced_cycles_brute(g.adj, g.n, 5))
         comp = complement(g)
-        brute = [t for length in range(5, g.n + 1, 2)
+        brute = [t for length in range(7, g.n + 1, 2)
                  for t in induced_cycles_brute(comp.adj, g.n, length)]
-        assert find_all_odd_antiholes(g, 5) == brute
-        assert find_all_odd_antiholes(g) == [t for t in brute if len(t) >= 7]
+        assert find_all_odd_antiholes(g) == brute
 
 
 def test_clique_searches_match_subset_scans(all_graphs_8):
@@ -552,7 +553,7 @@ def test_k1uk3_checkers_on_small_cases():
 
 def test_antihole_machinery():
     c7bar = complement(cycle_graph(7))
-    orders = find_all_odd_antiholes(c7bar, 7)
+    orders = find_all_odd_antiholes(c7bar)
     assert orders == [(0, 1, 2, 3, 4, 5, 6)]
     s, t, buckets = antihole_neighborhood_split(c7bar, orders[0])
     assert not s and not t and all(not b for b in buckets)
@@ -587,7 +588,7 @@ def test_p5_checker_fires_outside_class():
 def test_k23_checker_fires_outside_class():
     # two non-adjacent vertices in one distance-two class break the clique fact
     g = c5_plus([0, 2], [0, 2])
-    assert not g.has_edge(5, 6)
+    assert not g.adj[5] >> 6 & 1
     dec = decompose_five_hole(g, (0, 1, 2, 3, 4))
     assert any("not a clique" in v for v in check_k23_hole_lemma(g, dec))
 
@@ -664,6 +665,30 @@ def test_cutset_checker_fires_without_an_attachment_path(monkeypatch):
                                     (VertexSet.of([1], 6), VertexSet.of([4], 6)))
     monkeypatch.setattr(structure, "minimal_cutsets", lambda g: [report])
     assert check_c5_cutset_lemma(cycle_graph(6)) == ["no attachment path between 0,3 through one side"] * 2
+
+
+def test_attachment_paths_match_the_path_listing(all_graphs_7):
+    """On every graph with n <= 6, for every non-adjacent pair and every set
+    of the other vertices as the side, the component search answers as the
+    listing of every induced path through the side does."""
+    cases = 0
+    for g in all_graphs_7:
+        if g.n > 6:
+            continue
+        for s1, s2 in itertools.combinations(range(g.n), 2):
+            if g.adj[s1] >> s2 & 1:
+                continue
+            others = (1 << g.n) - 1 & ~(1 << s1 | 1 << s2)
+            side = others
+            while True:
+                sizes = induced_path_interior_sizes(g, s1, s2, side)
+                expected = (1 in sizes, any(k > 1 for k in sizes))
+                assert _attachment_paths(g.adj, s1, s2, side) == expected
+                cases += 1
+                if not side:
+                    break
+                side = side - 1 & others
+    assert cases == 20225
 
 
 def test_k1uk3_checker_fires_outside_class():
